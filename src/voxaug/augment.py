@@ -13,9 +13,10 @@ value lands in the provenance record; re-running with the same stream (or
 feeding recorded parameters back into the cores) reproduces the output
 bit for bit.
 
-Geometry operators move channels with trilinear interpolation and labels
-with nearest-neighbor through the identical transform, so constituents stay
-co-registered and the label alphabet is preserved.
+Geometry operators hand the whole sample to one resampling path in
+:mod:`voxaug.interp`, which moves channels with trilinear interpolation and
+labels with nearest-neighbor at the same sampling positions, so constituents
+stay co-registered and the label alphabet is preserved.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import interp
-from .interp import AffineTransform, InterpMode
+from .interp import AffineTransform
 from .rng import RandomStream
 from .volume import Sample
 
@@ -165,19 +166,9 @@ def draw_rotation_params(rng: RandomStream, max_deg: float) -> dict:
     return {"angles_deg": tuple(float(v) for v in signs * mags)}
 
 
-def _apply_affine(sample: Sample, t: AffineTransform) -> Sample:
-    channels = tuple(
-        interp.resample_affine(ch, t, InterpMode.TRILINEAR) for ch in sample.channels
-    )
-    labels = sample.labels
-    if labels is not None:
-        labels = interp.resample_labels_affine(labels, t)
-    return Sample(channels=channels, labels=labels, subject_id=sample.subject_id)
-
-
 def rotate_by(sample: Sample, angles_deg) -> Sample:
     """Rotate about the volume center by per-axis angles, order Rx.Ry.Rz."""
-    return _apply_affine(sample, AffineTransform.rotation_xyz(angles_deg))
+    return interp.resample_affine(sample, AffineTransform.rotation_xyz(angles_deg))
 
 
 def rotate(sample: Sample, max_deg: float, rng: RandomStream) -> Sample:
@@ -198,7 +189,7 @@ def scale_by(sample: Sample, factors) -> Sample:
     """Scale about the center by per-axis factors; shape is unchanged, so
     factors > 1 enlarge content (cropping at the edges) and factors < 1
     shrink it (padding with background)."""
-    return _apply_affine(sample, AffineTransform.scaling(factors))
+    return interp.resample_affine(sample, AffineTransform.scaling(factors))
 
 
 def scale(sample: Sample, max_frac: float, rng: RandomStream) -> Sample:
@@ -245,14 +236,7 @@ def draw_elastic_grid(rng: RandomStream, sigma: float, grid_size: int) -> np.nda
 
 def elastic_by(sample: Sample, control_grid: np.ndarray) -> Sample:
     """Warp by the dense field upsampled from an explicit control grid."""
-    fld = interp.bspline_upsample(control_grid, sample.shape)
-    channels = tuple(
-        interp.warp(ch, fld, InterpMode.TRILINEAR) for ch in sample.channels
-    )
-    labels = sample.labels
-    if labels is not None:
-        labels = interp.warp_labels(labels, fld)
-    return Sample(channels=channels, labels=labels, subject_id=sample.subject_id)
+    return interp.warp(sample, interp.bspline_upsample(control_grid, sample.shape))
 
 
 def elastic(sample: Sample, sigma: float, grid_size: int, rng: RandomStream) -> Sample:

@@ -16,7 +16,7 @@ from pathlib import Path
 from .augment import apply_pipeline
 from .config import DEFAULT_LABEL_SUFFIX, load_config
 from .metrics import evaluate_sample
-from .nifti import _atomic_write_bytes, read_labels, read_volume, write_volume
+from .nifti import atomic_write_bytes, read_labels, read_volume, write_volume
 from .rng import RandomStream
 from .stats import rank_models, sign_flip_test
 from .tables import read_metrics, write_metrics, write_ranks
@@ -103,7 +103,7 @@ def _cmd_augment(args) -> int:
             write_volume(ch, out_dir / f"{subject}{suffix}.nii.gz")
         if augmented.labels is not None:
             write_volume(augmented.labels, out_dir / f"{subject}{cfg.label_suffix}.nii.gz")
-        _atomic_write_bytes(
+        atomic_write_bytes(
             out_dir / f"{subject}_provenance.json",
             (provenance.to_json() + "\n").encode(),
         )

@@ -1,5 +1,5 @@
 """Geometric resampling engine: affine resampling, displacement-field
-upsampling, and dense warping.
+upsampling, and dense warping of whole samples.
 
 Conventions shared by all functions here:
 
@@ -9,9 +9,12 @@ Conventions shared by all functions here:
   in voxel coordinates; the output grid equals the input grid.
 * A positive rotation angle about an axis rotates the next axis toward the
   one after it (x toward y for a z rotation; right-handed).
-* Reads outside the grid return the pad constant (0 by default), blended
-  in by trilinear weights at the boundary.
-* Label maps are only ever resampled with nearest-neighbor and pad label 0.
+* One path resamples a whole :class:`~voxaug.volume.Sample`: the sampling
+  positions are built once per operation and shared by every constituent.
+  Image channels are read trilinearly, the label map nearest-neighbor, so
+  constituents stay co-registered and no label value is invented.
+* Reads outside the grid always return 0 (pad label 0 for labels), blended
+  in by trilinear weights at the boundary for channels.
 
 A displacement field is a plain float array of shape (nx, ny, nz, 3) holding
 per-voxel offsets in voxel units: warped(x) = input(x + field(x)).
@@ -19,23 +22,14 @@ per-voxel offsets in voxel units: warped(x) = input(x + field(x)).
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.ndimage import map_coordinates
 
-from .volume import LabelMap, Shape3, Volume
+from .volume import Sample, Shape3
 
 DisplacementField = np.ndarray
-
-
-class InterpMode(Enum):
-    TRILINEAR = "trilinear"
-    NEAREST = "nearest"
-
-
-_MODE_ORDER = {InterpMode.TRILINEAR: 1, InterpMode.NEAREST: 0}
 
 
 def _cos_deg(deg: float) -> float:
@@ -109,35 +103,25 @@ def _affine_coords(shape: Shape3, matrix: np.ndarray) -> np.ndarray:
     return coords.reshape(3, *shape)
 
 
-def _sample(data: np.ndarray, coords: np.ndarray, mode: InterpMode, pad: float) -> np.ndarray:
-    # compute in float64; grid-constant pads with cval beyond the grid
-    out = map_coordinates(
-        data.astype(np.float64, copy=False),
-        coords,
-        order=_MODE_ORDER[mode],
-        mode="grid-constant",
-        cval=float(pad),
-    )
-    return out
+def _resample(sample: Sample, coords: np.ndarray) -> Sample:
+    """Read every constituent at ``coords``: channels trilinear into float32,
+    labels nearest-neighbor into uint8, 0 beyond the grid."""
+
+    def read(data, order, dtype):
+        return map_coordinates(
+            data, coords, output=dtype, order=order, mode="grid-constant", cval=0.0
+        )
+
+    channels = tuple(replace(ch, data=read(ch.data, 1, np.float32)) for ch in sample.channels)
+    labels = sample.labels
+    if labels is not None:
+        labels = replace(labels, data=read(labels.data, 0, np.uint8))
+    return Sample(channels=channels, labels=labels, subject_id=sample.subject_id)
 
 
-def resample_affine(
-    vol: Volume,
-    t: AffineTransform,
-    mode: InterpMode = InterpMode.TRILINEAR,
-    pad_value: float = 0.0,
-) -> Volume:
-    """Resample a volume through an affine transform about its center."""
-    coords = _affine_coords(vol.shape, t.matrix)
-    out = _sample(vol.data, coords, mode, pad_value)
-    return replace(vol, data=out.astype(np.float32))
-
-
-def resample_labels_affine(labels: LabelMap, t: AffineTransform) -> LabelMap:
-    """Nearest-neighbor affine resampling of a label map, padding label 0."""
-    coords = _affine_coords(labels.shape, t.matrix)
-    out = _sample(labels.data, coords, InterpMode.NEAREST, 0.0)
-    return replace(labels, data=out.astype(np.uint8))
+def resample_affine(sample: Sample, t: AffineTransform) -> Sample:
+    """Resample a sample through an affine transform about its center."""
+    return _resample(sample, _affine_coords(sample.shape, t.matrix))
 
 
 def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> DisplacementField:
@@ -179,20 +163,6 @@ def _warp_coords(shape: Shape3, field: DisplacementField) -> np.ndarray:
     return np.stack([g + field[..., a] for a, g in enumerate(grids)])
 
 
-def warp(
-    vol: Volume,
-    field: DisplacementField,
-    mode: InterpMode = InterpMode.TRILINEAR,
-    pad_value: float = 0.0,
-) -> Volume:
-    """Warp a volume by a dense displacement field: out(x) = in(x + field(x))."""
-    coords = _warp_coords(vol.shape, field)
-    out = _sample(vol.data, coords, mode, pad_value)
-    return replace(vol, data=out.astype(np.float32))
-
-
-def warp_labels(labels: LabelMap, field: DisplacementField) -> LabelMap:
-    """Nearest-neighbor warp of a label map, padding label 0."""
-    coords = _warp_coords(labels.shape, field)
-    out = _sample(labels.data, coords, InterpMode.NEAREST, 0.0)
-    return replace(labels, data=out.astype(np.uint8))
+def warp(sample: Sample, field: DisplacementField) -> Sample:
+    """Warp a sample by a dense displacement field: out(x) = in(x + field(x))."""
+    return _resample(sample, _warp_coords(sample.shape, field))

@@ -58,8 +58,8 @@ class MetricRecord:
             raise ValueError(f"unknown region {self.region!r}, expected one of {REGIONS}")
         if not 0.0 <= self.dice <= 1.0:
             raise ValueError(f"dice must be in [0, 1], got {self.dice}")
-        if self.hd95_mm < 0.0:
-            raise ValueError(f"hd95_mm must be >= 0, got {self.hd95_mm}")
+        if not 0.0 <= self.hd95_mm < np.inf:
+            raise ValueError(f"hd95_mm must be finite and >= 0, got {self.hd95_mm}")
 
 
 def region_masks(labels: LabelMap) -> dict[str, RegionMask]:

@@ -66,7 +66,9 @@ def _is_gzip_path(path) -> bool:
     return str(path).endswith(".gz")
 
 
-def _atomic_write_bytes(path, payload: bytes) -> None:
+def atomic_write_bytes(path, payload: bytes) -> None:
+    """Write ``payload`` to a temp file beside ``path``, then rename it over
+    ``path``; on any failure the temp file is removed and ``path`` is untouched."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
@@ -93,7 +95,7 @@ def write_volume(obj: Volume | LabelMap, path) -> None:
     body = header + b"\x00\x00\x00\x00" + raw.ravel(order="F").tobytes()
     if _is_gzip_path(path):
         body = gzip.compress(body, mtime=0)
-    _atomic_write_bytes(path, body)
+    atomic_write_bytes(path, body)
 
 
 def _read_raw(path) -> bytes:

@@ -85,8 +85,8 @@ def sign_flip_test(
     """One-sided paired permutation test by random sign flipping.
 
     With ``exhaustive=True`` all 2**n sign vectors are enumerated instead of
-    sampled (requires n <= 20 and, if given, n_flips == 2**n); this path is
-    shared with :func:`sign_flip_test_exact`.
+    sampled (requires n <= 20 and, if given, n_flips == 2**n) by delegating
+    to :func:`sign_flip_test_exact`.
     """
     if alternative != "greater":
         raise ValueError(f"only alternative='greater' is supported, got {alternative!r}")
@@ -96,21 +96,11 @@ def sign_flip_test(
     if exhaustive:
         if n > 20:
             raise ValueError("exact mode limited to n <= 20")
-        total = 2**n
-        if n_flips is not None and int(n_flips) != total:
+        if n_flips is not None and int(n_flips) != 2**n:
             raise ValueError(
-                f"exhaustive mode over n={n} differences uses {total} flips, got n_flips={n_flips}"
+                f"exhaustive mode over n={n} differences uses {2**n} flips, got n_flips={n_flips}"
             )
-        count, total, observed = _exhaustive_count(arr)
-        p_raw = count / total
-        return TestResult(
-            observed_stat=observed / n,
-            p_raw=p_raw,
-            p_adjusted=bonferroni(p_raw, bonferroni_m),
-            n_flips=total,
-            seed=None,
-            m=int(bonferroni_m),
-        )
+        return sign_flip_test_exact(arr, bonferroni_m)
 
     n_flips = int(n_flips)
     if n_flips < 1:

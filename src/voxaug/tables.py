@@ -3,13 +3,17 @@
 Metric tables use the header ``subject_id,model_id,region,dice,hd95_mm``
 with one row per (subject, model, region). Rows are sorted by that key
 triple before writing so parallel producers yield byte-identical files.
-Floats are rendered with ``repr`` (shortest round-trip form).
+Floats are rendered with ``repr`` (shortest round-trip form). Tables are
+written whole to a temp file and renamed into place, so a failed write
+leaves any previous table intact.
 """
 
 import csv
+import io
 from pathlib import Path
 
 from .metrics import MetricRecord
+from .nifti import atomic_write_bytes
 from .stats import RankEntry
 
 METRIC_HEADER = ("subject_id", "model_id", "region", "dice", "hd95_mm")
@@ -20,23 +24,28 @@ def _sorted_rows(records: list[MetricRecord]) -> list[MetricRecord]:
     return sorted(records, key=lambda r: (r.subject_id, r.model_id, r.region))
 
 
+def _csv_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
+
+
 def write_metrics(records: list[MetricRecord], path, append: bool = False) -> None:
     """Write (or append) a metric table; the appended block is itself sorted."""
     path = Path(path)
-    write_header = True
+    rows = [
+        [r.subject_id, r.model_id, r.region, repr(r.dice), repr(r.hd95_mm)]
+        for r in _sorted_rows(records)
+    ]
+    existing = b""
     if append and path.exists() and path.stat().st_size > 0:
-        with open(path, newline="") as f:
-            first = next(csv.reader(f), None)
+        existing = path.read_bytes()
+        first = next(csv.reader(io.StringIO(existing.decode())), None)
         if first != list(METRIC_HEADER):
             raise ValueError(f"{path}: existing header {first} does not match {list(METRIC_HEADER)}")
-        write_header = False
-    mode = "a" if (append and not write_header) else "w"
-    with open(path, mode, newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        if write_header:
-            w.writerow(METRIC_HEADER)
-        for r in _sorted_rows(records):
-            w.writerow([r.subject_id, r.model_id, r.region, repr(r.dice), repr(r.hd95_mm)])
+    else:
+        rows.insert(0, METRIC_HEADER)
+    atomic_write_bytes(path, existing + _csv_bytes(rows))
 
 
 def read_metrics(path) -> list[MetricRecord]:
@@ -68,8 +77,5 @@ def read_metrics(path) -> list[MetricRecord]:
 
 
 def write_ranks(entries: list[RankEntry], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(RANK_HEADER)
-        for e in entries:
-            w.writerow([e.model_id, repr(e.rank_score)])
+    rows = [[e.model_id, repr(e.rank_score)] for e in entries]
+    atomic_write_bytes(path, _csv_bytes([RANK_HEADER, *rows]))

@@ -1,10 +1,11 @@
 """Brute-force reference implementations shared by the test suite.
 
 These deliberately avoid the library's own vectorized code paths (slice
-shifts, KD-trees): surfaces come from per-voxel neighbor lookups in a padded
-table and distances from dense all-pairs matrices, so agreement is evidence
+shifts, KD-trees, scipy resampling): surfaces come from per-voxel neighbor
+lookups in a padded table, distances from dense all-pairs matrices and
+resampled values from an explicit per-voxel loop, so agreement is evidence
 rather than tautology. Quadratic cost - keep masks small (<= ~1000 surface
-voxels).
+voxels) and resampled grids tiny (<= ~2000 voxels).
 """
 
 import numpy as np
@@ -52,3 +53,35 @@ def random_blob(rng, shape):
     if not m.any():
         m[tuple(rng.integers(0, shape))] = True
     return m
+
+
+def oracle_affine(data, matrix, order):
+    """Direct evaluation of output(x) = input(inv(M) (x - c) + c), no scipy.
+
+    ``order=1`` blends the 8 surrounding voxels with trilinear weights,
+    ``order=0`` reads the nearest voxel; reads beyond the grid are 0.
+    """
+    shape = data.shape
+    inv = np.linalg.inv(matrix)
+    c = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
+    out = np.zeros(shape)
+    for idx in np.ndindex(shape):
+        p = inv @ (np.asarray(idx, dtype=np.float64) - c) + c
+        if order == 0:
+            q = np.round(p).astype(int)
+            if all(0 <= q[i] < shape[i] for i in range(3)):
+                out[idx] = data[tuple(q)]
+            continue
+        lo = np.floor(p).astype(int)
+        frac = p - lo
+        acc = 0.0
+        for corner in np.ndindex((2, 2, 2)):
+            q = lo + np.asarray(corner)
+            w = 1.0
+            for i in range(3):
+                w *= frac[i] if corner[i] else 1.0 - frac[i]
+            if all(0 <= q[i] < shape[i] for i in range(3)):
+                acc += w * data[tuple(q)]
+            # out-of-range corners contribute pad value 0
+        out[idx] = acc
+    return out

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_affine
 from scipy import stats as scipy_stats
+from scipy.ndimage import map_coordinates
 
 import voxaug as vx
+from voxaug import interp
 from voxaug.augment import (
     AugmentPipeline,
     AugmentSpec,
@@ -14,13 +19,14 @@ from voxaug.augment import (
     draw_flip_params,
     draw_scale_params,
     elastic,
+    elastic_by,
     flip,
     flip_axis,
     rotate,
     rotate_by,
     scale_by,
 )
-from voxaug.interp import AffineTransform, InterpMode, resample_affine, resample_labels_affine
+from voxaug.interp import AffineTransform, _affine_coords, _warp_coords, bspline_upsample
 from voxaug.rng import RandomStream
 from voxaug.volume import Sample, Volume
 
@@ -275,14 +281,89 @@ def test_elastic_validation(small_sample):
 # --- co-registration ------------------------------------------------------------
 
 def test_channels_and_labels_stay_coregistered(small_sample):
-    """Transforming a channel equal to the float-cast labels with nearest
-    mode must agree with the transformed label map itself."""
-    labels = small_sample.labels
-    label_channel = Volume(labels.data.astype(np.float32), spacing=labels.spacing)
+    """One transform moves every constituent of a sample: each channel equals
+    the trilinear oracle and the label map the nearest-neighbor oracle."""
+    s = vx.extract_center_patch(small_sample, (10, 10, 10))
+    assert len(np.unique(s.labels.data)) > 2
     t = AffineTransform.rotation_xyz((18.0, -9.0, 33.0))
-    via_labels = resample_labels_affine(labels, t).data
-    via_channel = resample_affine(label_channel, t, InterpMode.NEAREST).data
-    np.testing.assert_array_equal(via_labels, via_channel.astype(np.uint8))
+    out = rotate_by(s, (18.0, -9.0, 33.0))
+    for got, ref in zip(out.channels, s.channels):
+        want = oracle_affine(ref.data.astype(np.float64), t.matrix, order=1)
+        np.testing.assert_allclose(got.data, want, atol=1e-6)
+    want = oracle_affine(s.labels.data.astype(np.float64), t.matrix, order=0)
+    np.testing.assert_array_equal(out.labels.data, want.astype(np.uint8))
+
+
+def _per_constituent_reference(sample, coords):
+    """Reference resampling: each constituent read separately from a float64
+    copy, then cast to its stored dtype."""
+    def read(data, order):
+        return map_coordinates(
+            data.astype(np.float64), coords, order=order, mode="grid-constant", cval=0.0
+        )
+
+    channels = tuple(
+        replace(ch, data=read(ch.data, 1).astype(np.float32)) for ch in sample.channels
+    )
+    labels = replace(sample.labels, data=read(sample.labels.data, 0).astype(np.uint8))
+    return Sample(channels=channels, labels=labels, subject_id=sample.subject_id)
+
+
+def _assert_samples_bytes_equal(a, b):
+    for ca, cb in zip(a.channels, b.channels, strict=True):
+        assert ca.data.dtype == cb.data.dtype == np.float32
+        assert ca.data.tobytes() == cb.data.tobytes()
+    assert a.labels.data.dtype == b.labels.data.dtype == np.uint8
+    assert a.labels.data.tobytes() == b.labels.data.tobytes()
+
+
+def test_geometric_ops_byte_equal_to_per_constituent_float64_reference():
+    s = vx.make_phantom(3, (24, 22, 20))
+    for angles in ((18.0, -9.0, 33.0), (-57.5, 4.25, 0.0)):
+        t = AffineTransform.rotation_xyz(angles)
+        want = _per_constituent_reference(s, _affine_coords(s.shape, t.matrix))
+        _assert_samples_bytes_equal(rotate_by(s, angles), want)
+    for factors in ((1.17, 0.83, 1.05), (0.9, 0.9, 0.9)):
+        t = AffineTransform.scaling(factors)
+        want = _per_constituent_reference(s, _affine_coords(s.shape, t.matrix))
+        _assert_samples_bytes_equal(scale_by(s, factors), want)
+    for seed in (0, 1):
+        grid = draw_elastic_grid(RandomStream(seed, ("ref",)), 5.0, 4)
+        want = _per_constituent_reference(s, _warp_coords(s.shape, bspline_upsample(grid, s.shape)))
+        _assert_samples_bytes_equal(elastic_by(s, grid), want)
+
+
+def test_geometric_ops_build_coordinates_once(small_sample, monkeypatch):
+    """Coordinates are built once per op whatever the channel count, and every
+    channel reaches map_coordinates as its own float32 array, not a copy."""
+    calls = {"coords": 0, "sampled": []}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls["coords"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recording(data, coords, **kwargs):
+        calls["sampled"].append(data)
+        return map_coordinates(data, coords, **kwargs)
+
+    monkeypatch.setattr(interp, "_affine_coords", counting(interp._affine_coords))
+    monkeypatch.setattr(interp, "_warp_coords", counting(interp._warp_coords))
+    monkeypatch.setattr(interp, "map_coordinates", recording)
+    grid = draw_elastic_grid(RandomStream(0, ("once",)), 2.0, 4)
+    for op in (
+        lambda s: rotate_by(s, (5.0, 10.0, -20.0)),
+        lambda s: scale_by(s, (1.1, 0.9, 1.0)),
+        lambda s: elastic_by(s, grid),
+    ):
+        calls["coords"], calls["sampled"] = 0, []
+        op(small_sample)
+        assert calls["coords"] == 1
+        inputs = [ch.data for ch in small_sample.channels] + [small_sample.labels.data]
+        assert len(calls["sampled"]) == len(inputs)
+        for got, want in zip(calls["sampled"], inputs):
+            assert got is want
 
 
 # --- apply_pipeline ---------------------------------------------------------------

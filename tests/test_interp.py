@@ -2,32 +2,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_affine
 from scipy.ndimage import gaussian_filter
 
 import voxaug as vx
-from voxaug.interp import (
-    AffineTransform,
-    InterpMode,
-    bspline_upsample,
-    resample_affine,
-    resample_labels_affine,
-    warp,
-    warp_labels,
-)
-from voxaug.volume import LabelMap, Volume
+from voxaug.interp import AffineTransform, bspline_upsample, resample_affine, warp
+from voxaug.volume import LabelMap, Sample, Volume
 
 
 def _rand_volume(seed, shape=(12, 10, 14)):
     return Volume(np.random.default_rng(seed).random(shape, dtype=np.float32))
 
 
+def _rand_labels(seed, shape=(12, 10, 14)):
+    return LabelMap(np.random.default_rng(seed).choice([0, 1, 2, 4], size=shape).astype(np.uint8))
+
+
+def _sample(*channels, labels=None):
+    return Sample(channels=channels, labels=labels, subject_id="t")
+
+
 # --- AffineTransform -----------------------------------------------------
 
 def test_identity_is_bitwise_identity():
-    v = _rand_volume(0)
-    for mode in (InterpMode.TRILINEAR, InterpMode.NEAREST):
-        out = resample_affine(v, AffineTransform.identity(), mode)
-        np.testing.assert_array_equal(out.data, v.data)
+    s = _sample(_rand_volume(0), _rand_volume(10), labels=_rand_labels(20))
+    out = resample_affine(s, AffineTransform.identity())
+    for got, want in zip(out.channels, s.channels):
+        np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_array_equal(out.labels.data, s.labels.data)
 
 
 def test_singular_matrix_rejected():
@@ -48,45 +50,21 @@ def test_inverse_composes_to_identity():
 # --- resample_affine ------------------------------------------------------
 
 def test_rot90_about_z_is_exact_permutation():
-    v = _rand_volume(1, (32, 32, 32))
-    out = resample_affine(v, AffineTransform.rotation_xyz((0.0, 0.0, 90.0)))
-    np.testing.assert_array_equal(out.data, np.rot90(v.data, 1, axes=(0, 1)))
+    shape = (32, 32, 32)
+    s = _sample(_rand_volume(1, shape), labels=_rand_labels(11, shape))
+    out = resample_affine(s, AffineTransform.rotation_xyz((0.0, 0.0, 90.0)))
+    np.testing.assert_array_equal(out.channels[0].data, np.rot90(s.channels[0].data, 1, axes=(0, 1)))
+    np.testing.assert_array_equal(out.labels.data, np.rot90(s.labels.data, 1, axes=(0, 1)))
 
 
 def test_rot90_each_axis_is_permutation():
     # multiples of 90 degrees are voxel permutations: same multiset of values
-    v = _rand_volume(2, (16, 16, 16))
+    shape = (16, 16, 16)
+    s = _sample(_rand_volume(2, shape), labels=_rand_labels(12, shape))
     for angles in ((90.0, 0.0, 0.0), (0.0, 90.0, 0.0), (0.0, 0.0, -90.0), (0.0, 0.0, 180.0)):
-        out = resample_affine(v, AffineTransform.rotation_xyz(angles))
-        np.testing.assert_array_equal(np.sort(out.data, axis=None), np.sort(v.data, axis=None))
-
-
-def _brute_force_affine(data, matrix, order):
-    """Direct evaluation of output(x) = input(inv(M) (x - c) + c), no scipy."""
-    shape = data.shape
-    inv = np.linalg.inv(matrix)
-    c = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
-    out = np.zeros(shape)
-    for idx in np.ndindex(shape):
-        p = inv @ (np.asarray(idx, dtype=np.float64) - c) + c
-        if order == 0:
-            q = np.round(p).astype(int)
-            if all(0 <= q[i] < shape[i] for i in range(3)):
-                out[idx] = data[tuple(q)]
-            continue
-        lo = np.floor(p).astype(int)
-        frac = p - lo
-        acc = 0.0
-        for corner in np.ndindex((2, 2, 2)):
-            q = lo + np.asarray(corner)
-            w = 1.0
-            for i in range(3):
-                w *= frac[i] if corner[i] else 1.0 - frac[i]
-            if all(0 <= q[i] < shape[i] for i in range(3)):
-                acc += w * data[tuple(q)]
-            # out-of-range corners contribute pad value 0
-        out[idx] = acc
-    return out
+        out = resample_affine(s, AffineTransform.rotation_xyz(angles))
+        for got, want in ((out.channels[0], s.channels[0]), (out.labels, s.labels)):
+            np.testing.assert_array_equal(np.sort(got.data, axis=None), np.sort(want.data, axis=None))
 
 
 def test_scale_matches_brute_force_oracle_on_5cube():
@@ -94,8 +72,8 @@ def test_scale_matches_brute_force_oracle_on_5cube():
     data[2, 2, 2] = 1.0
     data[1, 3, 2] = 0.5
     t = AffineTransform.scaling((2.0, 2.0, 2.0))
-    got = resample_affine(Volume(data), t).data
-    want = _brute_force_affine(data.astype(np.float64), t.matrix, order=1)
+    got = resample_affine(_sample(Volume(data)), t).channels[0].data
+    want = oracle_affine(data.astype(np.float64), t.matrix, order=1)
     np.testing.assert_allclose(got, want.astype(np.float32), atol=1e-6)
 
 
@@ -103,31 +81,32 @@ def test_rotation_matches_brute_force_oracle():
     rng = np.random.default_rng(3)
     vol = Volume(rng.random((6, 5, 7)))
     t = AffineTransform.rotation_xyz((11.0, -23.0, 37.0))
-    got = resample_affine(vol, t).data
-    want = _brute_force_affine(vol.data.astype(np.float64), t.matrix, order=1)
+    got = resample_affine(_sample(vol), t).channels[0].data
+    want = oracle_affine(vol.data.astype(np.float64), t.matrix, order=1)
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
 def test_nearest_matches_brute_force_oracle():
-    rng = np.random.default_rng(4)
-    vol = Volume(rng.integers(0, 9, (6, 6, 6)).astype(np.float64))
+    shape = (6, 6, 6)
+    labels = _rand_labels(4, shape)
     t = AffineTransform.rotation_xyz((0.0, 30.0, 10.0))
-    got = resample_affine(vol, t, InterpMode.NEAREST).data
-    want = _brute_force_affine(vol.data.astype(np.float64), t.matrix, order=0)
-    np.testing.assert_allclose(got, want, atol=1e-6)
+    got = resample_affine(_sample(Volume(np.zeros(shape)), labels=labels), t).labels.data
+    want = oracle_affine(labels.data.astype(np.float64), t.matrix, order=0)
+    np.testing.assert_array_equal(got, want.astype(np.uint8))
 
 
 def test_uniform_upscale_enlarges_centered_content():
     data = np.zeros((9, 9, 9), dtype=np.float32)
     data[4, 4, 4] = 1.0
-    out = resample_affine(Volume(data), AffineTransform.scaling((2.0, 2.0, 2.0)))
+    out = resample_affine(_sample(Volume(data)), AffineTransform.scaling((2.0, 2.0, 2.0)))
+    out = out.channels[0]
     assert (out.data >= 0.1).sum() > 1  # the bright voxel spreads over its neighborhood
     assert out.data[4, 4, 4] == pytest.approx(1.0)
 
 
 def test_downscale_shrinks_foreground(phantom_sample):
     ch = phantom_sample.channels[0]
-    out = resample_affine(ch, AffineTransform.scaling((0.8, 0.8, 0.8)))
+    out = resample_affine(phantom_sample, AffineTransform.scaling((0.8, 0.8, 0.8))).channels[0]
     assert (out.data > 0.05).sum() < (ch.data > 0.05).sum()
 
 
@@ -136,7 +115,7 @@ def test_trilinear_reproduces_linear_functions():
     i, j, k = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in shape], indexing="ij")
     lin = 0.2 + 0.03 * i - 0.05 * j + 0.01 * k
     t = AffineTransform.rotation_xyz((7.0, -4.0, 12.0))
-    out = resample_affine(Volume(lin), t).data.astype(np.float64)
+    out = resample_affine(_sample(Volume(lin)), t).channels[0].data.astype(np.float64)
     inv = np.linalg.inv(t.matrix)
     c = (np.asarray(shape) - 1.0) / 2.0
     pts = np.stack([i, j, k], axis=-1) - c
@@ -151,14 +130,14 @@ def test_affine_roundtrip_bound_on_smooth_phantoms():
     for seed in range(3):
         s = vx.make_phantom(seed, (48, 48, 40))
         smooth = Volume(gaussian_filter(s.channels[0].data.astype(np.float64), 1.0))
-        back = resample_affine(resample_affine(smooth, t), t.inverse())
+        back = resample_affine(resample_affine(_sample(smooth), t), t.inverse()).channels[0]
         err = np.abs(back.data.astype(np.float64) - smooth.data.astype(np.float64)).max()
         assert err < 0.02, f"seed {seed}: round-trip error {err}"
 
 
 def test_labels_resample_nearest_alphabet_preserved(phantom_sample):
     t = AffineTransform.rotation_xyz((25.0, -10.0, 5.0))
-    out = resample_labels_affine(phantom_sample.labels, t)
+    out = resample_affine(phantom_sample, t).labels
     assert set(np.unique(out.data)) <= {0, 1, 2, 4}
     assert out.data.dtype == np.uint8
 
@@ -166,10 +145,9 @@ def test_labels_resample_nearest_alphabet_preserved(phantom_sample):
 @given(st.tuples(st.floats(-60, 60), st.floats(-60, 60), st.floats(-60, 60)))
 @settings(max_examples=20)
 def test_random_rotations_never_invent_labels(angles):
-    rng = np.random.default_rng(5)
-    lm = LabelMap(rng.choice([0, 1, 2, 4], size=(10, 10, 10)).astype(np.uint8))
-    out = resample_labels_affine(lm, AffineTransform.rotation_xyz(angles))
-    assert set(np.unique(out.data)) <= {0, 1, 2, 4}
+    s = _sample(_rand_volume(5, (10, 10, 10)), labels=_rand_labels(5, (10, 10, 10)))
+    out = resample_affine(s, AffineTransform.rotation_xyz(angles))
+    assert set(np.unique(out.labels.data)) <= {0, 1, 2, 4}
 
 
 # --- bspline_upsample -----------------------------------------------------
@@ -228,19 +206,22 @@ def test_bad_control_grids_rejected():
 # --- warp ------------------------------------------------------------------
 
 def test_zero_field_identity_both_modes(phantom_sample):
-    ch = phantom_sample.channels[0]
-    fld = np.zeros(ch.data.shape + (3,))
-    np.testing.assert_array_equal(warp(ch, fld).data, ch.data)
-    out_lab = warp_labels(phantom_sample.labels, fld)
-    np.testing.assert_array_equal(out_lab.data, phantom_sample.labels.data)
+    fld = np.zeros(phantom_sample.shape + (3,))
+    out = warp(phantom_sample, fld)
+    for got, want in zip(out.channels, phantom_sample.channels):
+        np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_array_equal(out.labels.data, phantom_sample.labels.data)
 
 
 def test_unit_shift_field():
-    v = _rand_volume(8, (10, 10, 10))
-    fld = np.zeros((10, 10, 10, 3))
+    shape = (10, 10, 10)
+    s = _sample(_rand_volume(8, shape), labels=_rand_labels(18, shape))
+    fld = np.zeros(shape + (3,))
     fld[..., 0] = 1.0  # output(x) = input(x + 1 along axis 0)
-    out = warp(v, fld).data
-    np.testing.assert_allclose(out[:-1], v.data[1:], atol=1e-6)
+    out = warp(s, fld)
+    np.testing.assert_allclose(out.channels[0].data[:-1], s.channels[0].data[1:], atol=1e-6)
+    np.testing.assert_array_equal(out.labels.data[:-1], s.labels.data[1:])
+    assert not out.labels.data[-1].any()  # read beyond the grid: pad label 0
 
 
 def test_half_shift_on_linear_ramp():
@@ -248,12 +229,16 @@ def test_half_shift_on_linear_ramp():
     ramp = np.broadcast_to(np.arange(9, dtype=np.float64)[:, None, None], shape).copy()
     fld = np.zeros(shape + (3,))
     fld[..., 0] = 0.5
-    out = warp(Volume(ramp), fld).data
+    out = warp(_sample(Volume(ramp)), fld).channels[0].data
     want = ramp + 0.5
     np.testing.assert_allclose(out[:-1], want[:-1], atol=1e-6)
 
 
 def test_warp_shape_mismatch_rejected():
-    v = _rand_volume(9, (6, 6, 6))
-    with pytest.raises(ValueError):
-        warp(v, np.zeros((5, 6, 6, 3)))
+    s = _sample(_rand_volume(9, (6, 6, 6)))
+    with pytest.raises(ValueError, match="does not match volume"):
+        warp(s, np.zeros((5, 6, 6, 3)))
+    bad = np.zeros((6, 6, 6, 3))
+    bad[1, 2, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite displacement"):
+        warp(s, bad)

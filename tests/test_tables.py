@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from voxaug.cli import main
 from voxaug.metrics import MetricRecord
 from voxaug.stats import RankEntry
 from voxaug.tables import read_metrics, write_metrics, write_ranks
@@ -87,3 +90,44 @@ def test_write_ranks(tmp_path):
     path = tmp_path / "r.csv"
     write_ranks([RankEntry("A", 1.0), RankEntry("B", 2.5)], path)
     assert path.read_text() == "model_id,rank_score\nA,1.0\nB,2.5\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_read_rejects_non_finite_hd95_with_line_numbers(tmp_path, capsys, value):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "subject_id,model_id,region,dice,hd95_mm\n"
+        "s1,A,WT,0.5,1.0\n"
+        f"s1,B,WT,0.5,{value}\n"
+    )
+    with pytest.raises(ValueError, match=r"m\.csv:3: hd95_mm must be finite"):
+        read_metrics(path)
+    code = main(["rank", "--metrics", str(path), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code != 0
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+def _failing_replace(src, dst):
+    raise OSError("disk gone")
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda p: write_metrics(ROWS[2:], p),
+        lambda p: write_metrics(ROWS[2:], p, append=True),
+        lambda p: write_ranks([RankEntry("A", 1.0)], p),
+    ],
+    ids=["metrics", "append", "ranks"],
+)
+def test_failed_write_leaves_previous_table_intact(tmp_path, monkeypatch, write):
+    path = tmp_path / "m.csv"
+    write_metrics(ROWS[:2], path)
+    before = path.read_bytes()
+    monkeypatch.setattr(os, "replace", _failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        write(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]

@@ -6,144 +6,28 @@ BraTS-style region metrics (Dice, HD95 with sentinel rules), generalized
 Dice loss, softmax ensembling, a paired sign-flipping permutation test
 with Bonferroni correction, and tie-handled rank aggregation — all rerunnable
 bit-for-bit from a single seed.
+
+The package namespace holds the documented library API; everything else is
+imported from its submodule (``voxaug.augment``, ``voxaug.metrics``, ...).
 """
 
-from .augment import (
-    AugmentPipeline,
-    AugmentSpec,
-    OpRecord,
-    ProvenanceRecord,
-    apply_pipeline,
-    brightness,
-    brightness_by,
-    draw_brightness_params,
-    draw_elastic_grid,
-    draw_flip_params,
-    draw_rotation_params,
-    draw_scale_params,
-    elastic,
-    elastic_by,
-    flip,
-    flip_axis,
-    rotate,
-    rotate_by,
-    scale,
-    scale_by,
-)
-from .config import PipelineConfig, load_config, save_config
-from .interp import (
-    AffineTransform,
-    bspline_upsample,
-    resample_affine,
-    warp,
-)
-from .metrics import (
-    HD95_SENTINEL_MM,
-    REGION_LABELS,
-    REGIONS,
-    MetricRecord,
-    RegionMask,
-    dice,
-    ensemble_average,
-    evaluate_sample,
-    generalized_dice_loss,
-    hausdorff95,
-    region_masks,
-    surface_voxels,
-)
-from .nifti import read_labels, read_volume, write_volume
+from .augment import AugmentPipeline, AugmentSpec, ProvenanceRecord, apply_pipeline
+from .metrics import MetricRecord, evaluate_sample
 from .rng import RandomStream
-from .stats import (
-    RankEntry,
-    TestResult,
-    bonferroni,
-    rank_models,
-    sign_flip_test,
-    sign_flip_test_exact,
-)
-from .tables import read_metrics, write_metrics, write_ranks
-from .volume import (
-    CANONICAL_LABELS,
-    CHANNEL_NAMES,
-    RAW_LABELS,
-    LabelMap,
-    ProbabilityVolume,
-    Sample,
-    Volume,
-    canonical_to_raw_labels,
-    center_offsets,
-    extract_center_patch,
-    make_phantom,
-    normalize_minmax,
-    raw_to_canonical_labels,
-)
+from .volume import LabelMap, Sample, Volume, make_phantom
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineTransform",
     "AugmentPipeline",
     "AugmentSpec",
-    "CANONICAL_LABELS",
-    "CHANNEL_NAMES",
-    "HD95_SENTINEL_MM",
     "LabelMap",
     "MetricRecord",
-    "OpRecord",
-    "PipelineConfig",
-    "ProbabilityVolume",
     "ProvenanceRecord",
-    "RAW_LABELS",
-    "REGIONS",
-    "REGION_LABELS",
     "RandomStream",
-    "RankEntry",
-    "RegionMask",
     "Sample",
-    "TestResult",
     "Volume",
     "apply_pipeline",
-    "bonferroni",
-    "brightness",
-    "brightness_by",
-    "bspline_upsample",
-    "canonical_to_raw_labels",
-    "center_offsets",
-    "dice",
-    "draw_brightness_params",
-    "draw_elastic_grid",
-    "draw_flip_params",
-    "draw_rotation_params",
-    "draw_scale_params",
-    "elastic",
-    "elastic_by",
-    "ensemble_average",
     "evaluate_sample",
-    "extract_center_patch",
-    "flip",
-    "flip_axis",
-    "generalized_dice_loss",
-    "hausdorff95",
-    "load_config",
     "make_phantom",
-    "normalize_minmax",
-    "rank_models",
-    "raw_to_canonical_labels",
-    "read_labels",
-    "read_metrics",
-    "read_volume",
-    "region_masks",
-    "resample_affine",
-    "rotate",
-    "rotate_by",
-    "save_config",
-    "scale",
-    "scale_by",
-    "sign_flip_test",
-    "sign_flip_test_exact",
-    "surface_voxels",
-    "warp",
-    "write_metrics",
-    "write_ranks",
-    "write_volume",
 ]

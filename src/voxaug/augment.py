@@ -1,16 +1,17 @@
 """The five stochastic augmentation operators and the pipeline composer.
 
-Each operator comes in two layers:
+Each operator has a deterministic core (``flip_axis``, ``rotate_by``,
+``scale_by``, ``brightness_by``, ``elastic_by``) that applies explicit
+parameters, and a ``draw_*`` helper that draws those parameters from a
+:class:`~voxaug.rng.RandomStream`.
 
-* a deterministic core (``flip_axis``, ``rotate_by``, ``scale_by``,
-  ``brightness_by``, ``elastic_by``) that applies explicit parameters, and
-* a random wrapper (``flip``, ``rotate``, ...) that draws parameters from a
-  :class:`~voxaug.rng.RandomStream` via the matching ``draw_*_params``
-  helper and calls the core.
-
-The pipeline composer uses the draw helpers directly so that every drawn
-value lands in the provenance record; re-running with the same stream (or
-feeding recorded parameters back into the cores) reproduces the output
+One private table maps each kind to its spec fields (with their menu or
+check), its draw, its core and the parameters it records in provenance.
+:class:`AugmentSpec` validation and serialisation, :data:`KINDS` and
+:func:`apply_spec` all read that table. ``apply_spec`` draws and applies one
+operator unconditionally; :func:`apply_pipeline` decides per step whether
+it fires and records every drawn value, so re-running with the same stream
+(or feeding recorded parameters back into the cores) reproduces the output
 bit for bit.
 
 Geometry operators hand the whole sample to one resampling path in
@@ -21,7 +22,9 @@ stay co-registered and the label alphabet is preserved.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +32,6 @@ from . import interp
 from .interp import AffineTransform
 from .rng import RandomStream
 from .volume import Sample
-
-KINDS = ("flip", "rotation", "scale", "brightness", "elastic")
 
 # parameter menu accepted by the declarative layer (configs); the operator
 # functions themselves take any value in their documented domain
@@ -40,12 +41,84 @@ ELASTIC_SIGMAS = (2.0, 5.0, 8.0, 10.0)
 DEFAULT_GRID_SIZE = 4
 
 
+def _menu(choices: tuple) -> Callable:
+    def check(kind: str, name: str, value) -> float:
+        if value is None or float(value) not in choices:
+            raise ValueError(f"{kind} {name} must be one of {choices}, got {value}")
+        return float(value)
+
+    return check
+
+
+def _grid_size(kind: str, name: str, value) -> int:
+    if int(value) < 2:
+        raise ValueError(f"{kind} {name} must be >= 2, got {value}")
+    return int(value)
+
+
+class _Op(NamedTuple):
+    """One augmentation kind: the spec fields it reads, each with the check
+    that validates it and returns its canonical value; how it draws its
+    parameters from a stream; how it applies them; and what it records."""
+
+    spec_fields: dict[str, Callable]
+    draw: Callable[[RandomStream, "AugmentSpec"], dict]
+    apply: Callable[[Sample, dict], Sample]
+    provenance: Callable[["AugmentSpec", dict], dict]
+
+
+# The cores are looked up by name when an op runs, not captured here, so
+# code that replaces them on this module (tracing, tests) sees every call.
+_OPS = {
+    "flip": _Op(
+        spec_fields={},
+        draw=lambda rng, spec: draw_flip_params(rng),
+        apply=lambda s, p: flip_axis(s, **p),
+        provenance=lambda spec, p: p,
+    ),
+    "rotation": _Op(
+        spec_fields={"max_deg": _menu(ROTATION_MAX_DEG)},
+        draw=lambda rng, spec: draw_rotation_params(rng, spec.max_deg),
+        apply=lambda s, p: rotate_by(s, **p),
+        provenance=lambda spec, p: {"angles_deg": list(p["angles_deg"])},
+    ),
+    "scale": _Op(
+        spec_fields={"max_frac": _menu(SCALE_MAX_FRAC)},
+        draw=lambda rng, spec: draw_scale_params(rng, spec.max_frac),
+        apply=lambda s, p: scale_by(s, **p),
+        provenance=lambda spec, p: {"factors": list(p["factors"])},
+    ),
+    "brightness": _Op(
+        spec_fields={},
+        draw=lambda rng, spec: draw_brightness_params(rng),
+        apply=lambda s, p: brightness_by(s, **p),
+        provenance=lambda spec, p: p,
+    ),
+    "elastic": _Op(
+        spec_fields={"sigma": _menu(ELASTIC_SIGMAS), "grid_size": _grid_size},
+        draw=lambda rng, spec: {
+            "control_grid": draw_elastic_grid(rng, spec.sigma, spec.grid_size)
+        },
+        apply=lambda s, p: elastic_by(s, **p),
+        provenance=lambda spec, p: {
+            "sigma": spec.sigma,
+            "grid_size": spec.grid_size,
+            "control_grid_sha256": _control_grid_sha256(p["control_grid"]),
+        },
+    ),
+}
+
+KINDS = tuple(_OPS)
+
+
 @dataclass(frozen=True)
 class AugmentSpec:
     """Declarative description of one augmentation operator.
 
     Parameters are restricted to the menu above so a pipeline document
-    always describes a supported experiment configuration.
+    always describes a supported experiment configuration. The fields a
+    kind reads are stored in canonical form (menu values as float,
+    ``grid_size`` as int); the others are ignored.
     """
 
     kind: str
@@ -60,39 +133,17 @@ class AugmentSpec:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.kind == "rotation":
-            if self.max_deg is None or float(self.max_deg) not in ROTATION_MAX_DEG:
-                raise ValueError(
-                    f"rotation max_deg must be one of {ROTATION_MAX_DEG}, got {self.max_deg}"
-                )
-        elif self.kind == "scale":
-            if self.max_frac is None or float(self.max_frac) not in SCALE_MAX_FRAC:
-                raise ValueError(
-                    f"scale max_frac must be one of {SCALE_MAX_FRAC}, got {self.max_frac}"
-                )
-        elif self.kind == "elastic":
-            if self.sigma is None or float(self.sigma) not in ELASTIC_SIGMAS:
-                raise ValueError(
-                    f"elastic sigma must be one of {ELASTIC_SIGMAS}, got {self.sigma}"
-                )
-            if int(self.grid_size) < 2:
-                raise ValueError(f"elastic grid_size must be >= 2, got {self.grid_size}")
+        for name, check in _OPS[self.kind].spec_fields.items():
+            object.__setattr__(self, name, check(self.kind, name, getattr(self, name)))
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "probability": self.probability}
-        if self.kind == "rotation":
-            d["max_deg"] = float(self.max_deg)
-        elif self.kind == "scale":
-            d["max_frac"] = float(self.max_frac)
-        elif self.kind == "elastic":
-            d["sigma"] = float(self.sigma)
-            d["grid_size"] = int(self.grid_size)
+        d.update((name, getattr(self, name)) for name in _OPS[self.kind].spec_fields)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentSpec":
-        known = {"kind", "probability", "max_deg", "max_frac", "sigma", "grid_size"}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown augmentation spec fields: {sorted(extra)}")
         return cls(**d)
@@ -153,11 +204,6 @@ def flip_axis(sample: Sample, axis: int) -> Sample:
     return Sample(channels=channels, labels=labels, subject_id=sample.subject_id)
 
 
-def flip(sample: Sample, rng: RandomStream) -> Sample:
-    """Flip one axis chosen uniformly from {x, y, z}."""
-    return flip_axis(sample, **draw_flip_params(rng))
-
-
 # rotation -------------------------------------------------------------
 
 def draw_rotation_params(rng: RandomStream, max_deg: float) -> dict:
@@ -169,13 +215,6 @@ def draw_rotation_params(rng: RandomStream, max_deg: float) -> dict:
 def rotate_by(sample: Sample, angles_deg) -> Sample:
     """Rotate about the volume center by per-axis angles, order Rx.Ry.Rz."""
     return interp.resample_affine(sample, AffineTransform.rotation_xyz(angles_deg))
-
-
-def rotate(sample: Sample, max_deg: float, rng: RandomStream) -> Sample:
-    """Rotate by per-axis angles ~ U[0, max_deg] with independent random signs."""
-    if not 0.0 < float(max_deg) <= 180.0:
-        raise ValueError(f"max_deg must be in (0, 180], got {max_deg}")
-    return rotate_by(sample, **draw_rotation_params(rng, max_deg))
 
 
 # scaling --------------------------------------------------------------
@@ -190,13 +229,6 @@ def scale_by(sample: Sample, factors) -> Sample:
     factors > 1 enlarge content (cropping at the edges) and factors < 1
     shrink it (padding with background)."""
     return interp.resample_affine(sample, AffineTransform.scaling(factors))
-
-
-def scale(sample: Sample, max_frac: float, rng: RandomStream) -> Sample:
-    """Scale by per-axis factors ~ U[1 - max_frac, 1 + max_frac]."""
-    if not 0.0 < float(max_frac) <= 0.5:
-        raise ValueError(f"max_frac must be in (0, 0.5], got {max_frac}")
-    return scale_by(sample, **draw_scale_params(rng, max_frac))
 
 
 # brightness -----------------------------------------------------------
@@ -221,11 +253,6 @@ def brightness_by(sample: Sample, gain: float, gamma: float) -> Sample:
     return Sample(channels=channels, labels=sample.labels, subject_id=sample.subject_id)
 
 
-def brightness(sample: Sample, rng: RandomStream) -> Sample:
-    """Apply the power-law transform with gain, gamma ~ U[0.8, 1.2]."""
-    return brightness_by(sample, **draw_brightness_params(rng))
-
-
 # elastic deformation --------------------------------------------------
 
 def draw_elastic_grid(rng: RandomStream, sigma: float, grid_size: int) -> np.ndarray:
@@ -239,43 +266,19 @@ def elastic_by(sample: Sample, control_grid: np.ndarray) -> Sample:
     return interp.warp(sample, interp.bspline_upsample(control_grid, sample.shape))
 
 
-def elastic(sample: Sample, sigma: float, grid_size: int, rng: RandomStream) -> Sample:
-    """Random smooth deformation with control displacements ~ N(0, sigma^2)."""
-    if float(sigma) < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if int(grid_size) < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    return elastic_by(sample, draw_elastic_grid(rng, sigma, grid_size))
-
-
 # pipeline composition -------------------------------------------------
 
 def _control_grid_sha256(grid: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(grid, dtype=np.float64).tobytes()).hexdigest()
 
 
-def _apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sample, dict]:
-    if spec.kind == "flip":
-        params = draw_flip_params(rng)
-        return flip_axis(sample, **params), params
-    if spec.kind == "rotation":
-        params = draw_rotation_params(rng, spec.max_deg)
-        return rotate_by(sample, **params), {"angles_deg": list(params["angles_deg"])}
-    if spec.kind == "scale":
-        params = draw_scale_params(rng, spec.max_frac)
-        return scale_by(sample, **params), {"factors": list(params["factors"])}
-    if spec.kind == "brightness":
-        params = draw_brightness_params(rng)
-        return brightness_by(sample, **params), params
-    if spec.kind == "elastic":
-        grid = draw_elastic_grid(rng, spec.sigma, spec.grid_size)
-        out = elastic_by(sample, grid)
-        return out, {
-            "sigma": float(spec.sigma),
-            "grid_size": int(spec.grid_size),
-            "control_grid_sha256": _control_grid_sha256(grid),
-        }
-    raise ValueError(f"unknown augmentation kind {spec.kind!r}")
+def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sample, dict]:
+    """Draw the spec's parameters from ``rng`` and apply its operator
+    unconditionally; returns the output and the parameters as recorded in
+    provenance."""
+    op = _OPS[spec.kind]
+    params = op.draw(rng, spec)
+    return op.apply(sample, params), op.provenance(spec, params)
 
 
 def apply_pipeline(
@@ -294,7 +297,7 @@ def apply_pipeline(
         fired = sub.random() < spec.probability
         params: dict = {}
         if fired:
-            out, params = _apply_spec(out, spec, sub)
+            out, params = apply_spec(out, spec, sub)
         prov.records.append(
             OpRecord(kind=spec.kind, probability=spec.probability, fired=fired, params=params)
         )

@@ -1,7 +1,7 @@
 """JSON experiment configuration for the augmentation pipeline."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .augment import AugmentPipeline, AugmentSpec
@@ -61,16 +61,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {
-            "seed",
-            "pipeline",
-            "patch_shape",
-            "channel_suffixes",
-            "label_suffix",
-            "input_dir",
-            "output_dir",
-        }
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         if "seed" not in d:

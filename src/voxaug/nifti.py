@@ -15,8 +15,9 @@ filename field. Files are written to a temp name and atomically renamed.
 
 import gzip
 import os
+import secrets
 import struct
-import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +69,13 @@ def _is_gzip_path(path) -> bool:
 
 def atomic_write_bytes(path, payload: bytes) -> None:
     """Write ``payload`` to a temp file beside ``path``, then rename it over
-    ``path``; on any failure the temp file is removed and ``path`` is untouched."""
+    ``path``; on any failure the temp file is removed and ``path`` is untouched.
+
+    The temp file is created with mode 0o666, so the written file gets the
+    umask's default mode, as with a plain ``open(path, "wb")``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.parent / f"tmp{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(payload)
@@ -102,7 +107,10 @@ def _read_raw(path) -> bytes:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
+        try:
+            blob = gzip.decompress(blob)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{path}: corrupt gzip ({exc})") from exc
     elif _is_gzip_path(path):
         raise ValueError(f"{path}: .gz extension but no gzip magic at offset 0")
     return blob

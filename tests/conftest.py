@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 import voxaug as vx
+from voxaug.volume import extract_center_patch
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -35,7 +36,7 @@ def phantom_sample():
 
 @pytest.fixture(scope="session")
 def small_sample(phantom_sample):
-    return vx.extract_center_patch(phantom_sample, (32, 32, 32))
+    return extract_center_patch(phantom_sample, (32, 32, 32))
 
 
 @pytest.fixture()

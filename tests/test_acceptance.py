@@ -20,7 +20,7 @@ from voxaug.augment import (
     AugmentSpec,
     apply_pipeline,
     brightness_by,
-    elastic,
+    elastic_by,
     rotate_by,
     scale_by,
 )
@@ -108,7 +108,7 @@ def test_c05_augmentation_identities():
         rotate_by(sample, (0.0, 0.0, 0.0)),
         scale_by(sample, (1.0, 1.0, 1.0)),
         brightness_by(sample, 1.0, 1.0),
-        elastic(sample, 0.0, 4, RandomStream(1, ("id",))),
+        elastic_by(sample, np.zeros((4, 4, 4, 3))),
     ]
     for out in identities:
         for got, ref in zip(out.channels, sample.channels):

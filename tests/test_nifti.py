@@ -1,10 +1,14 @@
 import gzip
+import os
+import re
+import stat
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from voxaug.nifti import read_labels, read_volume, write_volume
+from voxaug.nifti import atomic_write_bytes, read_labels, read_volume, write_volume
 from voxaug.volume import LabelMap, Volume
 
 
@@ -229,3 +233,44 @@ def test_nonpositive_pixdim_rejected(tmp_path):
     path = _write(tmp_path, "p.nii", blob)
     with pytest.raises(ValueError, match="offset 76"):
         read_volume(path)
+
+
+def _truncated(gz):
+    return gz[: len(gz) // 2]
+
+
+def _bad_block_type(gz):
+    # byte 10 opens the deflate stream; BTYPE bits 11 are reserved
+    return gz[:10] + bytes([gz[10] | 0b110]) + gz[11:]
+
+
+def _bad_crc(gz):
+    return gz[:-8] + bytes([gz[-8] ^ 0xFF]) + gz[-7:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, cause",
+    [(_truncated, EOFError), (_bad_block_type, zlib.error), (_bad_crc, gzip.BadGzipFile)],
+    ids=["truncated", "flipped-byte", "bad-crc"],
+)
+def test_corrupt_gzip_names_the_path(tmp_path, corrupt, cause):
+    gz = gzip.compress(_fabricate(payload=b"\x00" * 96), mtime=0)
+    path = _write(tmp_path, "c.nii.gz", corrupt(gz))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: corrupt gzip (")) as excinfo:
+        read_volume(path)
+    assert isinstance(excinfo.value.__cause__, cause)
+
+
+# --- atomic writes ---------------------------------------------------------------
+
+def test_atomic_write_gets_the_umask_default_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain.bin", "wb") as f:
+            f.write(b"x")
+        atomic_write_bytes(tmp_path / "atomic.bin", b"x")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "atomic.bin").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain.bin").stat().st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.bin", "plain.bin"]

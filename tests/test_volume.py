@@ -4,8 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import voxaug as vx
-from voxaug.volume import LabelMap, ProbabilityVolume, Sample, Volume
+from voxaug.volume import (
+    LabelMap,
+    ProbabilityVolume,
+    Sample,
+    Volume,
+    canonical_to_raw_labels,
+    center_offsets,
+    extract_center_patch,
+    make_phantom,
+    normalize_minmax,
+    raw_to_canonical_labels,
+)
 
 
 def test_volume_casts_to_float32():
@@ -76,43 +86,43 @@ def test_probability_volume_checks():
 
 def test_normalize_minmax_example():
     v = Volume(np.array([2.0, 4.0, 6.0]).reshape(1, 1, 3))
-    out = vx.normalize_minmax(v)
+    out = normalize_minmax(v)
     np.testing.assert_allclose(out.data, [[[0.0, 0.5, 1.0]]], atol=1e-7)
 
 
 def test_normalize_minmax_unit_span_unchanged():
     v = Volume(np.array([0.0, 0.25, 1.0]).reshape(1, 1, 3))
-    np.testing.assert_array_equal(vx.normalize_minmax(v).data, v.data)
+    np.testing.assert_array_equal(normalize_minmax(v).data, v.data)
 
 
 def test_normalize_minmax_constant_to_zeros():
     v = Volume(np.full((2, 2, 2), 5.0))
-    assert not vx.normalize_minmax(v).data.any()
+    assert not normalize_minmax(v).data.any()
 
 
 def test_normalize_minmax_idempotent():
     v = Volume(np.random.default_rng(0).random((4, 4, 4)))
-    once = vx.normalize_minmax(v)
-    twice = vx.normalize_minmax(once)
+    once = normalize_minmax(v)
+    twice = normalize_minmax(once)
     np.testing.assert_array_equal(once.data, twice.data)
 
 
 def test_center_offsets_brats_shape():
-    assert vx.center_offsets((240, 240, 155), (128, 128, 128)) == (56, 56, 13)
+    assert center_offsets((240, 240, 155), (128, 128, 128)) == (56, 56, 13)
 
 
 def test_center_offsets_small_case():
-    assert vx.center_offsets((10, 10, 10), (4, 4, 4)) == (3, 3, 3)
+    assert center_offsets((10, 10, 10), (4, 4, 4)) == (3, 3, 3)
 
 
 def test_center_offsets_patch_too_large():
     with pytest.raises(ValueError, match="patch exceeds volume"):
-        vx.center_offsets((16, 16, 16), (17, 16, 16))
+        center_offsets((16, 16, 16), (17, 16, 16))
 
 
 def test_extract_center_patch_matches_manual_slice(phantom_sample):
-    patch = vx.extract_center_patch(phantom_sample, (16, 20, 12))
-    off = vx.center_offsets(phantom_sample.shape, (16, 20, 12))
+    patch = extract_center_patch(phantom_sample, (16, 20, 12))
+    off = center_offsets(phantom_sample.shape, (16, 20, 12))
     sl = tuple(slice(o, o + p) for o, p in zip(off, (16, 20, 12)))
     np.testing.assert_array_equal(patch.channels[0].data, phantom_sample.channels[0].data[sl])
     np.testing.assert_array_equal(patch.labels.data, phantom_sample.labels.data[sl])
@@ -120,22 +130,22 @@ def test_extract_center_patch_matches_manual_slice(phantom_sample):
 
 
 def test_extract_center_patch_identity(phantom_sample):
-    same = vx.extract_center_patch(phantom_sample, phantom_sample.shape)
+    same = extract_center_patch(phantom_sample, phantom_sample.shape)
     np.testing.assert_array_equal(same.channels[0].data, phantom_sample.channels[0].data)
 
 
 def test_label_relabeling_bijection():
     raw = LabelMap(np.array([0, 1, 2, 4], dtype=np.uint8).reshape(1, 1, 4))
-    canon = vx.raw_to_canonical_labels(raw)
+    canon = raw_to_canonical_labels(raw)
     np.testing.assert_array_equal(canon.data.ravel(), [0, 1, 2, 3])
-    back = vx.canonical_to_raw_labels(canon)
+    back = canonical_to_raw_labels(canon)
     np.testing.assert_array_equal(back.data, raw.data)
 
 
 def test_label_relabeling_convention_guard():
     raw = LabelMap(np.zeros((1, 1, 1), dtype=np.uint8))
     with pytest.raises(ValueError):
-        vx.canonical_to_raw_labels(raw)
+        canonical_to_raw_labels(raw)
 
 
 @given(
@@ -147,20 +157,20 @@ def test_label_relabeling_convention_guard():
 )
 def test_label_roundtrip_property(data):
     raw = LabelMap(data)
-    back = vx.canonical_to_raw_labels(vx.raw_to_canonical_labels(raw))
+    back = canonical_to_raw_labels(raw_to_canonical_labels(raw))
     np.testing.assert_array_equal(back.data, raw.data)
 
 
 def test_make_phantom_deterministic():
-    a = vx.make_phantom(0, (32, 32, 32))
-    b = vx.make_phantom(0, (32, 32, 32))
+    a = make_phantom(0, (32, 32, 32))
+    b = make_phantom(0, (32, 32, 32))
     for ca, cb in zip(a.channels, b.channels):
         np.testing.assert_array_equal(ca.data, cb.data)
     np.testing.assert_array_equal(a.labels.data, b.labels.data)
 
 
 def test_make_phantom_full_alphabet_and_range():
-    s = vx.make_phantom(0, (32, 32, 32))
+    s = make_phantom(0, (32, 32, 32))
     assert set(np.unique(s.labels.data)) == {0, 1, 2, 4}
     assert len(s.channels) == 4
     for ch in s.channels:
@@ -170,17 +180,17 @@ def test_make_phantom_full_alphabet_and_range():
 def test_make_phantom_seed_moves_tumor():
     centers = []
     for seed in range(10):
-        s = vx.make_phantom(seed, (32, 32, 32))
+        s = make_phantom(seed, (32, 32, 32))
         centers.append(tuple(np.argwhere(s.labels.data == 4).mean(axis=0).round(2)))
     assert len(set(centers)) > 1
 
 
 def test_make_phantom_too_small():
     with pytest.raises(ValueError):
-        vx.make_phantom(0, (8, 8, 8))
+        make_phantom(0, (8, 8, 8))
 
 
 @given(st.integers(0, 10_000))
 def test_phantom_labels_always_valid(seed):
-    s = vx.make_phantom(seed, (16, 16, 16))
+    s = make_phantom(seed, (16, 16, 16))
     assert set(np.unique(s.labels.data)) <= {0, 1, 2, 4}

@@ -23,7 +23,7 @@ stay co-registered and the label alphabet is preserved.
 import hashlib
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -118,7 +118,7 @@ class AugmentSpec:
     Parameters are restricted to the menu above so a pipeline document
     always describes a supported experiment configuration. The fields a
     kind reads are stored in canonical form (menu values as float,
-    ``grid_size`` as int); the others are ignored.
+    ``grid_size`` as int); the others must keep their defaults.
     """
 
     kind: str
@@ -131,10 +131,15 @@ class AugmentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        for name, check in _OPS[self.kind].spec_fields.items():
-            object.__setattr__(self, name, check(self.kind, name, getattr(self, name)))
+        if isinstance(self.probability, bool) or not 0.0 <= self.probability <= 1.0:
+            raise ValueError(f"probability must be a number in [0, 1], got {self.probability}")
+        checks = _OPS[self.kind].spec_fields
+        for f in fields(self)[2:]:  # the parameters after kind and probability
+            value = getattr(self, f.name)
+            if f.name in checks:
+                object.__setattr__(self, f.name, checks[f.name](self.kind, f.name, value))
+            elif value != f.default:
+                raise ValueError(f"{self.kind} does not read {f.name}, got {value}")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "probability": self.probability}
@@ -194,14 +199,7 @@ def flip_axis(sample: Sample, axis: int) -> Sample:
     """Reverse the sample along one axis (0=x, 1=y, 2=z)."""
     if axis not in (0, 1, 2):
         raise ValueError(f"flip axis must be 0, 1 or 2, got {axis}")
-    channels = tuple(
-        replace(ch, data=np.ascontiguousarray(np.flip(ch.data, axis)))
-        for ch in sample.channels
-    )
-    labels = sample.labels
-    if labels is not None:
-        labels = replace(labels, data=np.ascontiguousarray(np.flip(labels.data, axis)))
-    return Sample(channels=channels, labels=labels, subject_id=sample.subject_id)
+    return sample.map(lambda a: np.flip(a, axis), lambda a: np.flip(a, axis))
 
 
 # rotation -------------------------------------------------------------
@@ -246,11 +244,7 @@ def brightness_by(sample: Sample, gain: float, gamma: float) -> Sample:
     for ch in sample.channels:
         if ch.data.min() < 0:
             raise ValueError("brightness requires nonnegative intensities - normalize first")
-    channels = tuple(
-        replace(ch, data=(float(gain) * ch.data.astype(np.float64) ** float(gamma)).astype(np.float32))
-        for ch in sample.channels
-    )
-    return Sample(channels=channels, labels=sample.labels, subject_id=sample.subject_id)
+    return sample.map(lambda a: float(gain) * a.astype(np.float64) ** float(gamma))
 
 
 # elastic deformation --------------------------------------------------

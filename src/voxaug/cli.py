@@ -39,10 +39,7 @@ def _thread_count() -> int:
 
 
 def _map_subjects(fn, subjects):
-    workers = _thread_count()
-    if workers == 1 or len(subjects) <= 1:
-        return [fn(s) for s in subjects]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         return list(pool.map(fn, subjects))
 
 

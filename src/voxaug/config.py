@@ -70,10 +70,6 @@ class PipelineConfig:
         kwargs["pipeline"] = tuple(
             AugmentSpec.from_dict(s) for s in d.get("pipeline", ())
         )
-        if "patch_shape" in d:
-            kwargs["patch_shape"] = tuple(d["patch_shape"])
-        if "channel_suffixes" in d:
-            kwargs["channel_suffixes"] = tuple(d["channel_suffixes"])
         return cls(**kwargs)
 
 

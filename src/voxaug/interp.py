@@ -21,7 +21,7 @@ per-voxel offsets in voxel units: warped(x) = input(x + field(x)).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -32,27 +32,15 @@ from .volume import Sample, Shape3
 DisplacementField = np.ndarray
 
 
-def _cos_deg(deg: float) -> float:
-    # exact at quadrant angles so axis-aligned rotations are lossless
-    r = deg % 360.0
-    if r == 0.0:
-        return 1.0
-    if r in (90.0, 270.0):
-        return 0.0
-    if r == 180.0:
-        return -1.0
-    return math.cos(math.radians(deg))
+# exact (cos, sin) at quadrant angles so axis-aligned rotations are lossless
+_QUADRANTS = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0, -1.0)}
 
 
-def _sin_deg(deg: float) -> float:
-    r = deg % 360.0
-    if r in (0.0, 180.0):
-        return 0.0
-    if r == 90.0:
-        return 1.0
-    if r == 270.0:
-        return -1.0
-    return math.sin(math.radians(deg))
+def _cos_sin_deg(deg: float) -> tuple[float, float]:
+    exact = _QUADRANTS.get(deg % 360.0)
+    if exact is not None:
+        return exact
+    return math.cos(math.radians(deg)), math.sin(math.radians(deg))
 
 
 @dataclass(frozen=True)
@@ -76,10 +64,7 @@ class AffineTransform:
     @classmethod
     def rotation_xyz(cls, angles_deg) -> "AffineTransform":
         """Compose elementary rotations in fixed order Rx . Ry . Rz."""
-        ax, ay, az = (float(a) for a in angles_deg)
-        cx, sx = _cos_deg(ax), _sin_deg(ax)
-        cy, sy = _cos_deg(ay), _sin_deg(ay)
-        cz, sz = _cos_deg(az), _sin_deg(az)
+        (cx, sx), (cy, sy), (cz, sz) = (_cos_sin_deg(float(a)) for a in angles_deg)
         rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
         ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
         rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
@@ -96,10 +81,11 @@ class AffineTransform:
 def _affine_coords(shape: Shape3, matrix: np.ndarray) -> np.ndarray:
     """Sampling positions for output(x) = input(matrix^-1 (x - c) + c)."""
     inv = np.linalg.inv(matrix)
-    c = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
-    grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in shape], indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids])
-    coords = inv @ (pts - c[:, None]) + c[:, None]
+    c = (np.asarray(shape, dtype=np.float64)[:, None] - 1.0) / 2.0
+    pts = np.indices(shape, dtype=np.float64).reshape(3, -1)
+    pts -= c
+    coords = inv @ pts
+    coords += c
     return coords.reshape(3, *shape)
 
 
@@ -107,16 +93,12 @@ def _resample(sample: Sample, coords: np.ndarray) -> Sample:
     """Read every constituent at ``coords``: channels trilinear into float32,
     labels nearest-neighbor into uint8, 0 beyond the grid."""
 
-    def read(data, order, dtype):
-        return map_coordinates(
+    def reader(order, dtype):
+        return lambda data: map_coordinates(
             data, coords, output=dtype, order=order, mode="grid-constant", cval=0.0
         )
 
-    channels = tuple(replace(ch, data=read(ch.data, 1, np.float32)) for ch in sample.channels)
-    labels = sample.labels
-    if labels is not None:
-        labels = replace(labels, data=read(labels.data, 0, np.uint8))
-    return Sample(channels=channels, labels=labels, subject_id=sample.subject_id)
+    return sample.map(reader(1, np.float32), reader(0, np.uint8))
 
 
 def resample_affine(sample: Sample, t: AffineTransform) -> Sample:
@@ -159,8 +141,9 @@ def _warp_coords(shape: Shape3, field: DisplacementField) -> np.ndarray:
         raise ValueError(f"field shape {field.shape} does not match volume {tuple(shape)}")
     if not np.isfinite(field).all():
         raise ValueError("non-finite displacement")
-    grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in shape], indexing="ij")
-    return np.stack([g + field[..., a] for a, g in enumerate(grids)])
+    coords = np.indices(shape, dtype=np.float64)
+    coords += np.moveaxis(field, -1, 0)
+    return coords
 
 
 def warp(sample: Sample, field: DisplacementField) -> Sample:

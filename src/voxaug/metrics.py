@@ -113,7 +113,7 @@ def _directed_p95(src_pts: np.ndarray, dst_pts: np.ndarray) -> float:
     return float(np.percentile(dists, 95.0))
 
 
-def hausdorff95(pred: RegionMask, truth: RegionMask, spacing: Spacing3 | None = None) -> float:
+def hausdorff95(pred: RegionMask, truth: RegionMask) -> float:
     """Symmetric 95th-percentile surface distance in millimeters.
 
     Takes the max of the two directed 95th percentiles (linear-interpolation
@@ -125,19 +125,14 @@ def hausdorff95(pred: RegionMask, truth: RegionMask, spacing: Spacing3 | None = 
         raise ValueError(
             f"shape mismatch: pred {pred.mask.shape} vs truth {truth.mask.shape}"
         )
-    if spacing is None:
-        if pred.spacing != truth.spacing:
-            raise ValueError(
-                f"spacing mismatch: pred {pred.spacing} vs truth {truth.spacing}"
-            )
-        spacing = pred.spacing
-    spacing = _check_spacing(spacing)
+    if pred.spacing != truth.spacing:
+        raise ValueError(f"spacing mismatch: pred {pred.spacing} vs truth {truth.spacing}")
     pe, te = pred.count == 0, truth.count == 0
     if pe and te:
         return 0.0
     if pe or te:
         return HD95_SENTINEL_MM
-    sp = np.asarray(spacing, dtype=np.float64)
+    sp = np.asarray(pred.spacing, dtype=np.float64)
     pred_pts = surface_voxels(pred.mask).astype(np.float64) * sp
     truth_pts = surface_voxels(truth.mask).astype(np.float64) * sp
     return max(_directed_p95(pred_pts, truth_pts), _directed_p95(truth_pts, pred_pts))

@@ -146,9 +146,9 @@ def _parse_header(blob: bytes, path="<bytes>") -> dict:
     if any(not np.isfinite(v) or v <= 0 for v in spacing):
         raise ValueError(f"{path}: nonpositive pixdim {spacing} at offset 76")
     (vox_offset,) = struct.unpack_from("<f", blob, 108)
+    if not np.isfinite(vox_offset) or int(vox_offset) < HEADER_SIZE:
+        raise ValueError(f"{path}: bad vox_offset {vox_offset:g} at offset 108")
     vox_offset = int(vox_offset)
-    if vox_offset < HEADER_SIZE:
-        raise ValueError(f"{path}: bad vox_offset {vox_offset} at offset 108")
     slope, inter = struct.unpack_from("<2f", blob, 112)
     return {
         "shape": shape,
@@ -182,7 +182,7 @@ def read_volume(path, as_labels: bool = False) -> Volume | LabelMap:
             f"got {len(blob) - start}"
         )
     flat = np.frombuffer(blob, dtype=dtype, count=int(np.prod(shape)), offset=start)
-    data = np.ascontiguousarray(flat.reshape(shape, order="F"))
+    data = flat.reshape(shape, order="F")
     slope, inter = hdr["scl_slope"], hdr["scl_inter"]
     scaled = slope not in (0.0, 1.0) or inter != 0.0
     if as_labels:
@@ -194,10 +194,9 @@ def read_volume(path, as_labels: bool = False) -> Volume | LabelMap:
         if scaled:
             raise ValueError(f"{path}: scaled data (scl_slope/scl_inter) cannot be labels")
         return LabelMap(data=data, spacing=hdr["spacing"], convention="raw")
-    fdata = data.astype(np.float64)
     if scaled:
-        fdata = fdata * slope + inter
-    return Volume(data=fdata.astype(np.float32), spacing=hdr["spacing"], name=_volume_name(path))
+        data = data.astype(np.float64) * slope + inter
+    return Volume(data=data, spacing=hdr["spacing"], name=_volume_name(path))
 
 
 def read_labels(path) -> LabelMap:

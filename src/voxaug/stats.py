@@ -78,7 +78,6 @@ def sign_flip_test(
     d,
     n_flips: int,
     seed: int = 0,
-    alternative: str = "greater",
     exhaustive: bool = False,
     bonferroni_m: int = 1,
 ) -> TestResult:
@@ -88,8 +87,6 @@ def sign_flip_test(
     sampled (requires n <= 20 and, if given, n_flips == 2**n) by delegating
     to :func:`sign_flip_test_exact`.
     """
-    if alternative != "greater":
-        raise ValueError(f"only alternative='greater' is supported, got {alternative!r}")
     arr = _as_differences(d)
     n = arr.size
 

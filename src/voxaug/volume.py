@@ -134,6 +134,21 @@ class Sample:
     def spacing(self) -> Spacing3:
         return self.channels[0].spacing
 
+    def map(self, channel_fn, label_fn=None) -> "Sample":
+        """Derive a sample array by array: ``channel_fn`` gets each channel's
+        stored array in order, then ``label_fn`` gets the label array.
+
+        Names, spacing, label convention and subject id carry over, and the
+        value types cast and copy each result to C-contiguous float32
+        (channels) or uint8 (labels), so a function may return a view. With
+        ``label_fn=None``, or no labels, the labels object is kept as it is.
+        """
+        channels = tuple(replace(ch, data=channel_fn(ch.data)) for ch in self.channels)
+        labels = self.labels
+        if label_fn is not None and labels is not None:
+            labels = replace(labels, data=label_fn(labels.data))
+        return replace(self, channels=channels, labels=labels)
+
 
 @dataclass(frozen=True)
 class ProbabilityVolume:
@@ -193,15 +208,7 @@ def extract_center_patch(sample: Sample, patch_shape: Shape3) -> Sample:
     """Crop the centered patch_shape sub-grid from every channel and the labels."""
     off = center_offsets(sample.shape, patch_shape)
     sl = tuple(slice(o, o + p) for o, p in zip(off, patch_shape))
-
-    def crop(arr):
-        return np.ascontiguousarray(arr[sl])
-
-    channels = tuple(replace(ch, data=crop(ch.data)) for ch in sample.channels)
-    labels = None
-    if sample.labels is not None:
-        labels = replace(sample.labels, data=crop(sample.labels.data))
-    return Sample(channels=channels, labels=labels, subject_id=sample.subject_id)
+    return sample.map(lambda a: a[sl], lambda a: a[sl])
 
 
 def raw_to_canonical_labels(labels: LabelMap) -> LabelMap:
@@ -235,7 +242,7 @@ def make_phantom(seed: int, shape: Shape3 = (64, 64, 64), subject_id: str = "") 
         raise ValueError(f"phantom shape must be >= 16 per axis, got {shape}")
     stream = RandomStream(seed, ("phantom",))
 
-    grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in shape], indexing="ij")
+    grids = np.indices(shape, dtype=np.float64)
     center = [(n - 1) / 2.0 for n in shape]
     half = [n / 2.0 for n in shape]
 
@@ -274,7 +281,7 @@ def make_phantom(seed: int, shape: Shape3 = (64, 64, 64), subject_id: str = "") 
     for name, b, tg in zip(CHANNEL_NAMES, base, tumor_gain):
         bump = tg * np.exp(-((dist / r_outer) ** 2))
         intensity = b * brain + 0.5 * texture * brain + bump * (brain > 0)
-        vol = Volume(intensity.astype(np.float32), name=name)
+        vol = Volume(intensity, name=name)
         channels.append(normalize_minmax(vol))
 
     sid = subject_id or f"phantom-{int(seed)}"

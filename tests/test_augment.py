@@ -58,6 +58,10 @@ def test_spec_parameter_menus():
         AugmentSpec("elastic", sigma=2.0, grid_size=1)
     with pytest.raises(ValueError):
         AugmentSpec("flip", probability=1.5)
+    with pytest.raises(ValueError, match="probability must be a number"):
+        AugmentSpec("flip", probability=True)
+    with pytest.raises(ValueError, match="rotation does not read sigma, got 5.0"):
+        AugmentSpec.from_dict({"kind": "rotation", "max_deg": 30, "sigma": 5.0})
     with pytest.raises(ValueError):
         AugmentSpec("blur")
 

@@ -138,6 +138,30 @@ def test_augment_missing_channel_file(phantom_dir, config_path, tmp_path, capsys
     assert "error: subject phantom001: missing channel file" in err
 
 
+def test_failed_batch_leaves_the_same_files_at_any_thread_count(tmp_path, capsys, monkeypatch):
+    subjects = tmp_path / "subjects"
+    code, _, err = run(
+        capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "16,16,16",
+        "--out", str(subjects),
+    )
+    assert code == 0, err
+    (subjects / "phantom001_t2.nii.gz").unlink()
+    cfg = tmp_path / "flip.json"
+    flip = AugmentSpec(kind="flip", probability=1.0)
+    save_config(PipelineConfig(seed=3, pipeline=(flip,), patch_shape=(16, 16, 16)), cfg)
+    left = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("VOXAUG_THREADS", threads)
+        out = tmp_path / f"aug{threads}"
+        code, _, err = run(
+            capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(out)
+        )
+        assert code == 1
+        assert "error: subject phantom001: missing channel file" in err
+        left[threads] = sorted(p.name for p in out.iterdir())
+    assert left["1"] == left["2"]
+
+
 def test_augment_requires_input_dir(config_path, tmp_path, capsys):
     code, _, err = run(capsys, "augment", "--config", str(config_path), "--out", str(tmp_path / "o"))
     assert code == 1

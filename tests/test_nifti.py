@@ -143,6 +143,23 @@ def test_reads_foreign_int16_file_with_scaling(tmp_path):
     assert vol.spacing == pytest.approx((2.0, 0.5, 1.25))
 
 
+@pytest.mark.parametrize(
+    "datatype, bitpix, dtype, slope, inter",
+    [(16, 32, "<f4", 1.0, 0.0), (4, 16, "<i2", 1.0, 0.0), (16, 32, "<f4", 2.5, -1.0)],
+    ids=["float32", "int16", "scaled"],
+)
+def test_read_volume_returns_c_contiguous_float32(tmp_path, datatype, bitpix, dtype, slope, inter):
+    arr = np.arange(24).reshape(2, 3, 4)
+    payload = arr.ravel(order="F").astype(dtype).tobytes()
+    blob = _fabricate(datatype=datatype, bitpix=bitpix, slope=slope, inter=inter, payload=payload)
+    path = tmp_path / "c.nii"
+    path.write_bytes(blob)
+    vol = read_volume(path)
+    assert vol.data.dtype == np.float32
+    assert vol.data.flags.c_contiguous
+    np.testing.assert_array_equal(vol.data, (arr * slope + inter).astype(np.float32))
+
+
 def test_reads_foreign_gzipped_file(tmp_path):
     payload = np.zeros(8, dtype="<f8").tobytes()
     blob = _fabricate(shape=(2, 2, 2), datatype=64, bitpix=64, payload=payload)
@@ -191,6 +208,13 @@ def test_four_dimensional_rejected(tmp_path):
     blob = _fabricate(dim0=4, payload=b"\x00" * 96)
     path = _write(tmp_path, "4d.nii", blob)
     with pytest.raises(ValueError, match=r"expected 3-D volume, got dim\[0\]=4"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_nonfinite_vox_offset_names_the_path(tmp_path, bad):
+    path = _write(tmp_path, "vo.nii", _fabricate(vox_offset=float(bad), payload=b"\x00" * 96))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad vox_offset {bad} at offset 108")):
         read_volume(path)
 
 

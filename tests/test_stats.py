@@ -160,8 +160,6 @@ def test_mc_validation():
     with pytest.raises(ValueError):
         sign_flip_test([1.0], n_flips=0)
     with pytest.raises(ValueError):
-        sign_flip_test([1.0], n_flips=10, alternative="less")
-    with pytest.raises(ValueError):
         sign_flip_test([], n_flips=10)
 
 

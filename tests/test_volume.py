@@ -73,6 +73,39 @@ def test_sample_requires_matching_grids():
         Sample(channels=())
 
 
+def test_sample_map_keeps_missing_labels_as_none():
+    sample = Sample(channels=(Volume(np.ones((2, 3, 4))),), subject_id="s")
+    seen = []
+    out = sample.map(lambda a: a * 2, lambda a: seen.append(a) or a)
+    assert out.labels is None
+    assert seen == []
+    assert out.subject_id == "s"
+    np.testing.assert_array_equal(out.channels[0].data, 2.0)
+
+
+def test_sample_map_without_label_fn_keeps_the_label_object(phantom_sample):
+    out = phantom_sample.map(lambda a: a * 0.5)
+    assert out.labels is phantom_sample.labels
+    assert [ch.name for ch in out.channels] == [ch.name for ch in phantom_sample.channels]
+    assert out.subject_id == phantom_sample.subject_id
+
+
+@pytest.mark.parametrize(
+    "view",
+    [lambda a: np.flip(a, 1), lambda a: a.transpose(2, 1, 0), np.asfortranarray],
+    ids=["flipped", "transposed", "fortran"],
+)
+def test_sample_map_yields_c_contiguous_float32_and_uint8(small_sample, view):
+    out = small_sample.map(view, view)
+    pairs = list(zip(out.channels, small_sample.channels)) + [(out.labels, small_sample.labels)]
+    for got, src in pairs:
+        assert got.data.flags.c_contiguous
+        assert not np.shares_memory(got.data, src.data)
+        np.testing.assert_array_equal(got.data, view(src.data))
+    assert all(ch.data.dtype == np.float32 for ch in out.channels)
+    assert out.labels.data.dtype == np.uint8
+
+
 def test_probability_volume_checks():
     good = ProbabilityVolume(np.full((2, 2, 2, 2), 0.5))
     good.check_normalized()

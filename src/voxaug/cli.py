@@ -15,14 +15,12 @@ from pathlib import Path
 
 from .augment import apply_pipeline
 from .config import DEFAULT_LABEL_SUFFIX, load_config
-from .metrics import evaluate_sample
-from .nifti import atomic_write_bytes, read_labels, read_volume, write_volume
+from .metrics import REGIONS, evaluate_sample
+from .nifti import NIFTI_EXTS, atomic_write_bytes, read_labels, read_volume, write_volume
 from .rng import RandomStream
 from .stats import rank_models, sign_flip_test
 from .tables import read_metrics, write_metrics, write_ranks
 from .volume import Sample, extract_center_patch, make_phantom
-
-_NIFTI_EXTS = (".nii.gz", ".nii")
 
 
 def _thread_count() -> int:
@@ -44,7 +42,7 @@ def _map_subjects(fn, subjects):
 
 
 def _resolve_nifti(directory: Path, stem: str) -> Path | None:
-    for ext in _NIFTI_EXTS:
+    for ext in NIFTI_EXTS:
         p = directory / f"{stem}{ext}"
         if p.exists():
             return p
@@ -57,7 +55,7 @@ def _subjects_with_suffix(directory: Path, suffix: str) -> list[str]:
     ids = set()
     for p in directory.iterdir():
         name = p.name
-        for ext in _NIFTI_EXTS:
+        for ext in NIFTI_EXTS:
             marker = f"{suffix}{ext}"
             if name.endswith(marker):
                 ids.add(name[: -len(marker)])
@@ -203,8 +201,8 @@ def _cmd_phantom(args) -> int:
         sample = make_phantom(
             batch.substream(index).derived_seed(), shape=shape, subject_id=subject
         )
-        for name, ch in zip(("t1", "t1ce", "t2", "flair"), sample.channels):
-            write_volume(ch, out_dir / f"{subject}_{name}.nii.gz")
+        for ch in sample.channels:
+            write_volume(ch, out_dir / f"{subject}_{ch.name}.nii.gz")
         write_volume(sample.labels, out_dir / f"{subject}{DEFAULT_LABEL_SUFFIX}.nii.gz")
 
     _map_subjects(one, list(range(args.count)))
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", required=True)
     p.add_argument("--metric", choices=sorted(_METRIC_ATTR), required=True)
-    p.add_argument("--region", choices=("ET", "TC", "WT"), required=True)
+    p.add_argument("--region", choices=sorted(REGIONS), required=True)
     p.add_argument("--flips", type=int, default=100000)
     p.add_argument("--bonferroni", type=int, default=1, help="number of tests m")
     p.add_argument("--seed", type=int, default=0)

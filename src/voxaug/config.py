@@ -5,9 +5,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .augment import AugmentPipeline, AugmentSpec
+from .volume import CHANNEL_NAMES
 
 DEFAULT_PATCH_SHAPE = (128, 128, 128)
-DEFAULT_CHANNEL_SUFFIXES = ("_t1", "_t1ce", "_t2", "_flair")
+DEFAULT_CHANNEL_SUFFIXES = tuple(f"_{name}" for name in CHANNEL_NAMES)
 DEFAULT_LABEL_SUFFIX = "_seg"
 
 

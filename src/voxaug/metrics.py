@@ -196,10 +196,6 @@ def evaluate_sample(
     pred: LabelMap, truth: LabelMap, subject_id: str, model_id: str
 ) -> list[MetricRecord]:
     """Dice and HD95 for all three regions of one (prediction, truth) pair."""
-    if pred.data.shape != truth.data.shape:
-        raise ValueError(
-            f"shape mismatch: pred {pred.data.shape} vs truth {truth.data.shape}"
-        )
     pred_regions = region_masks(pred)
     truth_regions = region_masks(truth)
     records = []

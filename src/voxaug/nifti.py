@@ -28,6 +28,7 @@ HEADER_SIZE = 348
 VOX_OFFSET = 352
 MAGIC_OFFSET = 344
 MAGIC = b"n+1\x00"
+NIFTI_EXTS = (".nii.gz", ".nii")
 
 DT_UINT8 = 2
 DT_INT16 = 4
@@ -162,7 +163,7 @@ def _parse_header(blob: bytes, path="<bytes>") -> dict:
 
 def _volume_name(path) -> str:
     name = Path(path).name
-    for suffix in (".nii.gz", ".nii"):
+    for suffix in NIFTI_EXTS:
         if name.endswith(suffix):
             return name[: -len(suffix)]
     return name
@@ -193,10 +194,14 @@ def read_volume(path, as_labels: bool = False) -> Volume | LabelMap:
             )
         if scaled:
             raise ValueError(f"{path}: scaled data (scl_slope/scl_inter) cannot be labels")
-        return LabelMap(data=data, spacing=hdr["spacing"], convention="raw")
-    if scaled:
+    elif scaled:
         data = data.astype(np.float64) * slope + inter
-    return Volume(data=data, spacing=hdr["spacing"], name=_volume_name(path))
+    try:
+        if as_labels:
+            return LabelMap(data=data, spacing=hdr["spacing"], convention="raw")
+        return Volume(data=data, spacing=hdr["spacing"], name=_volume_name(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_labels(path) -> LabelMap:

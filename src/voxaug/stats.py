@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .metrics import REGIONS, MetricRecord
 from .rng import RandomStream
@@ -58,22 +57,6 @@ def _as_differences(d) -> np.ndarray:
     return arr
 
 
-def _exhaustive_count(d: np.ndarray) -> tuple[int, int, float]:
-    """Count sign vectors with sum(s*d) >= sum(d) over all 2**n of them.
-
-    Enumerates by iterative doubling: after step i the array holds every
-    signed partial sum over d[:i+1]. Entry 0 is the all-positive path, i.e.
-    the observed sum accumulated in the identical left-to-right order, so
-    the identity vector ties itself exactly even in float arithmetic.
-    """
-    sums = np.zeros(1, dtype=np.float64)
-    for v in d:
-        sums = np.concatenate([sums + v, sums - v])
-    observed = float(sums[0])
-    count = int(np.sum(sums >= observed))
-    return count, sums.size, observed
-
-
 def sign_flip_test(
     d,
     n_flips: int,
@@ -84,8 +67,12 @@ def sign_flip_test(
     """One-sided paired permutation test by random sign flipping.
 
     With ``exhaustive=True`` all 2**n sign vectors are enumerated instead of
-    sampled (requires n <= 20 and, if given, n_flips == 2**n) by delegating
-    to :func:`sign_flip_test_exact`.
+    sampled (requires n <= 20 and, if given, n_flips == 2**n; the result has
+    ``seed=None``). The enumeration doubles an array of signed partial sums
+    once per difference, so after step i it holds every sum over d[:i+1].
+    Entry 0 is the all-positive path, i.e. the observed sum accumulated in the
+    identical left-to-right order, so the identity vector ties itself exactly
+    even in float arithmetic.
     """
     arr = _as_differences(d)
     n = arr.size
@@ -97,25 +84,30 @@ def sign_flip_test(
             raise ValueError(
                 f"exhaustive mode over n={n} differences uses {2**n} flips, got n_flips={n_flips}"
             )
-        return sign_flip_test_exact(arr, bonferroni_m)
-
-    n_flips = int(n_flips)
-    if n_flips < 1:
-        raise ValueError(f"n_flips must be >= 1, got {n_flips}")
-    observed = float(np.sum(arr))
-    # the identity vector is draw 0 and trivially ties the observed sum
-    count = 1
-    remaining = n_flips - 1
-    stream = RandomStream(seed, ("sign-flip",))
-    chunk_index = 0
-    while remaining > 0:
-        k = min(_MC_CHUNK, remaining)
-        signs = stream.substream(chunk_index).integers(0, 2, size=(k, n)).astype(np.int8)
-        signs = signs * 2 - 1
-        sums = np.sum(signs * arr, axis=1)
-        count += int(np.sum(sums >= observed))
-        remaining -= k
-        chunk_index += 1
+        sums = np.zeros(1, dtype=np.float64)
+        for v in arr:
+            sums = np.concatenate([sums + v, sums - v])
+        observed = float(sums[0])
+        count = int(np.sum(sums >= observed))
+        n_flips, seed = sums.size, None
+    else:
+        n_flips = int(n_flips)
+        if n_flips < 1:
+            raise ValueError(f"n_flips must be >= 1, got {n_flips}")
+        observed = float(np.sum(arr))
+        # the identity vector is draw 0 and trivially ties the observed sum
+        count = 1
+        remaining = n_flips - 1
+        stream = RandomStream(seed, ("sign-flip",))
+        chunk_index = 0
+        while remaining > 0:
+            k = min(_MC_CHUNK, remaining)
+            signs = stream.substream(chunk_index).integers(0, 2, size=(k, n)).astype(np.int8)
+            signs = signs * 2 - 1
+            sums = np.sum(signs * arr, axis=1)
+            count += int(np.sum(sums >= observed))
+            remaining -= k
+            chunk_index += 1
     p_raw = count / n_flips
     return TestResult(
         observed_stat=observed / n,
@@ -129,25 +121,10 @@ def sign_flip_test(
 
 def sign_flip_test_exact(d, bonferroni_m: int = 1) -> TestResult:
     """Exhaustive enumeration of all 2**n sign vectors (n <= 20)."""
-    arr = _as_differences(d)
-    if arr.size > 20:
-        raise ValueError("exact mode limited to n <= 20")
-    count, total, observed = _exhaustive_count(arr)
-    p_raw = count / total
-    return TestResult(
-        observed_stat=observed / arr.size,
-        p_raw=p_raw,
-        p_adjusted=bonferroni(p_raw, bonferroni_m),
-        n_flips=total,
-        seed=None,
-        m=int(bonferroni_m),
-    )
+    return sign_flip_test(d, None, exhaustive=True, bonferroni_m=bonferroni_m)
 
 
 # ranking ---------------------------------------------------------------
-
-_RANK_METRICS = ("dice", "hd95_mm")
-
 
 def rank_models(records: list[MetricRecord], normalize: bool = False) -> list[RankEntry]:
     """BraTS-style rank aggregation with Kendall mid-ranks for ties.
@@ -158,20 +135,21 @@ def rank_models(records: list[MetricRecord], normalize: bool = False) -> list[Ra
     ranks over all subjects and all 6 metric-region cells; lower is better.
     ``normalize=True`` divides scores by the model count, mapping them into
     (0, 1].
+
+    A model's mid-rank in a cell is ``below + (tied + 1) / 2``: ``below``
+    counts the strictly lower values, ``tied`` the equal ones, itself
+    included. Mid-ranks are half-integers, so every sum here is exact in
+    float64 whatever the summation order.
     """
     if not records:
         raise ValueError("rank_models requires at least one metric record")
     models = sorted({r.model_id for r in records})
     subjects = sorted({r.subject_id for r in records})
-    cells: dict[tuple[str, str, str], MetricRecord] = {}
-    dupes = Counter()
-    for r in records:
-        key = (r.subject_id, r.model_id, r.region)
-        if key in cells:
-            dupes[key] += 1
-        cells[key] = r
+    keys = [(r.subject_id, r.model_id, r.region) for r in records]
+    dupes = sorted(k for k, c in Counter(keys).items() if c > 1)
     if dupes:
-        raise ValueError(f"duplicate metric rows for {sorted(dupes)}")
+        raise ValueError(f"duplicate metric rows for {dupes}")
+    cells = dict(zip(keys, records))
     missing = [
         (s, m, g)
         for s in subjects
@@ -182,18 +160,20 @@ def rank_models(records: list[MetricRecord], normalize: bool = False) -> list[Ra
     if missing:
         raise ValueError(f"missing metric cells (subject, model, region): {missing}")
 
-    totals = np.zeros(len(models), dtype=np.float64)
-    n_cells = 0
-    for subject in subjects:
-        for region in REGIONS:
-            row = [cells[(subject, m, region)] for m in models]
-            for metric in _RANK_METRICS:
-                values = np.array([getattr(r, metric) for r in row], dtype=np.float64)
-                if metric == "dice":
-                    values = -values  # higher Dice is better -> ascending rank
-                totals += rankdata(values, method="average")
-                n_cells += 1
-    scores = totals / n_cells
+    # one row per (subject, region, metric) cell; Dice is negated so that,
+    # like HD95, the lowest value ranks first
+    values = np.array(
+        [
+            [sign * getattr(cells[(s, m, g)], metric) for m in models]
+            for s in subjects
+            for g in REGIONS
+            for metric, sign in (("dice", -1.0), ("hd95_mm", 1.0))
+        ]
+    )
+    other, own = values[:, None, :], values[:, :, None]
+    below = np.sum(other < own, axis=2)
+    tied = np.sum(other == own, axis=2)
+    scores = np.mean(below + (tied + 1) / 2, axis=0)
     if normalize:
         scores = scores / len(models)
     entries = [RankEntry(model_id=m, rank_score=float(s)) for m, s in zip(models, scores)]

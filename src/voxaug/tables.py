@@ -43,6 +43,8 @@ def write_metrics(records: list[MetricRecord], path, append: bool = False) -> No
         first = next(csv.reader(io.StringIO(existing.decode())), None)
         if first != list(METRIC_HEADER):
             raise ValueError(f"{path}: existing header {first} does not match {list(METRIC_HEADER)}")
+        if not existing.endswith(b"\n"):
+            existing += b"\n"
     else:
         rows.insert(0, METRIC_HEADER)
     atomic_write_bytes(path, existing + _csv_bytes(rows))

@@ -3,12 +3,14 @@
 These deliberately avoid the library's own vectorized code paths (slice
 shifts, KD-trees, scipy resampling): surfaces come from per-voxel neighbor
 lookups in a padded table, distances from dense all-pairs matrices and
-resampled values from an explicit per-voxel loop, so agreement is evidence
+resampled values from an explicit per-voxel loop, and ranks from
+``scipy.stats.rankdata`` one cell at a time, so agreement is evidence
 rather than tautology. Quadratic cost - keep masks small (<= ~1000 surface
 voxels) and resampled grids tiny (<= ~2000 voxels).
 """
 
 import numpy as np
+from scipy.stats import rankdata
 
 
 def oracle_surface(mask):
@@ -85,3 +87,26 @@ def oracle_affine(data, matrix, order):
             # out-of-range corners contribute pad value 0
         out[idx] = acc
     return out
+
+
+def oracle_rank_models(records, normalize=False):
+    """Per-cell ``rankdata`` mid-ranks summed cell by cell.
+
+    Returns (model_id, score) pairs in the order ``rank_models`` sorts its
+    entries: by score, then model id.
+    """
+    models = sorted({r.model_id for r in records})
+    subjects = sorted({r.subject_id for r in records})
+    by_key = {(r.subject_id, r.model_id, r.region): r for r in records}
+    totals = np.zeros(len(models))
+    n_cells = 0
+    for s in subjects:
+        for region in ("WT", "TC", "ET"):
+            rows = [by_key[(s, m, region)] for m in models]
+            totals += rankdata([-r.dice for r in rows], method="average")
+            totals += rankdata([r.hd95_mm for r in rows], method="average")
+            n_cells += 2
+    scores = totals / n_cells
+    if normalize:
+        scores = scores / len(models)
+    return sorted(zip(models, (float(v) for v in scores)), key=lambda e: (e[1], e[0]))

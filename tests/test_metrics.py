@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -286,6 +288,12 @@ def test_evaluate_sample_perfect():
     recs = evaluate_sample(s.labels, s.labels, "subj", "model")
     assert {r.region for r in recs} == set(REGIONS)
     assert all(r.dice == 1.0 and r.hd95_mm == 0.0 for r in recs)
+
+
+def test_evaluate_sample_shape_mismatch():
+    pred, truth = _labels(np.zeros((2, 2, 2))), _labels(np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match=re.escape("shape mismatch: pred (2, 2, 2) vs truth (3, 2, 2)")):
+        evaluate_sample(pred, truth, "s", "m")
 
 
 def test_evaluate_sample_sentinel_pair_rule():

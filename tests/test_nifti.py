@@ -218,6 +218,27 @@ def test_nonfinite_vox_offset_names_the_path(tmp_path, bad):
         read_volume(path)
 
 
+def _with_voxel(dtype, index, value):
+    data = np.zeros(24, dtype=dtype)
+    data[index] = value
+    return data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "datatype, bitpix, payload, reader, message",
+    [
+        (2, 8, _with_voxel("u1", 23, 3), read_labels,
+         "label value 3 at voxel (1, 2, 3) not in raw alphabet (0, 1, 2, 4)"),
+        (16, 32, _with_voxel("<f4", 5, np.nan), read_volume, "non-finite voxel at index (1, 2, 0)"),
+    ],
+    ids=["label-outside-alphabet", "nonfinite-float"],
+)
+def test_rejected_voxel_payload_names_the_path(tmp_path, datatype, bitpix, payload, reader, message):
+    path = _write(tmp_path, "v.nii", _fabricate(datatype=datatype, bitpix=bitpix, payload=payload))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        reader(path)
+
+
 def test_unsupported_datatype_code(tmp_path):
     blob = _fabricate(datatype=512, payload=b"\x00" * 96)
     path = _write(tmp_path, "dt.nii", blob)

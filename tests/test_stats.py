@@ -1,11 +1,17 @@
 import itertools
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voxaug
+from oracles import oracle_rank_models
 from voxaug.metrics import MetricRecord
 from voxaug.stats import (
     bonferroni,
@@ -246,3 +252,43 @@ def test_rank_normalize_flag():
     table = _full_table({"A": (0.9, 2.0), "B": (0.5, 8.0)})
     entries = rank_models(table, normalize=True)
     assert [(e.model_id, e.rank_score) for e in entries] == [("A", 0.5), ("B", 1.0)]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_rank_bit_equal_to_rankdata_oracle_on_tie_heavy_tables(normalize):
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        n_subjects, n_models = (int(v) for v in rng.integers(1, [5, 6]))
+        rows = [
+            MetricRecord(
+                f"s{s}",
+                f"m{m}",
+                region,
+                float(rng.choice([0.0, 1.0, 0.5, rng.random()])),
+                float(rng.choice([0.0, 373.0, 2.0, 10.0 * rng.random()])),
+            )
+            for s in range(n_subjects)
+            for m in range(n_models)
+            for region in ("ET", "TC", "WT")
+        ]
+        rng.shuffle(rows)
+        got = [(e.model_id, e.rank_score) for e in rank_models(rows, normalize=normalize)]
+        assert got == oracle_rank_models(rows, normalize=normalize)
+
+
+# --- dependencies -------------------------------------------------------------------
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    code = (
+        "import sys, voxaug.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_src_has_no_scipy_stats_import():
+    pattern = re.compile(r"^\s*(from|import)\s+scipy\.stats\b|^\s*from\s+scipy\s+import\b.*\bstats\b", re.M)
+    package = Path(voxaug.__file__).resolve().parent
+    assert [p.name for p in sorted(package.rglob("*.py")) if pattern.search(p.read_text())] == []

@@ -51,6 +51,17 @@ def test_append_to_missing_file_writes_header(tmp_path):
     assert read_metrics(path) == sorted(ROWS, key=lambda r: (r.subject_id, r.model_id, r.region))
 
 
+@pytest.mark.parametrize("rows", [ROWS[:2], []], ids=["rows", "header-only"])
+def test_append_onto_table_without_final_newline(tmp_path, rows):
+    stripped, terminated = tmp_path / "stripped.csv", tmp_path / "terminated.csv"
+    write_metrics(rows, terminated)
+    stripped.write_bytes(terminated.read_bytes().rstrip(b"\n"))
+    for path in (stripped, terminated):
+        write_metrics(ROWS[2:], path, append=True)
+    assert stripped.read_bytes() == terminated.read_bytes()
+    assert read_metrics(stripped) == [*sorted(rows, key=lambda r: (r.subject_id, r.model_id, r.region)), *ROWS[2:]]
+
+
 def test_append_rejects_foreign_header(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b,c\n1,2,3\n")

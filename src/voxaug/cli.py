@@ -143,9 +143,15 @@ def _cmd_compare(args) -> int:
     records = read_metrics(args.metrics)
     attr = _METRIC_ATTR[args.metric]
     per_model: dict[str, dict[str, float]] = {args.model_a: {}, args.model_b: {}}
+    dupes = set()
     for r in records:
         if r.region == args.region and r.model_id in per_model:
-            per_model[r.model_id][r.subject_id] = getattr(r, attr)
+            values = per_model[r.model_id]
+            if r.subject_id in values:
+                dupes.add((r.subject_id, r.model_id, r.region))
+            values[r.subject_id] = getattr(r, attr)
+    if dupes:
+        raise ValueError(f"duplicate metric rows for {sorted(dupes)}")
     for model_id, values in per_model.items():
         if not values:
             raise ValueError(f"model {model_id!r} has no {args.region} rows in {args.metrics}")

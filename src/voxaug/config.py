@@ -5,6 +5,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .augment import AugmentPipeline, AugmentSpec
+from .nifti import atomic_write_bytes
 from .volume import CHANNEL_NAMES
 
 DEFAULT_PATCH_SHAPE = (128, 128, 128)
@@ -89,4 +90,5 @@ def load_config(path) -> PipelineConfig:
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+    atomic_write_bytes(path, text.encode())

@@ -18,14 +18,17 @@ Conventions shared by all functions here:
 
 A displacement field is a plain float array of shape (nx, ny, nz, 3) holding
 per-voxel offsets in voxel units: warped(x) = input(x + field(x)).
+
+Importing this module loads numpy only: ``scipy.ndimage`` loads on the first
+:func:`map_coordinates` call and ``scipy.interpolate`` on the first
+:func:`bspline_upsample` call, so a process that never resamples never pays
+for them.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.ndimage import map_coordinates
 
 from .volume import Sample, Shape3
 
@@ -89,6 +92,16 @@ def _affine_coords(shape: Shape3, matrix: np.ndarray) -> np.ndarray:
     return coords.reshape(3, *shape)
 
 
+def map_coordinates(*args, **kwargs):
+    """``scipy.ndimage.map_coordinates``, imported on first call.
+
+    :func:`_resample` looks this name up on the module at every call, so
+    replacing the module attribute intercepts every sampling call."""
+    from scipy.ndimage import map_coordinates
+
+    return map_coordinates(*args, **kwargs)
+
+
 def _resample(sample: Sample, coords: np.ndarray) -> Sample:
     """Read every constituent at ``coords``: channels trilinear into float32,
     labels nearest-neighbor into uint8, 0 beyond the grid."""
@@ -124,6 +137,7 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> DisplacementFi
     if not np.isfinite(coarse).all():
         raise ValueError("non-finite control displacement")
     target_shape = tuple(int(n) for n in target_shape)
+    from scipy.interpolate import CubicSpline
 
     field = coarse
     for axis in range(3):

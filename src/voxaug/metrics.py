@@ -8,12 +8,14 @@ Empty-mask conventions: when exactly one of (prediction, truth) is empty for
 a region the scores are the worst-case sentinels Dice 0.0 and HD95 373.0 mm;
 when both are empty the region is a true negative and scores Dice 1.0,
 HD95 0.0.
+
+Importing this module loads numpy only: ``scipy.spatial`` loads on the first
+HD95 between two nonempty masks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .volume import LabelMap, ProbabilityVolume, Spacing3, _check_spacing
 
@@ -109,6 +111,8 @@ def surface_voxels(mask: np.ndarray) -> np.ndarray:
 
 
 def _directed_p95(src_pts: np.ndarray, dst_pts: np.ndarray) -> float:
+    from scipy.spatial import cKDTree
+
     dists, _ = cKDTree(dst_pts).query(src_pts, k=1)
     return float(np.percentile(dists, 95.0))
 

@@ -264,6 +264,24 @@ def test_compare_unknown_model(two_model_table, capsys):
     assert "has no WT rows" in err
 
 
+def test_compare_rejects_duplicate_rows(two_model_table, phantom_dir, capsys):
+    code, _, err = run(
+        capsys, "evaluate", "--pred", str(phantom_dir), "--truth", str(phantom_dir),
+        "--model-id", "B", "--out", str(two_model_table), "--append",
+    )
+    assert code == 0, err
+    code, stdout, err = run(
+        capsys, "compare", "--metrics", str(two_model_table), "--model-a", "A",
+        "--model-b", "B", "--metric", "dice", "--region", "WT", "--exhaustive",
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == (
+        "error: duplicate metric rows for "
+        "[('phantom000', 'B', 'WT'), ('phantom001', 'B', 'WT')]\n"
+    )
+
+
 def test_rank_tied_models(two_model_table, tmp_path, capsys):
     out = tmp_path / "ranks.csv"
     code, stdout, err = run(capsys, "rank", "--metrics", str(two_model_table), "--out", str(out))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -49,6 +50,21 @@ def test_save_load_round_trip(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text)["seed"] == 11
+
+
+def _failing_replace(src, dst):
+    raise OSError("disk gone")
+
+
+def test_failed_save_leaves_previous_config_intact(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    save_config(PipelineConfig(seed=1), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(os, "replace", _failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        save_config(PipelineConfig(seed=2, pipeline=_SPECS), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_unknown_field_rejected():

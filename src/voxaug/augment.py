@@ -6,18 +6,25 @@ parameters, and a ``draw_*`` helper that draws those parameters from a
 :class:`~voxaug.rng.RandomStream`.
 
 One private table maps each kind to its spec fields (with their menu or
-check), its draw, its core and the parameters it records in provenance.
-:class:`AugmentSpec` validation and serialisation, :data:`KINDS` and
-:func:`apply_spec` all read that table. ``apply_spec`` draws and applies one
-operator unconditionally; :func:`apply_pipeline` decides per step whether
-it fires and records every drawn value, so re-running with the same stream
-(or feeding recorded parameters back into the cores) reproduces the output
-bit for bit.
+check), its draw, its core, the parameters it records in provenance and,
+for the four geometric kinds, the step it adds to a fused resampling.
+:class:`AugmentSpec` validation and serialisation, :data:`KINDS`,
+:func:`apply_spec` and :func:`apply_steps` all read that table.
+``apply_spec`` draws and applies one operator unconditionally.
+:func:`apply_pipeline` decides per step whether it fires, records every
+drawn value, and hands the fired steps to :func:`apply_steps`, so re-running
+with the same stream reproduces the output bit for bit. Feeding recorded
+parameters back into a single core reproduces a one-step pipeline; a longer
+one is replayed by passing the recorded ``(kind, params)`` pairs to
+``apply_steps``.
 
-Geometry operators hand the whole sample to one resampling path in
-:mod:`voxaug.interp`, which moves channels with trilinear interpolation and
-labels with nearest-neighbor at the same sampling positions, so constituents
-stay co-registered and the label alphabet is preserved.
+A pipeline applies its geometric steps first and its intensity steps after
+them. Two or more fired flip, rotation, scale and elastic steps are composed
+into one sampling map and interpolated once by :mod:`voxaug.interp`, which
+moves channels trilinearly and labels nearest-neighbor at the same
+positions, so constituents stay co-registered and the label alphabet is
+preserved; a lone geometric step runs its own core. The brightness steps
+then run, in their order, on that output.
 """
 
 import hashlib
@@ -59,12 +66,15 @@ def _grid_size(kind: str, name: str, value) -> int:
 class _Op(NamedTuple):
     """One augmentation kind: the spec fields it reads, each with the check
     that validates it and returns its canonical value; how it draws its
-    parameters from a stream; how it applies them; and what it records."""
+    parameters from a stream; how it applies them; what it records; and,
+    for a geometric kind, the step its parameters add to
+    :func:`voxaug.interp.resample_chain` (None for an intensity kind)."""
 
     spec_fields: dict[str, Callable]
     draw: Callable[[RandomStream, "AugmentSpec"], dict]
     apply: Callable[[Sample, dict], Sample]
     provenance: Callable[["AugmentSpec", dict], dict]
+    geometry: Callable[[dict], AffineTransform | np.ndarray] | None
 
 
 # The cores are looked up by name when an op runs, not captured here, so
@@ -75,24 +85,28 @@ _OPS = {
         draw=lambda rng, spec: draw_flip_params(rng),
         apply=lambda s, p: flip_axis(s, **p),
         provenance=lambda spec, p: p,
+        geometry=lambda p: AffineTransform.flip(p["axis"]),
     ),
     "rotation": _Op(
         spec_fields={"max_deg": _menu(ROTATION_MAX_DEG)},
         draw=lambda rng, spec: draw_rotation_params(rng, spec.max_deg),
         apply=lambda s, p: rotate_by(s, **p),
         provenance=lambda spec, p: {"angles_deg": list(p["angles_deg"])},
+        geometry=lambda p: AffineTransform.rotation_xyz(p["angles_deg"]),
     ),
     "scale": _Op(
         spec_fields={"max_frac": _menu(SCALE_MAX_FRAC)},
         draw=lambda rng, spec: draw_scale_params(rng, spec.max_frac),
         apply=lambda s, p: scale_by(s, **p),
         provenance=lambda spec, p: {"factors": list(p["factors"])},
+        geometry=lambda p: AffineTransform.scaling(p["factors"]),
     ),
     "brightness": _Op(
         spec_fields={},
         draw=lambda rng, spec: draw_brightness_params(rng),
         apply=lambda s, p: brightness_by(s, **p),
         provenance=lambda spec, p: p,
+        geometry=None,
     ),
     "elastic": _Op(
         spec_fields={"sigma": _menu(ELASTIC_SIGMAS), "grid_size": _grid_size},
@@ -105,6 +119,7 @@ _OPS = {
             "grid_size": spec.grid_size,
             "control_grid_sha256": _control_grid_sha256(p["control_grid"]),
         },
+        geometry=lambda p: p["control_grid"],
     ),
 }
 
@@ -275,24 +290,53 @@ def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sa
     return op.apply(sample, params), op.provenance(spec, params)
 
 
+def apply_steps(sample: Sample, steps) -> Sample:
+    """Apply fired steps, each a ``(kind, core params)`` pair: the geometric
+    steps first, in order, as one resampling, then the intensity steps, in
+    order, on its output.
+
+    A single geometric step runs its core, so the output is the core's byte
+    for byte and a lone flip stays a pure index reversal. With no steps the
+    sample itself is returned.
+    """
+    steps = list(steps)
+    for kind, _ in steps:
+        if kind not in _OPS:
+            raise ValueError(f"unknown augmentation kind {kind!r}")
+    geometric = [(kind, params) for kind, params in steps if _OPS[kind].geometry is not None]
+    if len(geometric) == 1:
+        kind, params = geometric[0]
+        sample = _OPS[kind].apply(sample, params)
+    elif geometric:
+        sample = interp.resample_chain(sample, [_OPS[k].geometry(p) for k, p in geometric])
+    for kind, params in steps:
+        if _OPS[kind].geometry is None:
+            sample = _OPS[kind].apply(sample, params)
+    return sample
+
+
 def apply_pipeline(
     sample: Sample, pipeline: AugmentPipeline, rng: RandomStream
 ) -> tuple[Sample, ProvenanceRecord]:
-    """Apply each spec independently with its probability, in order.
+    """Decide each spec independently with its probability, in order, then
+    apply the fired ones with :func:`apply_steps`.
 
     Every spec gets its own substream keyed by (position, kind), so draws do
     not depend on whether earlier specs fired. With k specs at probability
     0.5 the chance that nothing fires is 0.5**k.
     """
     prov = ProvenanceRecord(subject_id=sample.subject_id)
-    out = sample
+    steps = []
     for i, spec in enumerate(pipeline.specs):
         sub = rng.substream(i, spec.kind)
         fired = sub.random() < spec.probability
         params: dict = {}
         if fired:
-            out, params = apply_spec(out, spec, sub)
+            op = _OPS[spec.kind]
+            drawn = op.draw(sub, spec)
+            steps.append((spec.kind, drawn))
+            params = op.provenance(spec, drawn)
         prov.records.append(
             OpRecord(kind=spec.kind, probability=spec.probability, fired=fired, params=params)
         )
-    return out, prov
+    return apply_steps(sample, steps), prov

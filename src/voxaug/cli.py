@@ -4,7 +4,9 @@ Every subcommand prints a one-line ``error: <message>`` to stderr and exits
 nonzero on invalid input. Batch subcommands parallelize over subjects with a
 thread pool sized by the ``VOXAUG_THREADS`` environment variable; outputs are
 byte-identical for any thread count because every subject draws from its own
-seed-derived random substream and tables are sorted before writing.
+seed-derived random substream and tables are sorted before writing. A batch
+runs every subject to the end; one failure is reported with its own message,
+several as ``error: k of n subjects failed: <msg>; <msg>`` in subject order.
 """
 
 import argparse
@@ -37,8 +39,19 @@ def _thread_count() -> int:
 
 
 def _map_subjects(fn, subjects):
+    """``fn`` over every subject; every subject runs to the end, and each
+    failure is reported, in subject order."""
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        return list(pool.map(fn, subjects))
+        futures = [pool.submit(fn, s) for s in subjects]
+    errors = [e for e in (f.exception() for f in futures) if e is not None]
+    if len(errors) == 1:
+        raise errors[0]
+    if errors:
+        raise ValueError(
+            f"{len(errors)} of {len(futures)} subjects failed: "
+            + "; ".join(str(e) for e in errors)
+        )
+    return [f.result() for f in futures]
 
 
 def _resolve_nifti(directory: Path, stem: str) -> Path | None:

@@ -10,8 +10,11 @@ Conventions shared by all functions here:
 * A positive rotation angle about an axis rotates the next axis toward the
   one after it (x toward y for a z rotation; right-handed).
 * One path resamples a whole :class:`~voxaug.volume.Sample`: the sampling
-  positions are built once per operation and shared by every constituent.
-  Image channels are read trilinearly, the label map nearest-neighbor, so
+  positions are built once and shared by every constituent. A single
+  operation builds them for itself; :func:`resample_chain` composes a whole
+  pipeline's geometric steps into one set of positions, so a pipeline
+  interpolates once however many of its geometric steps fire. Image
+  channels are read trilinearly, the label map nearest-neighbor, so
   constituents stay co-registered and no label value is invented.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
@@ -77,15 +80,26 @@ class AffineTransform:
     def scaling(cls, factors) -> "AffineTransform":
         return cls(np.diag([float(f) for f in factors]))
 
+    @classmethod
+    def flip(cls, axis: int) -> "AffineTransform":
+        """Mirror about the center along one axis, so x -> n - 1 - x exactly."""
+        if axis not in (0, 1, 2):
+            raise ValueError(f"flip axis must be 0, 1 or 2, got {axis}")
+        return cls(np.diag([-1.0 if a == axis else 1.0 for a in range(3)]))
+
     def inverse(self) -> "AffineTransform":
         return AffineTransform(np.linalg.inv(self.matrix))
 
 
-def _affine_coords(shape: Shape3, matrix: np.ndarray) -> np.ndarray:
-    """Sampling positions for output(x) = input(matrix^-1 (x - c) + c)."""
+def _affine_coords(
+    shape: Shape3, matrix: np.ndarray, coords: np.ndarray | None = None
+) -> np.ndarray:
+    """Sampling positions for output(x) = input(matrix^-1 (x - c) + c), with
+    x the grid, or the positions ``coords`` (3, *shape), which are consumed."""
     inv = np.linalg.inv(matrix)
     c = (np.asarray(shape, dtype=np.float64)[:, None] - 1.0) / 2.0
-    pts = np.indices(shape, dtype=np.float64).reshape(3, -1)
+    pts = np.indices(shape, dtype=np.float64) if coords is None else coords
+    pts = pts.reshape(3, -1)
     pts -= c
     coords = inv @ pts
     coords += c
@@ -163,3 +177,49 @@ def _warp_coords(shape: Shape3, field: DisplacementField) -> np.ndarray:
 def warp(sample: Sample, field: DisplacementField) -> Sample:
     """Warp a sample by a dense displacement field: out(x) = in(x + field(x))."""
     return _resample(sample, _warp_coords(sample.shape, field))
+
+
+def _chain_coords(shape: Shape3, steps) -> np.ndarray:
+    """Sampling positions of ``steps`` applied one after another.
+
+    Each step is an :class:`AffineTransform` or a control grid for
+    :func:`bspline_upsample`. Positions are composed backward from the
+    output grid, last step first: runs of affine steps fold into one matrix
+    before the positions are touched, and an elastic step adds its field at
+    the current positions, read straight from the dense field while they are
+    still the grid and trilinearly (edge values held beyond the grid)
+    otherwise. Each dense field is freed as soon as it has been added, so
+    at most one field and two position arrays are alive at once.
+    """
+    coords = None  # None: still the output grid itself
+    forward = None  # affine steps met since coords was last moved, composed
+    for step in reversed(steps):
+        if isinstance(step, AffineTransform):
+            forward = step.matrix if forward is None else forward @ step.matrix
+        elif coords is None and forward is None:
+            coords = _warp_coords(shape, bspline_upsample(step, shape))
+        else:
+            if forward is not None:
+                coords, forward = _affine_coords(shape, forward, coords), None
+            field = bspline_upsample(step, shape)
+            shift = [
+                map_coordinates(field[..., a], coords, order=1, mode="nearest") for a in range(3)
+            ]
+            del field
+            for axis, s in enumerate(shift):
+                coords[axis] += s
+    if forward is not None or coords is None:
+        coords = _affine_coords(shape, np.eye(3) if forward is None else forward, coords)
+    return coords
+
+
+def resample_chain(sample: Sample, steps) -> Sample:
+    """Resample a sample once through a chain of geometric steps, in order.
+
+    ``steps`` holds :class:`AffineTransform` objects (about the center) and
+    control grids (warped by their :func:`bspline_upsample` field); the
+    whole chain is one backward map and one interpolation, so the output
+    differs from resampling step by step only by the interpolation that the
+    chain skips in between.
+    """
+    return _resample(sample, _chain_coords(sample.shape, steps))

@@ -11,10 +11,12 @@ from scipy.ndimage import map_coordinates
 import voxaug as vx
 from voxaug import augment, interp
 from voxaug.augment import (
+    KINDS,
     AugmentPipeline,
     AugmentSpec,
     apply_pipeline,
     apply_spec,
+    apply_steps,
     brightness_by,
     draw_elastic_grid,
     draw_flip_params,
@@ -412,17 +414,11 @@ def test_pipeline_provenance_replay(small_sample):
         )
     )
     out, prov = apply_pipeline(small_sample, pipe, RandomStream(9, ("augment", "rp")))
-    replay = small_sample
+    steps = []
     for rec in prov.records:
         assert rec.fired
-        if rec.kind == "flip":
-            replay = flip_axis(replay, rec.params["axis"])
-        elif rec.kind == "rotation":
-            replay = rotate_by(replay, tuple(rec.params["angles_deg"]))
-        elif rec.kind == "scale":
-            replay = scale_by(replay, tuple(rec.params["factors"]))
-        elif rec.kind == "brightness":
-            replay = brightness_by(replay, rec.params["gain"], rec.params["gamma"])
+        steps.append((rec.kind, rec.params))
+    replay = apply_steps(small_sample, steps)
     _assert_samples_equal(out, replay)
 
 
@@ -460,3 +456,125 @@ def test_pipeline_untouched_fraction_five_specs(tiny_sample):
         out, _ = apply_pipeline(tiny_sample, pipe, RandomStream(99, ("comp", 5, i)))
         untouched += out is tiny_sample
     assert abs(untouched / trials - 0.03125) < 0.005
+
+
+# --- fused geometric resampling -------------------------------------------------
+
+def _only(pipeline, kinds):
+    """The pipeline with the specs of ``kinds`` at probability 1, the rest at 0."""
+    return AugmentPipeline(
+        tuple(replace(spec, probability=float(spec.kind in kinds)) for spec in pipeline.specs)
+    )
+
+
+def test_single_geometric_step_is_its_core_byte_for_byte(small_sample):
+    pipe = _standard_pipeline()
+    for i, spec in enumerate(pipe.specs):
+        if spec.kind == "brightness":
+            continue
+        rng = RandomStream(4, ("augment", "one"))
+        out, prov = apply_pipeline(small_sample, _only(pipe, {spec.kind}), rng)
+        assert [r.fired for r in prov.records] == [s.kind == spec.kind for s in pipe.specs]
+        sub = rng.substream(i, spec.kind)
+        sub.random()
+        want, params = apply_spec(small_sample, spec, sub)
+        assert prov.records[i].params == params
+        _assert_samples_bytes_equal(out, want)
+
+
+def test_identity_chain_returns_the_input_byte_for_byte(small_sample):
+    steps = [
+        ("rotation", {"angles_deg": (0.0, 0.0, 0.0)}),
+        ("scale", {"factors": (1.0, 1.0, 1.0)}),
+        ("elastic", {"control_grid": np.zeros((4, 4, 4, 3))}),
+    ]
+    _assert_samples_bytes_equal(apply_steps(small_sample, steps), small_sample)
+
+
+def test_quadrant_rotation_then_flip_is_exact(small_sample):
+    for axis in (0, 1, 2):
+        steps = [("rotation", {"angles_deg": (0.0, 0.0, 90.0)}), ("flip", {"axis": axis})]
+        out = apply_steps(small_sample, steps)
+
+        def want(a):
+            return np.flip(np.rot90(a, 1, axes=(0, 1)), axis)
+
+        for got, ref in zip(out.channels, small_sample.channels, strict=True):
+            np.testing.assert_array_equal(got.data, want(ref.data))
+        np.testing.assert_array_equal(out.labels.data, want(small_sample.labels.data))
+
+
+def test_elastic_before_affine_reads_its_field_at_the_moved_positions(small_sample):
+    """A whole-voxel shear and shift, then a quarter turn: both steps are
+    exact on their own, so the fused chain must equal the sequential one."""
+    ctrl = np.linspace(0.0, small_sample.shape[0] - 1.0, 4)
+    grid = np.zeros((4, 4, 4, 3))
+    grid[..., 1] = -1.0
+    grid[..., 2] = (ctrl - 15.0)[:, None, None]  # z moves by x - 15
+    rotation = {"angles_deg": (0.0, 0.0, 90.0)}
+    out = apply_steps(small_sample, [("elastic", {"control_grid": grid}), ("rotation", rotation)])
+    want = rotate_by(elastic_by(small_sample, grid), **rotation)
+    for got, ref in zip(out.channels, want.channels, strict=True):
+        np.testing.assert_allclose(got.data, ref.data, atol=1e-6)
+    np.testing.assert_array_equal(out.labels.data, want.labels.data)
+
+
+def test_pipeline_interpolates_once(small_sample, monkeypatch):
+    """All five ops firing read each constituent once and upsample one
+    field; flip + brightness resample nothing."""
+    calls = {"map_coordinates": 0, "bspline_upsample": 0}
+
+    def counting(name):
+        fn = getattr(interp, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(interp, name, wrapper)
+
+    counting("map_coordinates")
+    counting("bspline_upsample")
+    pipe = _standard_pipeline()
+    _, prov = apply_pipeline(small_sample, _only(pipe, KINDS), RandomStream(0, ("once",)))
+    assert all(r.fired for r in prov.records)
+    assert len(small_sample.channels) == 4
+    assert calls == {"map_coordinates": 5, "bspline_upsample": 1}
+
+    calls.update(map_coordinates=0, bspline_upsample=0)
+    out, prov = apply_pipeline(
+        small_sample, _only(pipe, {"flip", "brightness"}), RandomStream(0, ("once",))
+    )
+    assert [r.fired for r in prov.records] == [True, False, False, True, False]
+    assert calls == {"map_coordinates": 0, "bspline_upsample": 0}
+    axis = prov.records[0].params["axis"]
+    np.testing.assert_array_equal(out.labels.data, np.flip(small_sample.labels.data, axis))
+
+
+def test_fused_pipeline_close_to_sequential_chain():
+    """Spatial first, then intensity, in one interpolation, stays close to
+    running every core in pipeline order.
+
+    The sequential chain interpolates three times where the fused path
+    interpolates once, so it blurs more. The bounds are observation-derived
+    for full 64^3 phantoms: over 80 draws on phantoms 0-3, the channel mean
+    |delta| was 2.5e-4 to 9.2e-4 (median about 4.8e-4) and 0.26% to 0.66% of
+    label voxels differed (median about 0.4%).
+    """
+    s = vx.make_phantom(0, (64, 64, 64))
+    pipe = _only(_standard_pipeline(), KINDS)
+    for seed in range(4):
+        rng = RandomStream(seed, ("augment", "fused"))
+        fused, _ = apply_pipeline(s, pipe, rng)
+        chain = s
+        for i, spec in enumerate(pipe.specs):
+            sub = rng.substream(i, spec.kind)
+            sub.random()
+            chain = apply_spec(chain, spec, sub)[0]
+        delta = np.concatenate([
+            np.abs(a.data.astype(np.float64) - b.data).ravel()
+            for a, b in zip(fused.channels, chain.channels, strict=True)
+        ])
+        assert delta.mean() <= 1.5e-3
+        assert (fused.labels.data != chain.labels.data).mean() <= 0.01
+        assert set(np.unique(fused.labels.data)) == {0, 1, 2, 4}

@@ -162,6 +162,32 @@ def test_failed_batch_leaves_the_same_files_at_any_thread_count(tmp_path, capsys
     assert left["1"] == left["2"]
 
 
+def test_failed_subjects_are_all_reported_in_subject_order(tmp_path, capsys, monkeypatch):
+    subjects = tmp_path / "subjects"
+    code, _, err = run(
+        capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "16,16,16",
+        "--out", str(subjects),
+    )
+    assert code == 0, err
+    (subjects / "phantom000_t2.nii.gz").unlink()
+    (subjects / "phantom002_t1ce.nii.gz").unlink()
+    cfg = tmp_path / "flip.json"
+    flip = AugmentSpec(kind="flip", probability=1.0)
+    save_config(PipelineConfig(seed=3, pipeline=(flip,), patch_shape=(16, 16, 16)), cfg)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("VOXAUG_THREADS", threads)
+        code, _, err = run(
+            capsys, "augment", "--config", str(cfg), "--in", str(subjects),
+            "--out", str(tmp_path / f"aug{threads}"),
+        )
+        assert code == 1
+        assert err == (
+            "error: 2 of 3 subjects failed: "
+            "subject phantom000: missing channel file phantom000_t2.nii(.gz); "
+            "subject phantom002: missing channel file phantom002_t1ce.nii(.gz)\n"
+        )
+
+
 def test_augment_requires_input_dir(config_path, tmp_path, capsys):
     code, _, err = run(capsys, "augment", "--config", str(config_path), "--out", str(tmp_path / "o"))
     assert code == 1

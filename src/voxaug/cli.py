@@ -18,7 +18,14 @@ from pathlib import Path
 from .augment import apply_pipeline
 from .config import DEFAULT_LABEL_SUFFIX, load_config
 from .metrics import REGIONS, evaluate_sample
-from .nifti import NIFTI_EXTS, atomic_write_bytes, read_labels, read_volume, write_volume
+from .nifti import (
+    NIFTI_EXTS,
+    atomic_group,
+    atomic_write_bytes,
+    read_labels,
+    read_volume,
+    write_volume,
+)
 from .rng import RandomStream
 from .stats import rank_models, sign_flip_test
 from .tables import read_metrics, write_metrics, write_ranks
@@ -28,6 +35,8 @@ from .volume import Sample, extract_center_patch, make_phantom
 def _thread_count() -> int:
     raw = os.environ.get("VOXAUG_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+            return min(4, len(os.sched_getaffinity(0)))
         return min(4, os.cpu_count() or 1)
     try:
         n = int(raw)
@@ -107,14 +116,15 @@ def _cmd_augment(args) -> int:
         patch = extract_center_patch(sample, cfg.patch_shape)
         rng = RandomStream(cfg.seed, ("augment", subject))
         augmented, provenance = apply_pipeline(patch, pipeline, rng)
-        for suffix, ch in zip(cfg.channel_suffixes, augmented.channels):
-            write_volume(ch, out_dir / f"{subject}{suffix}.nii.gz")
-        if augmented.labels is not None:
-            write_volume(augmented.labels, out_dir / f"{subject}{cfg.label_suffix}.nii.gz")
-        atomic_write_bytes(
-            out_dir / f"{subject}_provenance.json",
-            (provenance.to_json() + "\n").encode(),
-        )
+        with atomic_group():  # the subject's files appear together or not at all
+            for suffix, ch in zip(cfg.channel_suffixes, augmented.channels):
+                write_volume(ch, out_dir / f"{subject}{suffix}.nii.gz")
+            if augmented.labels is not None:
+                write_volume(augmented.labels, out_dir / f"{subject}{cfg.label_suffix}.nii.gz")
+            atomic_write_bytes(
+                out_dir / f"{subject}_provenance.json",
+                (provenance.to_json() + "\n").encode(),
+            )
 
     _map_subjects(one, subjects)
     print(f"augmented {len(subjects)} subjects -> {out_dir}")

@@ -9,11 +9,21 @@ On disk the x index varies fastest (Fortran voxel order, as in the NIfTI
 standard); in memory arrays are C-contiguous with ``data[i, j, k]`` at
 (x=i, y=j, z=k), so (de)serialization uses ``order="F"`` raveling.
 
-Writes are deterministic byte-for-byte: gzip members carry mtime 0 and no
-filename field. Files are written to a temp name and atomically renamed.
+A ``.nii.gz`` file is written as one gzip member with mtime 0 and no
+filename field, whose deflate stream uses zlib's run-length strategy
+(``Z_RLE``); any gzip reader decodes it. Writes are deterministic
+byte-for-byte: the header and then the voxels, slab by slab along z, stream
+through one compressor whose output does not depend on the slab size.
+Reads accept any gzip file, multi-member ones included, and never allocate
+more voxels than the file can hold. Files are written to a temp name and
+atomically renamed; :func:`atomic_group` renames several files together.
 """
 
+import contextlib
+import contextvars
 import gzip
+import itertools
+import math
 import os
 import secrets
 import struct
@@ -35,6 +45,15 @@ DT_INT16 = 4
 DT_INT32 = 8
 DT_FLOAT32 = 16
 DT_FLOAT64 = 64
+
+_GZIP_MAGIC = b"\x1f\x8b"
+# compressobj arguments: level 9, deflate, gzip container, default memLevel,
+# run-length matching (several times faster than the default strategy, and
+# no larger in total on these volumes)
+_DEFLATE = (zlib.Z_BEST_COMPRESSION, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+# deflate expands at most 1032:1, which bounds what a gzip file can hold
+_MAX_DEFLATE_RATIO = 1032
+_CHUNK = 1 << 20  # bytes per read, and per slab written
 
 _DTYPES = {
     DT_UINT8: np.dtype("u1"),
@@ -68,9 +87,16 @@ def _is_gzip_path(path) -> bool:
     return str(path).endswith(".gz")
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write ``payload`` to a temp file beside ``path``, then rename it over
-    ``path``; on any failure the temp file is removed and ``path`` is untouched.
+# temp files of the innermost active atomic_group, as (temp, target) pairs
+_GROUP = contextvars.ContextVar("nifti_atomic_group", default=None)
+
+
+@contextlib.contextmanager
+def _atomic_file(path):
+    """Yield a binary file that becomes ``path`` when the block ends: it is a
+    temp file beside ``path``, renamed over it (or, inside :func:`atomic_group`,
+    at the group's end). If the block raises, the temp file is removed and
+    ``path`` is untouched.
 
     The temp file is created with mode 0o666, so the written file gets the
     umask's default mode, as with a plain ``open(path, "wb")``."""
@@ -79,42 +105,69 @@ def atomic_write_bytes(path, payload: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, path)
+            yield f
+        group = _GROUP.get()
+        if group is None:
+            os.replace(tmp, path)
+        else:
+            group.append((tmp, path))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+@contextlib.contextmanager
+def atomic_group():
+    """Make the files this module writes inside the block appear together.
+
+    Each one stays under its temp name until the block ends, and then all are
+    renamed over their targets. If the block raises, every temp file it wrote
+    is removed and no target is touched. The group belongs to the thread (or
+    asyncio task) that opened it."""
+    group = []
+    token = _GROUP.set(group)
+    try:
+        yield
+        for tmp, path in group:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in group:  # those not yet renamed
+            tmp.unlink(missing_ok=True)
+        raise
+    finally:
+        _GROUP.reset(token)
+
+
+def atomic_write_bytes(path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` atomically (see :func:`_atomic_file`)."""
+    with _atomic_file(path) as f:
+        f.write(payload)
+
+
+def _slabs(data: np.ndarray, dtype: np.dtype):
+    """``data`` in on-disk (Fortran) voxel order as C-contiguous ``dtype``
+    slabs of whole z-planes, about ``_CHUNK`` bytes each."""
+    planes = data.T  # planes[z] is the (y, x) plane, x fastest in C order
+    step = max(1, _CHUNK // (planes[0].size * dtype.itemsize))
+    for k in range(0, len(planes), step):
+        yield np.ascontiguousarray(planes[k : k + step], dtype=dtype)
 
 
 def write_volume(obj: Volume | LabelMap, path) -> None:
     """Write a Volume (float32) or LabelMap (uint8) as single-file NIfTI-1."""
     if isinstance(obj, Volume):
-        datatype, bitpix = DT_FLOAT32, 32
-        raw = np.ascontiguousarray(obj.data, dtype="<f4")
+        datatype, bitpix, dtype = DT_FLOAT32, 32, np.dtype("<f4")
     elif isinstance(obj, LabelMap):
-        datatype, bitpix = DT_UINT8, 8
-        raw = np.ascontiguousarray(obj.data, dtype="u1")
+        datatype, bitpix, dtype = DT_UINT8, 8, np.dtype("u1")
     else:
         raise TypeError(f"expected Volume or LabelMap, got {type(obj).__name__}")
-    header = _build_header(raw.shape, obj.spacing, datatype, bitpix)
-    body = header + b"\x00\x00\x00\x00" + raw.ravel(order="F").tobytes()
-    if _is_gzip_path(path):
-        body = gzip.compress(body, mtime=0)
-    atomic_write_bytes(path, body)
-
-
-def _read_raw(path) -> bytes:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:2] == b"\x1f\x8b":
-        try:
-            blob = gzip.decompress(blob)
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise ValueError(f"{path}: corrupt gzip ({exc})") from exc
-    elif _is_gzip_path(path):
-        raise ValueError(f"{path}: .gz extension but no gzip magic at offset 0")
-    return blob
+    header = _build_header(obj.data.shape, obj.spacing, datatype, bitpix) + b"\x00\x00\x00\x00"
+    deflate = zlib.compressobj(*_DEFLATE) if _is_gzip_path(path) else None
+    with _atomic_file(path) as f:
+        for chunk in itertools.chain([header], _slabs(obj.data, dtype)):
+            f.write(deflate.compress(chunk) if deflate else chunk)
+        if deflate:
+            f.write(deflate.flush())
 
 
 def _parse_header(blob: bytes, path="<bytes>") -> dict:
@@ -169,21 +222,54 @@ def _volume_name(path) -> str:
     return name
 
 
-def read_volume(path, as_labels: bool = False) -> Volume | LabelMap:
-    """Read a 3-D NIfTI-1 file; ``as_labels=True`` returns a raw LabelMap."""
-    blob = _read_raw(path)
-    hdr = _parse_header(blob, path=path)
+def _read_voxels(f, limit: int, path) -> tuple[dict, np.ndarray]:
+    """Header and flat voxel array of the NIfTI stream ``f``, which holds at
+    most ``limit`` bytes; a declared size beyond that is rejected before any
+    voxel is allocated. ``f`` is read to its end, so a gzip stream's CRC and
+    length are checked."""
+    hdr = _parse_header(f.read(VOX_OFFSET), path=path)
     dtype = _DTYPES[hdr["datatype"]]
-    shape = hdr["shape"]
-    nbytes = int(np.prod(shape)) * dtype.itemsize
+    count = math.prod(hdr["shape"])
+    nbytes = count * dtype.itemsize
     start = hdr["vox_offset"]
-    if len(blob) < start + nbytes:
+    if start + nbytes > limit:
         raise ValueError(
             f"{path}: truncated data, expected {nbytes} bytes at offset {start}, "
-            f"got {len(blob) - start}"
+            f"got at most {max(0, limit - start)}"
         )
-    flat = np.frombuffer(blob, dtype=dtype, count=int(np.prod(shape)), offset=start)
-    data = flat.reshape(shape, order="F")
+    f.seek(start)
+    flat = np.empty(count, dtype=dtype)
+    view = memoryview(flat).cast("B")
+    got = 0
+    while got < nbytes and (n := f.readinto(view[got : got + _CHUNK])):
+        got += n
+    if got < nbytes:
+        raise ValueError(
+            f"{path}: truncated data, expected {nbytes} bytes at offset {start}, got {got}"
+        )
+    while f.read(_CHUNK):
+        pass
+    return hdr, flat
+
+
+def read_volume(path, as_labels: bool = False) -> Volume | LabelMap:
+    """Read a 3-D NIfTI-1 file; ``as_labels=True`` returns a raw LabelMap."""
+    with open(path, "rb") as raw:
+        is_gzip = raw.read(2) == _GZIP_MAGIC
+        if not is_gzip and _is_gzip_path(path):
+            raise ValueError(f"{path}: .gz extension but no gzip magic at offset 0")
+        raw.seek(0)
+        size = os.fstat(raw.fileno()).st_size
+        try:
+            if is_gzip:
+                with gzip.open(raw) as f:
+                    hdr, flat = _read_voxels(f, size * _MAX_DEFLATE_RATIO, path)
+            else:
+                hdr, flat = _read_voxels(raw, size, path)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{path}: corrupt gzip ({exc})") from exc
+    dtype = flat.dtype
+    data = flat.reshape(hdr["shape"], order="F")
     slope, inter = hdr["scl_slope"], hdr["scl_inter"]
     scaled = slope not in (0.0, 1.0) or inter != 0.0
     if as_labels:

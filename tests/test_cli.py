@@ -1,12 +1,15 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
 import json
+import os
 import shutil
+import threading
 
 import pytest
 
+import voxaug.cli
 from voxaug.augment import AugmentSpec
-from voxaug.cli import main
+from voxaug.cli import _thread_count, main
 from voxaug.config import PipelineConfig, save_config
 from voxaug.tables import read_metrics
 
@@ -188,6 +191,45 @@ def test_failed_subjects_are_all_reported_in_subject_order(tmp_path, capsys, mon
         )
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_subject_leaves_no_file(tmp_path, capsys, monkeypatch, threads):
+    subjects = tmp_path / "subjects"
+    code, _, err = run(
+        capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "16,16,16",
+        "--out", str(subjects),
+    )
+    assert code == 0, err
+    cfg = tmp_path / "flip.json"
+    flip = AugmentSpec(kind="flip", probability=1.0)
+    save_config(PipelineConfig(seed=3, pipeline=(flip,), patch_shape=(16, 16, 16)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    clean = tmp_path / "clean"
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(clean))
+    assert code == 0, err
+
+    write_volume = voxaug.cli.write_volume
+    lock, calls = threading.Lock(), []
+
+    def third_write_fails(obj, path):
+        if path.name.startswith("phantom001"):
+            with lock:
+                calls.append(path.name)
+                if len(calls) == 3:
+                    raise OSError("disk full")
+        write_volume(obj, path)
+
+    monkeypatch.setattr(voxaug.cli, "write_volume", third_write_fails)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(out))
+    assert code == 1
+    assert err == "error: disk full\n"
+    assert len(calls) == 3
+    left = sorted(p.name for p in out.iterdir())
+    assert left == sorted(p.name for p in clean.iterdir() if not p.name.startswith("phantom001"))
+    for name in left:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
 def test_augment_requires_input_dir(config_path, tmp_path, capsys):
     code, _, err = run(capsys, "augment", "--config", str(config_path), "--out", str(tmp_path / "o"))
     assert code == 1
@@ -357,3 +399,10 @@ def test_thread_env_validation(phantom_dir, config_path, tmp_path, capsys, monke
     )
     assert code == 1
     assert "VOXAUG_THREADS must be >= 1" in err
+
+
+def test_default_thread_count_follows_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("VOXAUG_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _thread_count() == 1

@@ -5,11 +5,17 @@ import stat
 import struct
 import zlib
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voxaug.nifti import atomic_write_bytes, read_labels, read_volume, write_volume
-from voxaug.volume import LabelMap, Volume
+from voxaug import nifti
+from voxaug.augment import rotate_by
+from voxaug.nifti import _parse_header, atomic_write_bytes, read_labels, read_volume, write_volume
+from voxaug.volume import LabelMap, Volume, make_phantom
 
 
 def _fabricate(
@@ -120,7 +126,67 @@ def test_gzip_member_is_deterministic(tmp_path):
     write_volume(lab, path)
     blob = path.read_bytes()
     assert blob[:2] == b"\x1f\x8b"
+    assert blob[3] == 0  # FLG: no FNAME, FEXTRA or FCOMMENT field
     assert blob[4:8] == b"\x00\x00\x00\x00"  # gzip MTIME field zeroed
+    member = zlib.decompressobj(31)
+    member.decompress(blob)
+    assert member.eof and member.unused_data == b""  # a single member
+
+
+def _level9(tmp_path, obj, name):
+    """``obj`` as the gzip.compress level-9 file every earlier version wrote."""
+    plain = tmp_path / f"{name}.nii"
+    write_volume(obj, plain)
+    path = tmp_path / f"{name}-level9.nii.gz"
+    path.write_bytes(gzip.compress(plain.read_bytes(), 9, mtime=0))
+    return path
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["phantom", "rotated"])
+def test_files_decode_like_level9_files_and_are_no_larger(tmp_path, rotated):
+    sample = make_phantom(1, shape=(64, 64, 64), subject_id="p")
+    if rotated:
+        sample = rotate_by(sample, (0.0, 0.0, 17.0))
+    size, size9 = 0, 0
+    for i, obj in enumerate((*sample.channels, sample.labels)):
+        path = tmp_path / f"v{i}.nii.gz"
+        write_volume(obj, path)
+        legacy = _level9(tmp_path, obj, f"v{i}")
+        reader = read_labels if isinstance(obj, LabelMap) else read_volume
+        np.testing.assert_array_equal(reader(path).data, reader(legacy).data)
+        np.testing.assert_array_equal(reader(path).data, obj.data)
+        size += path.stat().st_size
+        size9 += legacy.stat().st_size
+    assert size <= size9
+
+
+@pytest.mark.parametrize("chunk", [4096, 1 << 20], ids=["4k-slabs", "default-slabs"])
+def test_written_bytes_are_one_shot_deflate_of_the_payload(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(nifti, "_CHUNK", chunk)
+    rng = np.random.default_rng(3)
+    vol = Volume(rng.normal(size=(64, 64, 80)).round(1).astype(np.float32), spacing=(1, 1, 2))
+    write_volume(vol, tmp_path / "v.nii")
+    write_volume(vol, tmp_path / "v.nii.gz")
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+    one_shot = deflate.compress((tmp_path / "v.nii").read_bytes()) + deflate.flush()
+    assert (tmp_path / "v.nii.gz").read_bytes() == one_shot
+
+
+def _two_members(tmp_path, obj, name):
+    plain = tmp_path / f"{name}.nii"
+    write_volume(obj, plain)
+    blob = plain.read_bytes()
+    path = tmp_path / f"{name}-two.nii.gz"
+    path.write_bytes(gzip.compress(blob[:500], mtime=0) + gzip.compress(blob[500:], mtime=0))
+    return path
+
+
+@pytest.mark.parametrize("legacy", [_level9, _two_members], ids=["level9", "two-members"])
+def test_reads_earlier_gzip_files(tmp_path, legacy):
+    vol = Volume(np.arange(6 * 7 * 8, dtype=np.float32).reshape(6, 7, 8), spacing=(1, 2, 3))
+    back = read_volume(legacy(tmp_path, vol, "v"))
+    np.testing.assert_array_equal(back.data, vol.data)
+    assert back.spacing == (1.0, 2.0, 3.0)
 
 
 def test_reads_foreign_int16_file_with_scaling(tmp_path):
@@ -306,6 +372,108 @@ def test_corrupt_gzip_names_the_path(tmp_path, corrupt, cause):
     assert isinstance(excinfo.value.__cause__, cause)
 
 
+# --- fuzzed files ----------------------------------------------------------------
+
+def _valid_file(shape, datatype, spacing=(1.0, 1.0, 1.0)):
+    dtype = nifti._DTYPES[datatype]
+    payload = np.arange(int(np.prod(shape))).astype(dtype).tobytes()
+    return _fabricate(shape=shape, spacing=spacing, datatype=datatype,
+                      bitpix=8 * dtype.itemsize, payload=payload)
+
+
+def _assert_rejected_by_name(tmp_path, name, blob):
+    path = _write(tmp_path, name, blob)
+    with pytest.raises(ValueError) as excinfo:
+        read_volume(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+_shapes = st.tuples(*[st.integers(1, 6)] * 3)
+_datatypes = st.sampled_from(sorted(nifti._DTYPES))
+_exts = st.sampled_from([".nii", ".nii.gz"])
+
+
+def _encode(blob, ext):
+    return gzip.compress(blob, mtime=0) if ext == ".nii.gz" else blob
+
+
+@settings(max_examples=100)
+@given(shape=_shapes, datatype=_datatypes, ext=_exts, data=st.data())
+def test_fuzz_truncation_at_any_length(tmp_path_factory, shape, datatype, ext, data):
+    blob = _encode(_valid_file(shape, datatype), ext)
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    _assert_rejected_by_name(tmp_path_factory.mktemp("cut"), f"t{ext}", blob[:cut])
+
+
+@given(blob=st.binary(max_size=400), data=st.data())
+def test_fuzz_parse_header_raises_only_named_value_errors(blob, data):
+    # random bytes, and a valid header with random bytes written over it
+    header = bytearray(_valid_file((2, 3, 4), 16)[: nifti.VOX_OFFSET])
+    start = data.draw(st.integers(0, len(header)), label="start")
+    header[start : start + len(blob)] = blob
+    for candidate in (blob, bytes(header[: nifti.VOX_OFFSET])):
+        try:
+            hdr = _parse_header(candidate, path="fuzz.nii")
+        except ValueError as exc:
+            assert str(exc).startswith("fuzz.nii: ")
+        else:
+            assert hdr["datatype"] in nifti._DTYPES
+            assert all(v >= 1 for v in hdr["shape"])
+            assert hdr["vox_offset"] >= nifti.HEADER_SIZE
+
+
+@given(
+    field=st.sampled_from(["magic", "dims", "dim0", "datatype"]),
+    ext=_exts,
+    value=st.integers(-(2**15), 2**15 - 1),
+)
+def test_fuzz_bad_header_fields(tmp_path_factory, field, ext, value):
+    if field == "magic":
+        blob = _fabricate(magic=value.to_bytes(4, "little", signed=True), payload=b"\x00" * 96)
+    elif field == "dims":
+        blob = _fabricate(shape=(2, min(value, 0), 4), payload=b"\x00" * 96)
+    elif field == "dim0":
+        blob = _fabricate(dim0=value if value != 3 else 4, payload=b"\x00" * 96)
+    else:
+        code = value if value not in nifti._DTYPES else 0
+        blob = _fabricate(datatype=code, payload=b"\x00" * 96)
+    _assert_rejected_by_name(tmp_path_factory.mktemp("field"), f"f{ext}", _encode(blob, ext))
+
+
+@given(shape=_shapes, datatype=_datatypes, data=st.data())
+def test_fuzz_corrupt_gzip(tmp_path_factory, shape, datatype, data):
+    blob = bytearray(gzip.compress(_valid_file(shape, datatype), mtime=0))
+    at = data.draw(st.integers(2, len(blob) - 1), label="at")
+    blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path = _write(tmp_path_factory.mktemp("gz"), "c.nii.gz", bytes(blob))
+    try:
+        vol = read_volume(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:  # a flip the gzip checks cannot see decodes to some valid volume
+        assert vol.data.dtype == np.float32
+
+
+@settings(max_examples=20)
+@given(
+    shape=st.tuples(*[st.integers(1000, 2**15 - 1)] * 3),
+    datatype=_datatypes,
+    ext=_exts,
+    body=st.integers(0, 4096),
+)
+def test_fuzz_huge_dims_over_a_small_body_never_allocate(tmp_path_factory, shape, datatype, ext, body):
+    blob = _encode(_fabricate(shape=shape, datatype=datatype, payload=b"\x00" * body), ext)
+    path = _write(tmp_path_factory.mktemp("huge"), f"h{ext}", blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated data")):
+            read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 # --- atomic writes ---------------------------------------------------------------
 
 def test_atomic_write_gets_the_umask_default_mode(tmp_path):
@@ -319,3 +487,19 @@ def test_atomic_write_gets_the_umask_default_mode(tmp_path):
     mode = stat.S_IMODE((tmp_path / "atomic.bin").stat().st_mode)
     assert mode == stat.S_IMODE((tmp_path / "plain.bin").stat().st_mode) == 0o644
     assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.bin", "plain.bin"]
+
+
+def test_atomic_group_renames_together_or_not_at_all(tmp_path):
+    vol = Volume(np.zeros((2, 2, 2), dtype=np.float32))
+    with nifti.atomic_group():
+        atomic_write_bytes(tmp_path / "a.json", b"{}")
+        write_volume(vol, tmp_path / "v.nii.gz")
+        assert not (tmp_path / "a.json").exists() and not (tmp_path / "v.nii.gz").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "v.nii.gz"]
+    with pytest.raises(OSError, match="disk full"):
+        with nifti.atomic_group():
+            atomic_write_bytes(tmp_path / "b.json", b"{}")
+            write_volume(vol, tmp_path / "a.json")
+            raise OSError("disk full")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "v.nii.gz"]
+    assert (tmp_path / "a.json").read_bytes() == b"{}"

@@ -146,9 +146,12 @@ def _cmd_evaluate(args) -> int:
         )
 
     def one(subject: str):
-        pred = read_labels(_resolve_nifti(pred_dir, f"{subject}{suffix}"))
-        truth = read_labels(_resolve_nifti(truth_dir, f"{subject}{suffix}"))
-        return evaluate_sample(pred, truth, subject_id=subject, model_id=args.model_id)
+        try:
+            pred = read_labels(_resolve_nifti(pred_dir, f"{subject}{suffix}"))
+            truth = read_labels(_resolve_nifti(truth_dir, f"{subject}{suffix}"))
+            return evaluate_sample(pred, truth, subject_id=subject, model_id=args.model_id)
+        except ValueError as exc:
+            raise ValueError(f"subject {subject}: {exc}") from exc
 
     records = [r for batch in _map_subjects(one, truth_ids) for r in batch]
     out = Path(args.out)

@@ -9,6 +9,14 @@ a region the scores are the worst-case sentinels Dice 0.0 and HD95 373.0 mm;
 when both are empty the region is a true negative and scores Dice 1.0,
 HD95 0.0.
 
+Dice and HD95 work on the two masks' union bounding box, not on the whole
+grid: a tumor fills a few percent of a BraTS grid. The crop is exact. Outside
+the box both masks are empty, so nothing there is a mask or surface voxel,
+and the crop's border is non-mask exactly as the grid's border is. Surface
+indices found in the crop get the box offset added while they are still
+integers, before the multiplication by the spacing, so every point
+coordinate, and with it every distance, is bit-identical to the full grid's.
+
 Importing this module loads numpy only: ``scipy.spatial`` loads on the first
 HD95 between two nonempty masks.
 """
@@ -39,12 +47,14 @@ class RegionMask:
         m = np.asarray(self.mask)
         if m.ndim != 3:
             raise ValueError(f"region mask must be 3-D, got shape {m.shape}")
-        object.__setattr__(self, "mask", m.astype(bool))
+        m = m.astype(bool, copy=False)
+        object.__setattr__(self, "mask", m)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
+        object.__setattr__(self, "_count", int(np.count_nonzero(m)))
 
     @property
     def count(self) -> int:
-        return int(self.mask.sum())
+        return self._count
 
 
 @dataclass(frozen=True)
@@ -68,11 +78,26 @@ def region_masks(labels: LabelMap) -> dict[str, RegionMask]:
     """Compose the three nested evaluation regions from a raw label map."""
     if labels.convention != "raw":
         raise ValueError("region composition requires raw labels {0,1,2,4}")
-    out = {}
-    for region in REGIONS:
-        mask = np.isin(labels.data, REGION_LABELS[region])
-        out[region] = RegionMask(region=region, mask=mask, spacing=labels.spacing)
-    return out
+    # REGION_LABELS nest, so each region grows from the one inside it
+    et = labels.data == 4
+    tc = et | (labels.data == 1)
+    wt = tc | (labels.data == 2)
+    return {
+        region: RegionMask(region=region, mask=mask, spacing=labels.spacing)
+        for region, mask in zip(REGIONS, (wt, tc, et))
+    }
+
+
+def _union_box(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice, slice]:
+    """Slices of the smallest box holding every True voxel of two masks, not
+    both empty, read from their ``any`` projections."""
+    yz = a.any(axis=0) | b.any(axis=0)
+    projections = (a.any(axis=(1, 2)) | b.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0))
+    box = []
+    for p in projections:
+        hits = np.flatnonzero(p)
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
 
 
 def dice(pred: RegionMask, truth: RegionMask) -> float:
@@ -86,7 +111,8 @@ def dice(pred: RegionMask, truth: RegionMask) -> float:
         return 1.0
     if np_ == 0 or nt == 0:
         return 0.0
-    inter = int(np.logical_and(pred.mask, truth.mask).sum())
+    box = _union_box(pred.mask, truth.mask)
+    inter = int(np.count_nonzero(pred.mask[box] & truth.mask[box]))
     return 2.0 * inter / (np_ + nt)
 
 
@@ -136,9 +162,11 @@ def hausdorff95(pred: RegionMask, truth: RegionMask) -> float:
         return 0.0
     if pe or te:
         return HD95_SENTINEL_MM
+    box = _union_box(pred.mask, truth.mask)
+    offset = np.array([s.start for s in box])
     sp = np.asarray(pred.spacing, dtype=np.float64)
-    pred_pts = surface_voxels(pred.mask).astype(np.float64) * sp
-    truth_pts = surface_voxels(truth.mask).astype(np.float64) * sp
+    pred_pts = (surface_voxels(pred.mask[box]) + offset).astype(np.float64) * sp
+    truth_pts = (surface_voxels(truth.mask[box]) + offset).astype(np.float64) * sp
     return max(_directed_p95(pred_pts, truth_pts), _directed_p95(truth_pts, pred_pts))
 
 
@@ -200,6 +228,10 @@ def evaluate_sample(
     pred: LabelMap, truth: LabelMap, subject_id: str, model_id: str
 ) -> list[MetricRecord]:
     """Dice and HD95 for all three regions of one (prediction, truth) pair."""
+    if pred.shape != truth.shape:
+        raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
+    if pred.spacing != truth.spacing:
+        raise ValueError(f"spacing mismatch: pred {pred.spacing} vs truth {truth.spacing}")
     pred_regions = region_masks(pred)
     truth_regions = region_masks(truth)
     records = []

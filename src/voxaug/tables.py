@@ -10,6 +10,7 @@ leaves any previous table intact.
 
 import csv
 import io
+from collections import Counter
 from pathlib import Path
 
 from .metrics import MetricRecord
@@ -31,22 +32,33 @@ def _csv_bytes(rows) -> bytes:
 
 
 def write_metrics(records: list[MetricRecord], path, append: bool = False) -> None:
-    """Write (or append) a metric table; the appended block is itself sorted."""
+    """Write (or append) a metric table; the appended block is itself sorted.
+
+    A (subject, model, region) key may appear once in the table: a record
+    that repeats a key of the existing table, or of another record, is
+    refused and the file is left as it was.
+    """
     path = Path(path)
     rows = [
         [r.subject_id, r.model_id, r.region, repr(r.dice), repr(r.hd95_mm)]
         for r in _sorted_rows(records)
     ]
+    keys = Counter(tuple(row[:3]) for row in rows)
     existing = b""
     if append and path.exists() and path.stat().st_size > 0:
         existing = path.read_bytes()
-        first = next(csv.reader(io.StringIO(existing.decode())), None)
+        reader = csv.reader(io.StringIO(existing.decode()))
+        first = next(reader, None)
         if first != list(METRIC_HEADER):
             raise ValueError(f"{path}: existing header {first} does not match {list(METRIC_HEADER)}")
+        keys.update({tuple(row[:3]) for row in reader if row} & set(keys))
         if not existing.endswith(b"\n"):
             existing += b"\n"
     else:
         rows.insert(0, METRIC_HEADER)
+    dupes = sorted(k for k, c in keys.items() if c > 1)
+    if dupes:
+        raise ValueError(f"duplicate metric rows for {dupes}")
     atomic_write_bytes(path, existing + _csv_bytes(rows))
 
 

@@ -57,6 +57,17 @@ class Volume:
         return self.data.shape
 
 
+def _integers_in_alphabet(data: np.ndarray, alphabet: tuple[int, ...]) -> bool:
+    """True when nonempty integer ``data`` holds only values of the sorted
+    ``alphabet``: a min, a max and one scan per value missing between them.
+    False means "not shown here", and ``np.isin`` decides.
+    """
+    if data.dtype.kind not in "biu" or data.min() < alphabet[0] or data.max() > alphabet[-1]:
+        return False
+    gaps = (v for v in range(alphabet[0], alphabet[-1]) if v not in alphabet)
+    return not any((data == v).any() for v in gaps)
+
+
 @dataclass(frozen=True)
 class LabelMap:
     """Dense 3D integer label grid.
@@ -76,14 +87,15 @@ class LabelMap:
         if self.convention not in ("raw", "canonical"):
             raise ValueError(f"unknown label convention {self.convention!r}")
         alphabet = RAW_LABELS if self.convention == "raw" else CANONICAL_LABELS
-        ok = np.isin(data, alphabet)
-        if not ok.all():
-            idx = np.argwhere(~ok)[0]
-            val = data[tuple(idx)]
-            raise ValueError(
-                f"label value {int(val)} at voxel {tuple(int(v) for v in idx)} "
-                f"not in {self.convention} alphabet {alphabet}"
-            )
+        if data.size and not _integers_in_alphabet(data, alphabet):
+            ok = np.isin(data, alphabet)
+            if not ok.all():
+                idx = np.argwhere(~ok)[0]
+                val = data[tuple(idx)]
+                raise ValueError(
+                    f"label value {int(val)} at voxel {tuple(int(v) for v in idx)} "
+                    f"not in {self.convention} alphabet {alphabet}"
+                )
         data = np.ascontiguousarray(data.astype(np.uint8, copy=False))
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))

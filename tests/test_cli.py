@@ -5,13 +5,16 @@ import os
 import shutil
 import threading
 
+import numpy as np
 import pytest
 
 import voxaug.cli
 from voxaug.augment import AugmentSpec
 from voxaug.cli import _thread_count, main
 from voxaug.config import PipelineConfig, save_config
+from voxaug.nifti import write_volume
 from voxaug.tables import read_metrics
+from voxaug.volume import LabelMap
 
 
 def run(capsys, *argv):
@@ -266,6 +269,55 @@ def test_evaluate_append_second_model(phantom_dir, tmp_path, capsys):
     assert {r.model_id for r in records} == {"A", "B"}
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_evaluate_names_each_failing_subject(tmp_path, capsys, monkeypatch, threads):
+    pred, truth = tmp_path / "pred", tmp_path / "truth"
+    pred.mkdir()
+    truth.mkdir()
+    labels = np.zeros((20, 20, 16), dtype=np.uint8)
+    labels[8:12, 8:12, 6:10] = 4
+    for subject in ("s0", "s1", "s2"):
+        write_volume(LabelMap(labels), truth / f"{subject}_seg.nii.gz")
+    write_volume(LabelMap(labels), pred / "s0_seg.nii.gz")
+    write_volume(LabelMap(np.zeros((20, 20, 18), dtype=np.uint8)), pred / "s1_seg.nii.gz")
+    write_volume(LabelMap(labels, spacing=(1.0, 1.0, 2.0)), pred / "s2_seg.nii.gz")
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(
+        capsys, "evaluate", "--pred", str(pred), "--truth", str(truth),
+        "--model-id", "A", "--out", str(out),
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == (
+        "error: 2 of 3 subjects failed: "
+        "subject s1: shape mismatch: pred (20, 20, 18) vs truth (20, 20, 16); "
+        "subject s2: spacing mismatch: pred (1.0, 1.0, 2.0) vs truth (1.0, 1.0, 1.0)\n"
+    )
+    assert not out.exists()
+
+
+def test_evaluate_append_rejects_rows_already_in_the_table(phantom_dir, tmp_path, capsys):
+    out = tmp_path / "metrics.csv"
+    argv = ("evaluate", "--pred", str(phantom_dir), "--truth", str(phantom_dir),
+            "--model-id", "A", "--out", str(out), "--append")
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    before = out.read_bytes()
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err == (
+        "error: duplicate metric rows for "
+        "[('phantom000', 'A', 'ET'), ('phantom000', 'A', 'TC'), ('phantom000', 'A', 'WT'), "
+        "('phantom001', 'A', 'ET'), ('phantom001', 'A', 'TC'), ('phantom001', 'A', 'WT')]\n"
+    )
+    assert out.read_bytes() == before
+    code, stdout, err = run(capsys, "rank", "--metrics", str(out), "--out", str(tmp_path / "r.csv"))
+    assert code == 0, err
+    assert stdout == "A=1.0\n"
+
+
 def test_evaluate_subject_mismatch(phantom_dir, tmp_path, capsys):
     pred = tmp_path / "pred"
     pred.mkdir()
@@ -332,12 +384,11 @@ def test_compare_unknown_model(two_model_table, capsys):
     assert "has no WT rows" in err
 
 
-def test_compare_rejects_duplicate_rows(two_model_table, phantom_dir, capsys):
-    code, _, err = run(
-        capsys, "evaluate", "--pred", str(phantom_dir), "--truth", str(phantom_dir),
-        "--model-id", "B", "--out", str(two_model_table), "--append",
-    )
-    assert code == 0, err
+def test_compare_rejects_duplicate_rows(two_model_table, capsys):
+    # evaluate --append refuses to write such a table, so repeat B's rows by hand
+    text = two_model_table.read_text()
+    repeated = [line for line in text.splitlines() if line.split(",")[1] == "B"]
+    two_model_table.write_text(text + "\n".join(repeated) + "\n")
     code, stdout, err = run(
         capsys, "compare", "--metrics", str(two_model_table), "--model-a", "A",
         "--model-b", "B", "--metric", "dice", "--region", "WT", "--exhaustive",

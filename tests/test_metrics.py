@@ -10,9 +10,11 @@ import voxaug as vx
 from oracles import oracle_hd95, random_blob
 from voxaug.metrics import (
     HD95_SENTINEL_MM,
+    REGION_LABELS,
     REGIONS,
     MetricRecord,
     RegionMask,
+    _directed_p95,
     dice,
     ensemble_average,
     evaluate_sample,
@@ -73,6 +75,10 @@ def test_region_nesting_property(data):
     masks = region_masks(_labels(data))
     assert np.all(masks["ET"].mask <= masks["TC"].mask)
     assert np.all(masks["TC"].mask <= masks["WT"].mask)
+    for region in REGIONS:
+        expected = np.isin(data, REGION_LABELS[region])
+        assert np.array_equal(masks[region].mask, expected)
+        assert masks[region].count == int(expected.sum())
 
 
 # --- dice ----------------------------------------------------------------------
@@ -192,6 +198,66 @@ def test_hd95_matches_brute_force_oracle_sample():
         assert got == pytest.approx(oracle_hd95(a, b, spacing), abs=1e-9)
 
 
+def _full_grid_hd95(a, b, spacing):
+    """HD95 from surfaces found on the whole grid, without any crop."""
+    sp = np.asarray(spacing, dtype=np.float64)
+    pa = surface_voxels(a).astype(np.float64) * sp
+    pb = surface_voxels(b).astype(np.float64) * sp
+    return max(_directed_p95(pa, pb), _directed_p95(pb, pa))
+
+
+def _full_grid_dice(a, b):
+    return 2.0 * int(np.count_nonzero(a & b)) / (int(np.count_nonzero(a)) + int(np.count_nonzero(b)))
+
+
+def _ball(shape, center, radius):
+    g = np.indices(shape)
+    return sum((gi - c) ** 2 for gi, c in zip(g, center)) <= radius * radius
+
+
+def _face_balls(rng, shape):
+    """One random ball centred on each of the six grid faces."""
+    m = np.zeros(shape, bool)
+    for axis in range(3):
+        for side in (0, shape[axis] - 1):
+            center = rng.integers(0, shape)
+            center[axis] = side
+            m |= _ball(shape, center, int(rng.integers(1, 4)))
+    return m
+
+
+def _crop_cases():
+    rng = np.random.default_rng(2024)
+    for trial in range(8):
+        shape = tuple(int(v) for v in rng.integers(9, 24, 3))
+        a, b = random_blob(rng, shape), random_blob(rng, shape)
+        yield "blobs", a, b
+        yield "faces", a | _face_balls(rng, shape), b
+        yield "nested", a, a | b
+        corner = np.zeros(shape, bool)
+        corner[tuple(s - 1 for s in shape)] = True
+        near_origin = np.zeros(shape, bool)
+        near_origin[:3, :3, :3] = random_blob(rng, (3, 3, 3))
+        yield "far-corner", near_origin, corner
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.9375, 1.1, 3.3), (0.7, 1.3, 2.0)])
+def test_bounding_box_crop_is_bit_identical_to_the_full_grid(spacing):
+    for kind, a, b in _crop_cases():
+        pa, pb = _mask(a, spacing=spacing), _mask(b, spacing=spacing)
+        for p, t in ((pa, pb), (pb, pa)):
+            assert hausdorff95(p, t) == _full_grid_hd95(p.mask, t.mask, spacing), kind
+            assert dice(p, t) == _full_grid_dice(p.mask, t.mask), kind
+
+
+def test_region_mask_keeps_a_bool_mask_without_copying():
+    m = np.zeros((3, 3, 3), bool)
+    m[1, 1, 1] = True
+    rm = RegionMask("ET", m)
+    assert rm.mask is m
+    assert rm.count == 1
+
+
 # --- generalized Dice loss --------------------------------------------------------
 
 def _one_hot(labels, classes):
@@ -293,6 +359,14 @@ def test_evaluate_sample_perfect():
 def test_evaluate_sample_shape_mismatch():
     pred, truth = _labels(np.zeros((2, 2, 2))), _labels(np.zeros((3, 2, 2)))
     with pytest.raises(ValueError, match=re.escape("shape mismatch: pred (2, 2, 2) vs truth (3, 2, 2)")):
+        evaluate_sample(pred, truth, "s", "m")
+
+
+def test_evaluate_sample_spacing_mismatch():
+    pred = LabelMap(np.zeros((2, 2, 2), dtype=np.uint8), spacing=(1.0, 1.0, 2.0))
+    truth = _labels(np.zeros((2, 2, 2)))
+    expected = "spacing mismatch: pred (1.0, 1.0, 2.0) vs truth (1.0, 1.0, 1.0)"
+    with pytest.raises(ValueError, match=re.escape(expected)):
         evaluate_sample(pred, truth, "s", "m")
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -60,6 +61,25 @@ def test_append_onto_table_without_final_newline(tmp_path, rows):
         write_metrics(ROWS[2:], path, append=True)
     assert stripped.read_bytes() == terminated.read_bytes()
     assert read_metrics(stripped) == [*sorted(rows, key=lambda r: (r.subject_id, r.model_id, r.region)), *ROWS[2:]]
+
+
+def test_append_rejects_keys_already_in_the_table(tmp_path):
+    path = tmp_path / "m.csv"
+    write_metrics(ROWS, path)
+    before = path.read_bytes()
+    again = [_rec("s3", "A", "WT", 0.5, 2.0), _rec("s1", "B", "ET", 0.5, 2.0)]
+    with pytest.raises(ValueError, match=re.escape("duplicate metric rows for [('s1', 'B', 'ET')]")):
+        write_metrics(again, path, append=True)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("append", [False, True])
+def test_write_rejects_repeated_keys_among_the_records(tmp_path, append):
+    path = tmp_path / "m.csv"
+    rows = [*ROWS, _rec("s2", "A", "WT", 0.5, 2.0)]
+    with pytest.raises(ValueError, match=re.escape("duplicate metric rows for [('s2', 'A', 'WT')]")):
+        write_metrics(rows, path, append=append)
+    assert not path.exists()
 
 
 def test_append_rejects_foreign_header(tmp_path):

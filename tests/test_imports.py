@@ -67,22 +67,31 @@ def test_compare_and_rank_load_no_scipy(campaign):
     assert _scipy_loaded_by_main(rank) == []
 
 
-def test_evaluate_loads_only_scipy_spatial(campaign):
+def test_evaluate_loads_no_scipy(campaign):
     subjects = str(campaign["subjects"])
     loaded = _scipy_loaded_by_main(
         ["evaluate", "--pred", subjects, "--truth", subjects, "--model-id", "C",
          "--out", str(campaign["root"] / "c.csv")]
     )
-    assert "scipy.spatial" in loaded
-    assert "scipy.ndimage" not in loaded
-    assert "scipy.interpolate" not in loaded
+    assert loaded == []
+
+
+def test_hausdorff95_loads_no_scipy():
+    statement = (
+        "from voxaug import metrics\n"
+        "from voxaug.volume import make_phantom\n"
+        "a, b = (metrics.region_masks(make_phantom(s, (20, 18, 16)).labels)['WT'] for s in (1, 2))\n"
+        "assert metrics.hausdorff95(a, b) > 0"
+    )
+    assert _scipy_loaded_after(statement) == []
 
 
 # --- concurrent first use ---------------------------------------------------------
-# Three threads make the first calls that load scipy.ndimage, scipy.interpolate
-# and scipy.spatial at the same moment. Per-module import locks make this safe
-# as long as their imports form no cycle: scipy.interpolate imports
-# scipy.spatial, and neither scipy.spatial nor scipy.ndimage imports another.
+# Three threads make their first calls at the same moment: two of them load
+# scipy.ndimage and scipy.interpolate, and hausdorff95, which loads nothing,
+# runs beside them. Per-module import locks make this safe as long as the
+# imports form no cycle: scipy.interpolate imports scipy.spatial, and neither
+# scipy.spatial nor scipy.ndimage imports another.
 
 _FIRST_USE = """
 import hashlib, json, sys, threading

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import voxaug as vx
-from oracles import oracle_hd95, random_blob
+from oracles import kdtree_directed_p95, oracle_hd95, random_blob
 from voxaug.metrics import (
     HD95_SENTINEL_MM,
     REGION_LABELS,
     REGIONS,
     MetricRecord,
     RegionMask,
-    _directed_p95,
     dice,
     ensemble_average,
     evaluate_sample,
@@ -199,11 +198,12 @@ def test_hd95_matches_brute_force_oracle_sample():
 
 
 def _full_grid_hd95(a, b, spacing):
-    """HD95 from surfaces found on the whole grid, without any crop."""
+    """HD95 from surfaces found on the whole grid, without any crop, and
+    distances from a ``cKDTree`` query."""
     sp = np.asarray(spacing, dtype=np.float64)
     pa = surface_voxels(a).astype(np.float64) * sp
     pb = surface_voxels(b).astype(np.float64) * sp
-    return max(_directed_p95(pa, pb), _directed_p95(pb, pa))
+    return max(kdtree_directed_p95(pa, pb), kdtree_directed_p95(pb, pa))
 
 
 def _full_grid_dice(a, b):
@@ -248,6 +248,65 @@ def test_bounding_box_crop_is_bit_identical_to_the_full_grid(spacing):
         for p, t in ((pa, pb), (pb, pa)):
             assert hausdorff95(p, t) == _full_grid_hd95(p.mask, t.mask, spacing), kind
             assert dice(p, t) == _full_grid_dice(p.mask, t.mask), kind
+
+
+@pytest.fixture(scope="module")
+def perturbed_phantom():
+    """Each region of a phantom with predictions that are the truth, grown by
+    1 and 3 voxels, shrunk by 2, grown by 1 plus a far 4x3x2 blob, and moved
+    60 voxels along x: the cases where the distance search reaches far."""
+    from scipy import ndimage
+
+    regions = region_masks(vx.make_phantom(3, (176, 64, 48)).labels)
+    cases = []
+    for region in REGIONS:
+        truth = regions[region].mask
+        far_blob = ndimage.binary_dilation(truth)
+        far_blob[2:6, 2:5, 2:4] = True
+        shifted = np.zeros_like(truth)
+        shifted[60:] = truth[:-60]
+        assert np.count_nonzero(shifted) == np.count_nonzero(truth)
+        preds = {
+            "same": truth,
+            "dilated 1": ndimage.binary_dilation(truth),
+            "dilated 3": ndimage.binary_dilation(truth, iterations=3),
+            "eroded 2": ndimage.binary_erosion(truth, iterations=2),
+            "dilated 1 + far blob": far_blob,
+            "shifted 60": shifted,
+        }
+        for kind, pred in preds.items():
+            assert pred.any(), kind
+            cases.append((f"{region} {kind}", pred, truth))
+    return cases
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.9375, 1.1, 3.3)])
+def test_hd95_equals_the_kdtree_reference_on_perturbed_phantoms(perturbed_phantom, spacing):
+    for name, pred, truth in perturbed_phantom:
+        got = hausdorff95(_mask(pred, spacing=spacing), _mask(truth, spacing=spacing))
+        assert got == _full_grid_hd95(pred, truth, spacing), name
+
+
+def _ellipsoids(rng, shape):
+    """Union of 1-3 random axis-aligned ellipsoids; guaranteed nonempty."""
+    g = np.indices(shape)
+    m = np.zeros(shape, bool)
+    for _ in range(int(rng.integers(1, 4))):
+        center, semi = rng.integers(0, shape), rng.uniform(0.5, 6.0, 3)
+        m |= sum(((gi - c) / r) ** 2 for gi, c, r in zip(g, center, semi)) <= 1.0
+    m[tuple(rng.integers(0, shape))] = True
+    return m
+
+
+def test_hd95_equals_the_kdtree_reference_on_random_anisotropic_blobs():
+    rng = np.random.default_rng(95)
+    for trial in range(300):
+        shape = tuple(int(v) for v in rng.integers(4, 32, 3))
+        spacing = tuple(float(v) for v in rng.uniform(0.3, 4.0, 3))
+        a, b = _ellipsoids(rng, shape), _ellipsoids(rng, shape)
+        expected = _full_grid_hd95(a, b, spacing)
+        assert hausdorff95(_mask(a, spacing=spacing), _mask(b, spacing=spacing)) == expected, trial
+        assert hausdorff95(_mask(b, spacing=spacing), _mask(a, spacing=spacing)) == expected, trial
 
 
 def test_region_mask_keeps_a_bool_mask_without_copying():

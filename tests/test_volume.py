@@ -145,8 +145,13 @@ def test_sample_map_without_label_fn_keeps_the_label_object(phantom_sample):
 
 @pytest.mark.parametrize(
     "view",
-    [lambda a: np.flip(a, 1), lambda a: a.transpose(2, 1, 0), np.asfortranarray],
-    ids=["flipped", "transposed", "fortran"],
+    [
+        lambda a: np.flip(a, 1),
+        lambda a: a.transpose(2, 1, 0),
+        np.asfortranarray,
+        lambda a: np.asfortranarray(np.tile(a, (2, 1, 3))[1:, :, 5:]),
+    ],
+    ids=["flipped", "transposed", "fortran", "fortran-partial-tiles"],
 )
 def test_sample_map_yields_c_contiguous_float32_and_uint8(small_sample, view):
     out = small_sample.map(view, view)

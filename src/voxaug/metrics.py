@@ -34,9 +34,21 @@ REGION_LABELS = {"WT": (1, 2, 4), "TC": (1, 4), "ET": (4,)}
 HD95_SENTINEL_MM = 373.0
 
 
+def _mask_box(m: np.ndarray) -> tuple[slice, slice, slice]:
+    """Slices of the smallest box holding every True voxel of the nonempty
+    mask ``m``, read from its ``any`` projections."""
+    yz = m.any(axis=0)
+    box = []
+    for p in (m.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0)):
+        hits = np.flatnonzero(p)
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
+
+
 @dataclass(frozen=True)
 class RegionMask:
-    """Binary mask for one evaluation region."""
+    """Binary mask for one evaluation region, with its voxel count and its
+    bounding box (``box``, None when empty), each found once."""
 
     region: str
     mask: np.ndarray
@@ -51,11 +63,17 @@ class RegionMask:
         m = m.astype(bool, copy=False)
         object.__setattr__(self, "mask", m)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-        object.__setattr__(self, "_count", int(np.count_nonzero(m)))
+        count = int(np.count_nonzero(m))
+        object.__setattr__(self, "_count", count)
+        object.__setattr__(self, "_box", _mask_box(m) if count else None)
 
     @property
     def count(self) -> int:
         return self._count
+
+    @property
+    def box(self) -> tuple[slice, slice, slice] | None:
+        return self._box
 
 
 @dataclass(frozen=True)
@@ -89,16 +107,12 @@ def region_masks(labels: LabelMap) -> dict[str, RegionMask]:
     }
 
 
-def _union_box(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice, slice]:
-    """Slices of the smallest box holding every True voxel of two masks, not
-    both empty, read from their ``any`` projections."""
-    yz = a.any(axis=0) | b.any(axis=0)
-    projections = (a.any(axis=(1, 2)) | b.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0))
-    box = []
-    for p in projections:
-        hits = np.flatnonzero(p)
-        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
-    return tuple(box)
+def _union_box(a: RegionMask, b: RegionMask) -> tuple[slice, slice, slice]:
+    """Slices of the smallest box holding every True voxel of two nonempty
+    masks, combined from their stored boxes."""
+    return tuple(
+        slice(min(p.start, q.start), max(p.stop, q.stop)) for p, q in zip(a.box, b.box)
+    )
 
 
 def dice(pred: RegionMask, truth: RegionMask) -> float:
@@ -112,7 +126,7 @@ def dice(pred: RegionMask, truth: RegionMask) -> float:
         return 1.0
     if np_ == 0 or nt == 0:
         return 0.0
-    box = _union_box(pred.mask, truth.mask)
+    box = _union_box(pred, truth)
     inter = int(np.count_nonzero(pred.mask[box] & truth.mask[box]))
     return 2.0 * inter / (np_ + nt)
 
@@ -262,7 +276,7 @@ def hausdorff95(pred: RegionMask, truth: RegionMask) -> float:
         return 0.0
     if pe or te:
         return HD95_SENTINEL_MM
-    box = _union_box(pred.mask, truth.mask)
+    box = _union_box(pred, truth)
     shape = tuple(s.stop - s.start for s in box)
     x = tuple(
         (np.arange(n) + s.start).astype(np.float64) * sp

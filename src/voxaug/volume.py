@@ -265,30 +265,48 @@ def make_phantom(seed: int, shape: Shape3 = (64, 64, 64), subject_id: str = "") 
     raw labels 4 (inner), 1 (middle), 2 (outer) on a zero background. The
     tumor center and texture depend on the seed only; intensities are
     min-max normalized to [0, 1].
+
+    Every term is separable per axis: the envelope and the tumor distance
+    are sums of one squared term per axis, and each texture wave a product
+    of one cosine per axis. So each axis's term is computed once on a 1-D
+    coordinate vector, and broadcasting combines the three into the grid
+    with the same operations in the same order per voxel,
+    ``((0 + t0) + t1) + t2`` and ``((1 * c0) * c1) * c2``, as on full
+    ``np.indices`` grids; the result is the same byte for byte. The terms
+    that the four channels share are computed once: multiplying by the
+    0.0/1.0 of ``brain > 0`` is exact, so ``gain * (falloff * inside)``
+    equals ``(gain * falloff) * inside``.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) != 3 or any(s < 16 for s in shape):
         raise ValueError(f"phantom shape must be >= 16 per axis, got {shape}")
     stream = RandomStream(seed, ("phantom",))
 
-    grids = np.indices(shape, dtype=np.float64)
+    # one float64 coordinate vector per axis, shaped to broadcast along it
+    grids = [
+        np.arange(n, dtype=np.float64).reshape([n if a == axis else 1 for a in range(3)])
+        for axis, n in enumerate(shape)
+    ]
     center = [(n - 1) / 2.0 for n in shape]
     half = [n / 2.0 for n in shape]
 
     # smooth brain envelope: 1 at center, 0 at the ellipsoid boundary
     axes = stream.uniform(0.80, 0.90, 3)
-    rho2 = sum(((g - c) / (a * h)) ** 2 for g, c, a, h in zip(grids, center, axes, half))
-    brain = np.clip(1.0 - rho2, 0.0, None)
+    brain = sum(((g - c) / (a * h)) ** 2 for g, c, a, h in zip(grids, center, axes, half))
+    np.subtract(1.0, brain, out=brain)
+    np.clip(brain, 0.0, None, out=brain)
 
     # low-frequency texture: a few random cosine waves, smooth by construction
     texture = np.zeros(shape)
+    wave = np.empty(shape)
     for _ in range(3):
         freq = stream.uniform(0.5, 1.5, 3)
         phase = stream.uniform(0.0, 2 * np.pi, 3)
-        wave = np.ones(shape)
-        for g, n, f, p in zip(grids, shape, freq, phase):
-            wave = wave * np.cos(np.pi * f * g / n + p)
-        texture += stream.uniform(0.05, 0.12) * wave
+        c0, c1, c2 = (np.cos(np.pi * f * g / n + p) for g, n, f, p in zip(grids, shape, freq, phase))
+        np.multiply((1.0 * c0) * c1, c2, out=wave)
+        wave *= stream.uniform(0.05, 0.12)
+        texture += wave
+    del wave
 
     # nested tumor shells, fully inside the brain envelope
     m = float(min(shape))
@@ -297,21 +315,36 @@ def make_phantom(seed: int, shape: Shape3 = (64, 64, 64), subject_id: str = "") 
     r_outer = 3.0 * r_inner
     t_center = [c + stream.uniform(-0.28, 0.28) * h * 0.5 for c, h in zip(center, half)]
     squash = stream.uniform(0.9, 1.1, 3)
-    dist = np.sqrt(sum(((g - tc) / s) ** 2 for g, tc, s in zip(grids, t_center, squash)))
+    dist = sum(((g - tc) / s) ** 2 for g, tc, s in zip(grids, t_center, squash))
+    np.sqrt(dist, out=dist)
 
     labels = np.zeros(shape, dtype=np.uint8)
     labels[dist < r_outer] = 2
     labels[dist < r_middle] = 1
     labels[dist < r_inner] = 4
 
+    # the terms every channel shares: 0.5 * texture * brain, and the tumor
+    # falloff exp(-(dist / r_outer)**2) inside the brain
+    shared = texture
+    shared *= 0.5
+    shared *= brain
+    falloff = dist
+    falloff /= r_outer
+    np.square(falloff, out=falloff)
+    np.negative(falloff, out=falloff)
+    np.exp(falloff, out=falloff)
+    falloff *= brain > 0
+
     base = (0.55, 0.85, 0.70, 0.95)
     tumor_gain = (0.35, 0.60, 0.45, 0.25)
+    intensity, bump = np.empty(shape), np.empty(shape)
     channels = []
     for name, b, tg in zip(CHANNEL_NAMES, base, tumor_gain):
-        bump = tg * np.exp(-((dist / r_outer) ** 2))
-        intensity = b * brain + 0.5 * texture * brain + bump * (brain > 0)
-        vol = Volume(intensity, name=name)
-        channels.append(normalize_minmax(vol))
+        np.multiply(b, brain, out=intensity)
+        intensity += shared
+        np.multiply(tg, falloff, out=bump)
+        intensity += bump
+        channels.append(normalize_minmax(Volume(intensity, name=name)))
 
     sid = subject_id or f"phantom-{int(seed)}"
     return Sample(

@@ -4,15 +4,19 @@ These deliberately avoid the library's own vectorized code paths (slice
 shifts, windowed distance search, scipy resampling): surfaces come from
 per-voxel neighbor lookups in a padded table, distances from dense all-pairs
 matrices or a ``scipy.spatial.cKDTree`` query, resampled values from an
-explicit per-voxel loop, and ranks from ``scipy.stats.rankdata`` one cell at
-a time, so agreement is evidence rather than tautology. The all-pairs and
-per-voxel oracles are quadratic - keep their masks small (<= ~1000 surface
-voxels) and resampled grids tiny (<= ~2000 voxels).
+explicit per-voxel loop, ranks from ``scipy.stats.rankdata`` one cell at a
+time, and phantoms from full ``np.indices`` grids, so agreement is evidence
+rather than tautology. The all-pairs and per-voxel oracles are quadratic -
+keep their masks small (<= ~1000 surface voxels) and resampled grids tiny
+(<= ~2000 voxels).
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.stats import rankdata
+
+from voxaug.rng import RandomStream
+from voxaug.volume import CHANNEL_NAMES, LabelMap, Sample, Volume, normalize_minmax
 
 
 def oracle_surface(mask):
@@ -120,3 +124,61 @@ def oracle_rank_models(records, normalize=False):
     if normalize:
         scores = scores / len(models)
     return sorted(zip(models, (float(v) for v in scores)), key=lambda e: (e[1], e[0]))
+
+
+def oracle_make_phantom(seed, shape=(64, 64, 64), subject_id=""):
+    """``make_phantom`` as first written: every term on full ``np.indices``
+    grids, and each channel's tumor falloff computed on its own."""
+    shape = tuple(int(s) for s in shape)
+    if len(shape) != 3 or any(s < 16 for s in shape):
+        raise ValueError(f"phantom shape must be >= 16 per axis, got {shape}")
+    stream = RandomStream(seed, ("phantom",))
+
+    grids = np.indices(shape, dtype=np.float64)
+    center = [(n - 1) / 2.0 for n in shape]
+    half = [n / 2.0 for n in shape]
+
+    # smooth brain envelope: 1 at center, 0 at the ellipsoid boundary
+    axes = stream.uniform(0.80, 0.90, 3)
+    rho2 = sum(((g - c) / (a * h)) ** 2 for g, c, a, h in zip(grids, center, axes, half))
+    brain = np.clip(1.0 - rho2, 0.0, None)
+
+    # low-frequency texture: a few random cosine waves, smooth by construction
+    texture = np.zeros(shape)
+    for _ in range(3):
+        freq = stream.uniform(0.5, 1.5, 3)
+        phase = stream.uniform(0.0, 2 * np.pi, 3)
+        wave = np.ones(shape)
+        for g, n, f, p in zip(grids, shape, freq, phase):
+            wave = wave * np.cos(np.pi * f * g / n + p)
+        texture += stream.uniform(0.05, 0.12) * wave
+
+    # nested tumor shells, fully inside the brain envelope
+    m = float(min(shape))
+    r_inner = max(1.1, 0.066 * m)
+    r_middle = 2.0 * r_inner
+    r_outer = 3.0 * r_inner
+    t_center = [c + stream.uniform(-0.28, 0.28) * h * 0.5 for c, h in zip(center, half)]
+    squash = stream.uniform(0.9, 1.1, 3)
+    dist = np.sqrt(sum(((g - tc) / s) ** 2 for g, tc, s in zip(grids, t_center, squash)))
+
+    labels = np.zeros(shape, dtype=np.uint8)
+    labels[dist < r_outer] = 2
+    labels[dist < r_middle] = 1
+    labels[dist < r_inner] = 4
+
+    base = (0.55, 0.85, 0.70, 0.95)
+    tumor_gain = (0.35, 0.60, 0.45, 0.25)
+    channels = []
+    for name, b, tg in zip(CHANNEL_NAMES, base, tumor_gain):
+        bump = tg * np.exp(-((dist / r_outer) ** 2))
+        intensity = b * brain + 0.5 * texture * brain + bump * (brain > 0)
+        vol = Volume(intensity, name=name)
+        channels.append(normalize_minmax(vol))
+
+    sid = subject_id or f"phantom-{int(seed)}"
+    return Sample(
+        channels=tuple(channels),
+        labels=LabelMap(labels, convention="raw"),
+        subject_id=sid,
+    )

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -67,6 +68,20 @@ def test_phantom_deterministic(tmp_path, capsys):
         assert code == 0
     for p in a.iterdir():
         assert p.read_bytes() == (b / p.name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_phantom_files_keep_their_digest(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    out = tmp_path / "p"
+    code, _, err = run(
+        capsys, "phantom", "--seed", "9", "--count", "2", "--shape", "24,22,20", "--out", str(out)
+    )
+    assert code == 0, err
+    digest = hashlib.sha256()
+    for p in sorted(out.iterdir(), key=lambda p: p.name):
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == "8ffc6992c170027a2933671a08469907ff0764ee016c0ffa07d3e2247b913184"
 
 
 def test_phantom_rejects_small_shape(tmp_path, capsys):

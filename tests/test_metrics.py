@@ -14,6 +14,7 @@ from voxaug.metrics import (
     REGIONS,
     MetricRecord,
     RegionMask,
+    _union_box,
     dice,
     ensemble_average,
     evaluate_sample,
@@ -307,6 +308,19 @@ def test_hd95_equals_the_kdtree_reference_on_random_anisotropic_blobs():
         expected = _full_grid_hd95(a, b, spacing)
         assert hausdorff95(_mask(a, spacing=spacing), _mask(b, spacing=spacing)) == expected, trial
         assert hausdorff95(_mask(b, spacing=spacing), _mask(a, spacing=spacing)) == expected, trial
+
+
+def _argwhere_box(m):
+    idx = np.argwhere(m)
+    return tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(idx.min(axis=0), idx.max(axis=0)))
+
+
+def test_region_mask_box_is_the_tight_box_of_its_voxels():
+    for kind, a, b in _crop_cases():
+        pa, pb = _mask(a), _mask(b)
+        assert pa.box == _argwhere_box(a), kind
+        assert _union_box(pa, pb) == _union_box(pb, pa) == _argwhere_box(a | b), kind
+    assert _mask(np.zeros((4, 5, 6), bool)).box is None
 
 
 def test_region_mask_keeps_a_bool_mask_without_copying():

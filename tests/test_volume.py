@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import oracle_make_phantom
 
 from voxaug.volume import (
     CANONICAL_LABELS,
@@ -258,6 +261,42 @@ def test_make_phantom_deterministic():
     for ca, cb in zip(a.channels, b.channels):
         np.testing.assert_array_equal(ca.data, cb.data)
     np.testing.assert_array_equal(a.labels.data, b.labels.data)
+
+
+def _assert_same_sample(got, want):
+    assert got.subject_id == want.subject_id
+    assert [(c.name, c.spacing) for c in got.channels] == [
+        (c.name, c.spacing) for c in want.channels
+    ]
+    for cg, cw in zip(got.channels, want.channels):
+        assert cg.data.dtype == cw.data.dtype and cg.data.shape == cw.data.shape
+        assert cg.data.tobytes() == cw.data.tobytes(), cg.name
+    assert got.labels.spacing == want.labels.spacing
+    assert got.labels.convention == want.labels.convention
+    assert got.labels.data.tobytes() == want.labels.data.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 12345, 2**40 + 3])
+@pytest.mark.parametrize("shape", [(16, 16, 16), (17, 23, 29), (40, 40, 32), (64, 64, 64)])
+def test_make_phantom_bytes_equal_the_full_grid_oracle(shape, seed):
+    _assert_same_sample(make_phantom(seed, shape), oracle_make_phantom(seed, shape))
+
+
+def test_make_phantom_bytes_equal_the_full_grid_oracle_at_brats_size():
+    shape = (240, 240, 155)
+    _assert_same_sample(make_phantom(5, shape, "s"), oracle_make_phantom(5, shape, "s"))
+
+
+def test_make_phantom_peak_memory_per_voxel():
+    shape = (96, 96, 64)
+    tracemalloc.start()
+    try:
+        make_phantom(3, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # five float64 grids, the labels and the float32 channels: about 65 B/voxel
+    assert peak / np.prod(shape) <= 80.0
 
 
 def test_make_phantom_full_alphabet_and_range():

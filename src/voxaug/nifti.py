@@ -7,23 +7,31 @@ spacing travels in pixdim[1..3].
 
 On disk the x index varies fastest (Fortran voxel order, as in the NIfTI
 standard); in memory arrays are C-contiguous with ``data[i, j, k]`` at
-(x=i, y=j, z=k), so (de)serialization uses ``order="F"`` raveling.
+(x=i, y=j, z=k), so both directions transpose slabs of whole z-planes.
 
 A ``.nii.gz`` file is written as one gzip member with mtime 0 and no
 filename field, whose deflate stream uses zlib's run-length strategy
 (``Z_RLE``); any gzip reader decodes it. Writes are deterministic
 byte-for-byte: the header and then the voxels, slab by slab along z, stream
 through one compressor whose output does not depend on the slab size.
+Files are written to a temp name and atomically renamed;
+:func:`atomic_group` renames several files together.
+
 Reads accept any gzip file, multi-member ones included, and never allocate
-more voxels than the file can hold. Files are written to a temp name and
-atomically renamed; :func:`atomic_group` renames several files together.
+more voxels than the file can hold. They stream too: the header first, then
+z-planes inflated into one reused slab buffer. Each slab is checked voxel by
+voxel (non-finite values, or labels outside the raw alphabet), and its part
+of the requested box is copied into a C-ordered array in (x, z) tiles. The
+box is the whole grid by default; ``augment`` asks for its patch window, so
+it never holds a full-size array. Every voxel is still decoded and checked,
+the stream is read to its end (so a gzip CRC is checked), and an error
+names the first bad voxel in (x, y, z) order by its full-grid index.
 """
 
 import contextlib
 import contextvars
 import gzip
 import itertools
-import math
 import os
 import secrets
 import struct
@@ -32,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import LabelMap, Volume
+from .volume import RAW_LABELS, LabelMap, Volume, bad_voxel_error, first_bad_voxel
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -53,7 +61,13 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _DEFLATE = (zlib.Z_BEST_COMPRESSION, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
 # deflate expands at most 1032:1, which bounds what a gzip file can hold
 _MAX_DEFLATE_RATIO = 1032
-_CHUNK = 1 << 20  # bytes per read, and per slab written
+_CHUNK = 1 << 20  # bytes per slab written
+_READ = 1 << 17  # bytes per read; gzip returns each read as a new bytes object
+# a read inflates this many z-planes at a time, and at most _SLAB_BYTES unless
+# one plane is more: thinner slabs make the copy to C order slower
+_SLAB_PLANES = 32
+_SLAB_BYTES = 8 << 20
+_TILE = 16  # x-rows per tile of that copy
 
 _DTYPES = {
     DT_UINT8: np.dtype("u1"),
@@ -222,38 +236,11 @@ def _volume_name(path) -> str:
     return name
 
 
-def _read_voxels(f, limit: int, path) -> tuple[dict, np.ndarray]:
-    """Header and flat voxel array of the NIfTI stream ``f``, which holds at
-    most ``limit`` bytes; a declared size beyond that is rejected before any
-    voxel is allocated. ``f`` is read to its end, so a gzip stream's CRC and
-    length are checked."""
-    hdr = _parse_header(f.read(VOX_OFFSET), path=path)
-    dtype = _DTYPES[hdr["datatype"]]
-    count = math.prod(hdr["shape"])
-    nbytes = count * dtype.itemsize
-    start = hdr["vox_offset"]
-    if start + nbytes > limit:
-        raise ValueError(
-            f"{path}: truncated data, expected {nbytes} bytes at offset {start}, "
-            f"got at most {max(0, limit - start)}"
-        )
-    f.seek(start)
-    flat = np.empty(count, dtype=dtype)
-    view = memoryview(flat).cast("B")
-    got = 0
-    while got < nbytes and (n := f.readinto(view[got : got + _CHUNK])):
-        got += n
-    if got < nbytes:
-        raise ValueError(
-            f"{path}: truncated data, expected {nbytes} bytes at offset {start}, got {got}"
-        )
-    while f.read(_CHUNK):
-        pass
-    return hdr, flat
-
-
-def read_volume(path, as_labels: bool = False) -> Volume | LabelMap:
-    """Read a 3-D NIfTI-1 file; ``as_labels=True`` returns a raw LabelMap."""
+@contextlib.contextmanager
+def _voxel_stream(path):
+    """Yield ``(f, limit)``: the decoded bytes of the NIfTI file ``path`` and
+    the most bytes they can hold. A gzip error inside the block becomes a
+    ``ValueError`` that names the path."""
     with open(path, "rb") as raw:
         is_gzip = raw.read(2) == _GZIP_MAGIC
         if not is_gzip and _is_gzip_path(path):
@@ -263,32 +250,118 @@ def read_volume(path, as_labels: bool = False) -> Volume | LabelMap:
         try:
             if is_gzip:
                 with gzip.open(raw) as f:
-                    hdr, flat = _read_voxels(f, size * _MAX_DEFLATE_RATIO, path)
+                    yield f, size * _MAX_DEFLATE_RATIO
             else:
-                hdr, flat = _read_voxels(raw, size, path)
+                yield raw, size
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise ValueError(f"{path}: corrupt gzip ({exc})") from exc
-    dtype = flat.dtype
-    data = flat.reshape(hdr["shape"], order="F")
-    slope, inter = hdr["scl_slope"], hdr["scl_inter"]
-    scaled = slope not in (0.0, 1.0) or inter != 0.0
-    if as_labels:
-        if dtype.kind != "u" and dtype.kind != "i":
+
+
+def read_grid(path) -> tuple[tuple[int, int, int], tuple[float, float, float]]:
+    """``(shape, spacing)`` from the header of a NIfTI-1 file; no voxel is read."""
+    with _voxel_stream(path) as (f, _):
+        hdr = _parse_header(f.read(VOX_OFFSET), path=path)
+    return hdr["shape"], hdr["spacing"]
+
+
+def _box_bounds(box, shape, path) -> list[tuple[int, int]]:
+    """``[(start, stop)] * 3`` of ``box``, three slices cut from ``shape`` as
+    numpy cuts them, or of the whole grid when ``box`` is None."""
+    if box is None:
+        return [(0, n) for n in shape]
+    ranges = [range(n)[s] for s, n in zip(box, shape)]
+    if len(box) != 3 or any(r.step != 1 or not r for r in ranges):
+        raise ValueError(f"{path}: box {box} is not a nonempty window of shape {shape}")
+    return [(r.start, r.stop) for r in ranges]
+
+
+def _planes(f, slab: np.ndarray, nz: int, start: int, path):
+    """Yield ``(z, planes)`` for consecutive slabs of whole z-planes read from
+    ``f`` into the reused ``slab`` buffer, then read ``f`` to its end, so that
+    a gzip stream's CRC and length are checked."""
+    view = memoryview(slab).cast("B")
+    plane_bytes = view.nbytes // len(slab)
+    nbytes = nz * plane_bytes
+    got = 0
+    for z in range(0, nz, len(slab)):
+        n = min(len(slab), nz - z)
+        want, filled = n * plane_bytes, 0
+        while filled < want and (k := f.readinto(view[filled : min(want, filled + _READ)])):
+            filled += k
+        got += filled
+        if filled < want:
+            raise ValueError(
+                f"{path}: truncated data, expected {nbytes} bytes at offset {start}, got {got}"
+            )
+        yield z, slab[:n]
+    while f.read(_READ):
+        pass
+
+
+def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
+    """Read a 3-D NIfTI-1 file; ``as_labels=True`` returns a raw LabelMap.
+
+    ``box``, three slices in (x, y, z) order, keeps only that window of the
+    grid; by default the whole grid is kept. Either way every voxel is
+    decoded and checked, and an error names the first bad voxel by its
+    full-grid index.
+    """
+    with _voxel_stream(path) as (f, limit):
+        hdr = _parse_header(f.read(VOX_OFFSET), path=path)
+        dtype = _DTYPES[hdr["datatype"]]
+        slope, inter = hdr["scl_slope"], hdr["scl_inter"]
+        scaled = slope not in (0.0, 1.0) or inter != 0.0
+        if as_labels and dtype.kind not in "ui":
             raise ValueError(
                 f"{path}: cannot load datatype code {hdr['datatype']} as labels "
                 "(integer voxel type required)"
             )
-        if scaled:
+        if as_labels and scaled:
             raise ValueError(f"{path}: scaled data (scl_slope/scl_inter) cannot be labels")
-    elif scaled:
-        data = data.astype(np.float64) * slope + inter
-    try:
-        if as_labels:
-            return LabelMap(data=data, spacing=hdr["spacing"], convention="raw")
-        return Volume(data=data, spacing=hdr["spacing"], name=_volume_name(path))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        shape = hdr["shape"]
+        (x0, x1), (y0, y1), (z0, z1) = _box_bounds(box, shape, path)
+        plane_bytes = shape[0] * shape[1] * dtype.itemsize
+        nbytes = plane_bytes * shape[2]
+        start = hdr["vox_offset"]
+        if start + nbytes > limit:
+            raise ValueError(
+                f"{path}: truncated data, expected {nbytes} bytes at offset {start}, "
+                f"got at most {max(0, limit - start)}"
+            )
+        f.seek(start)
+        alphabet = RAW_LABELS if as_labels else None
+        out = np.empty((x1 - x0, y1 - y0, z1 - z0), np.uint8 if as_labels else np.float32)
+        depth = max(1, min(_SLAB_PLANES, _SLAB_BYTES // plane_bytes, shape[2]))
+        slab = np.empty((depth, shape[1], shape[0]), dtype)  # z-planes, x fastest
+        first = None  # (index, value) of the first bad voxel in full-grid order
+        for z, planes in _planes(f, slab, shape[2], start, path):
+            values = planes
+            # a value that overflows becomes inf, which the check reports
+            # in the one error line; numpy's warning would be a second line
+            with np.errstate(over="ignore"):
+                if scaled:  # as float64, then float32, as a whole-grid read would
+                    values = values.astype(np.float64)
+                    values *= slope
+                    values += inter
+                if not as_labels:
+                    values = values.astype(np.float32, copy=False)
+            bad = first_bad_voxel(values.T, alphabet)
+            if bad is not None:
+                (i, j, k), value = bad
+                if first is None or (i, j, k + z) < first[0]:
+                    first = (i, j, k + z), value
+            lo, hi = max(z, z0), min(z + len(planes), z1)
+            if lo < hi:  # copy the window's part to C order in (x, z) tiles
+                src = values[lo - z : hi - z, y0:y1, x0:x1]
+                dst = out[:, :, lo - z0 : hi - z0]
+                for x in range(0, x1 - x0, _TILE):
+                    dst[x : x + _TILE] = src[:, :, x : x + _TILE].T
+    if first is not None:
+        raise ValueError(f"{path}: {bad_voxel_error(*first, alphabet)}")
+    if as_labels:
+        return LabelMap(out, spacing=hdr["spacing"], convention="raw", checked=True)
+    return Volume(out, spacing=hdr["spacing"], name=_volume_name(path), checked=True)
 
 
-def read_labels(path) -> LabelMap:
-    return read_volume(path, as_labels=True)
+def read_labels(path, box=None) -> LabelMap:
+    return read_volume(path, as_labels=True, box=box)

@@ -11,7 +11,7 @@ immutable values: operations return new instances and never mutate arrays
 in place.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -33,39 +33,75 @@ def _check_spacing(spacing) -> Spacing3:
     return spacing
 
 
-def _c_contiguous(data: np.ndarray, dtype) -> np.ndarray:
-    """3-D ``data`` as a C-contiguous array of ``dtype``, copied only if needed.
+def first_bad_voxel(data: np.ndarray, alphabet: tuple[int, ...] | None = None):
+    """``(index, value)`` of the first voxel of 3-D ``data`` that is not finite
+    or, given an ``alphabet``, not in it; None when there is none.
 
-    An x-fastest array, such as a Fortran-ordered NIfTI read, is copied in
-    (x, z) tiles of 16 x all x 32, so that both sides of each tile stay in
-    cache; a plain copy takes two to three times as long at 240x240x155. Any
-    other layout is copied whole.
+    "First" is ``np.argwhere`` order on the x-first array, whatever its memory
+    layout. A NaN or infinity reaches the min or the max, so clean float data
+    costs two reductions and no temporary array.
     """
-    if abs(data.strides[0]) >= abs(data.strides[2]):
-        return np.ascontiguousarray(data, dtype=dtype)
-    out = np.empty(data.shape, dtype)
-    for x in range(0, data.shape[0], 16):
-        for z in range(0, data.shape[2], 32):
-            out[x : x + 16, :, z : z + 32] = data[x : x + 16, :, z : z + 32]
-    return out
+    if not data.size:
+        return None
+    if alphabet is None:
+        if np.isfinite(data.min()) and np.isfinite(data.max()):
+            return None
+        bad = ~np.isfinite(data)
+    else:
+        if _integers_in_alphabet(data, alphabet):
+            return None
+        bad = ~np.isin(data, alphabet)
+        if not bad.any():
+            return None
+    index = tuple(int(v) for v in np.argwhere(bad)[0])
+    return index, data[index]
+
+
+def bad_voxel_error(index, value, alphabet=None, convention="raw") -> ValueError:
+    """The error for a voxel that :func:`first_bad_voxel` found."""
+    if alphabet is None:
+        return ValueError(f"non-finite voxel at index {index}")
+    return ValueError(
+        f"label value {int(value)} at voxel {index} not in {convention} alphabet {alphabet}"
+    )
+
+
+def check_grids(channels, labels=None) -> None:
+    """Raise unless every channel's ``(shape, spacing)`` grid, and the label
+    map's if given, equals the first channel's."""
+    (ref_shape, ref_spacing), *rest = channels
+    for shape, spacing in rest:
+        if shape != ref_shape or spacing != ref_spacing:
+            raise ValueError(
+                f"channel grid mismatch: {shape}/{spacing} vs {ref_shape}/{ref_spacing}"
+            )
+    if labels is not None and labels != (ref_shape, ref_spacing):
+        raise ValueError("label map grid does not match channels")
 
 
 @dataclass(frozen=True)
 class Volume:
-    """Dense 3D scalar grid with per-axis spacing in mm."""
+    """Dense 3D scalar grid with per-axis spacing in mm.
+
+    ``checked=True`` is for a maker that has already checked every voxel and
+    laid ``data`` out C-contiguous float32, as the NIfTI reader does; the
+    data is then neither checked nor copied again.
+    """
 
     data: np.ndarray
     spacing: Spacing3 = (1.0, 1.0, 1.0)
     name: str = ""
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"volume data must be 3-D, got shape {data.shape}")
-        data = _c_contiguous(data, np.float32)
-        if not np.isfinite(data).all():
-            bad = np.argwhere(~np.isfinite(data))[0]
-            raise ValueError(f"non-finite voxel at index {tuple(int(v) for v in bad)}")
+        if not checked:
+            data = np.ascontiguousarray(data, dtype=np.float32)
+            bad = first_bad_voxel(data)
+            if bad is not None:
+                raise bad_voxel_error(*bad)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
@@ -81,8 +117,11 @@ def _integers_in_alphabet(data: np.ndarray, alphabet: tuple[int, ...]) -> bool:
     """
     if data.dtype.kind not in "biu" or data.min() < alphabet[0] or data.max() > alphabet[-1]:
         return False
-    gaps = (v for v in range(alphabet[0], alphabet[-1]) if v not in alphabet)
-    return not any((data == v).any() for v in gaps)
+    gaps = [v for v in range(alphabet[0], alphabet[-1]) if v not in alphabet]
+    flat = data.ravel(order="K")  # a view of C- or Fortran-ordered data
+    step = 1 << 17  # scanned in pieces, so that the temporaries stay small
+    pieces = range(0, flat.size, step)
+    return not any((flat[i : i + step] == v).any() for v in gaps for i in pieces)
 
 
 @dataclass(frozen=True)
@@ -90,30 +129,26 @@ class LabelMap:
     """Dense 3D integer label grid.
 
     ``convention`` is "raw" for the acquisition alphabet {0, 1, 2, 4} or
-    "canonical" for contiguous class ids {0, 1, 2, 3}.
+    "canonical" for contiguous class ids {0, 1, 2, 3}. ``checked=True`` is as
+    for :class:`Volume`, with C-contiguous uint8 data.
     """
 
     data: np.ndarray
     spacing: Spacing3 = (1.0, 1.0, 1.0)
     convention: str = "raw"
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"label data must be 3-D, got shape {data.shape}")
         if self.convention not in ("raw", "canonical"):
             raise ValueError(f"unknown label convention {self.convention!r}")
-        alphabet = RAW_LABELS if self.convention == "raw" else CANONICAL_LABELS
-        if data.size and not _integers_in_alphabet(data, alphabet):
-            ok = np.isin(data, alphabet)
-            if not ok.all():
-                idx = np.argwhere(~ok)[0]
-                val = data[tuple(idx)]
-                raise ValueError(
-                    f"label value {int(val)} at voxel {tuple(int(v) for v in idx)} "
-                    f"not in {self.convention} alphabet {alphabet}"
-                )
-        data = _c_contiguous(data, np.uint8)
+        if not checked:
+            bad = first_bad_voxel(data, self.alphabet)
+            if bad is not None:
+                raise bad_voxel_error(*bad, self.alphabet, self.convention)
+            data = np.ascontiguousarray(data, dtype=np.uint8)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
@@ -142,17 +177,11 @@ class Sample:
         channels = tuple(self.channels)
         if not channels:
             raise ValueError("sample needs at least one channel")
-        ref_shape, ref_spacing = channels[0].shape, channels[0].spacing
-        for ch in channels[1:]:
-            if ch.shape != ref_shape or ch.spacing != ref_spacing:
-                raise ValueError(
-                    f"channel grid mismatch: {ch.shape}/{ch.spacing} vs "
-                    f"{ref_shape}/{ref_spacing}"
-                )
-        if self.labels is not None and (
-            self.labels.shape != ref_shape or self.labels.spacing != ref_spacing
-        ):
-            raise ValueError("label map grid does not match channels")
+        labels = self.labels
+        check_grids(
+            [(ch.shape, ch.spacing) for ch in channels],
+            None if labels is None else (labels.shape, labels.spacing),
+        )
         object.__setattr__(self, "channels", channels)
 
     @property
@@ -233,10 +262,15 @@ def center_offsets(shape: Shape3, patch_shape: Shape3) -> Shape3:
     return tuple((s - p) // 2 for s, p in zip(shape, patch_shape))
 
 
+def center_box(shape: Shape3, patch_shape: Shape3) -> tuple[slice, slice, slice]:
+    """The (x, y, z) slices of the centered ``patch_shape`` sub-grid of ``shape``."""
+    off = center_offsets(shape, patch_shape)
+    return tuple(slice(o, o + p) for o, p in zip(off, patch_shape))
+
+
 def extract_center_patch(sample: Sample, patch_shape: Shape3) -> Sample:
     """Crop the centered patch_shape sub-grid from every channel and the labels."""
-    off = center_offsets(sample.shape, patch_shape)
-    sl = tuple(slice(o, o + p) for o, p in zip(off, patch_shape))
+    sl = center_box(sample.shape, patch_shape)
     return sample.map(lambda a: a[sl], lambda a: a[sl])
 
 

@@ -6,6 +6,7 @@ import struct
 import zlib
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,15 @@ from hypothesis import strategies as st
 
 from voxaug import nifti
 from voxaug.augment import rotate_by
-from voxaug.nifti import _parse_header, atomic_write_bytes, read_labels, read_volume, write_volume
-from voxaug.volume import LabelMap, Volume, make_phantom
+from voxaug.nifti import (
+    _parse_header,
+    atomic_write_bytes,
+    read_grid,
+    read_labels,
+    read_volume,
+    write_volume,
+)
+from voxaug.volume import LabelMap, Volume, center_box, make_phantom
 
 
 def _fabricate(
@@ -472,6 +480,152 @@ def test_fuzz_huge_dims_over_a_small_body_never_allocate(tmp_path_factory, shape
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# --- windowed reads --------------------------------------------------------------
+
+_BOXES = [
+    None,
+    (slice(0, 7), slice(0, 5), slice(0, 9)),
+    (slice(2, 5), slice(1, 4), slice(3, 8)),
+    (slice(6, 7), slice(4, 5), slice(8, 9)),
+    (slice(0, 1), slice(None), slice(-4, None)),
+]
+
+
+@pytest.fixture(params=[1, 4, 32], ids=["1-plane-slabs", "ragged-slabs", "default-slabs"])
+def slab_planes(request, monkeypatch):
+    """Read slabs of 1 plane, of 4 (two slabs and a ragged one of the 9 planes), or the default."""
+    monkeypatch.setattr(nifti, "_SLAB_PLANES", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
+@pytest.mark.parametrize(
+    "datatype, slope, inter",
+    [(16, 1.0, 0.0), (4, 1.0, 0.0), (64, 1.0, 0.0), (16, 2.5, -1.0)],
+    ids=["float32", "int16", "float64", "scaled"],
+)
+def test_windowed_read_is_the_window_of_the_full_grid(tmp_path, slab_planes, datatype, slope, inter, ext):
+    dtype = nifti._DTYPES[datatype]
+    stored = (np.random.default_rng(5).normal(size=(7, 5, 9)) * 100).astype(dtype)
+    blob = _fabricate(shape=(7, 5, 9), datatype=datatype, bitpix=8 * dtype.itemsize,
+                      slope=slope, inter=inter, payload=stored.ravel(order="F").tobytes())
+    path = _write(tmp_path, f"v{ext}", _encode(blob, ext))
+    expected = (stored.astype(np.float64) * slope + inter).astype(np.float32)
+    for box in _BOXES:
+        vol = read_volume(path, box=box)
+        assert vol.data.dtype == np.float32 and vol.data.flags.c_contiguous
+        assert vol.spacing == (1.0, 1.0, 1.0) and vol.name == "v"
+        np.testing.assert_array_equal(vol.data, expected[box or ...])
+
+
+@pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("datatype", [2, 4], ids=["uint8", "int16"])
+def test_windowed_label_read_is_the_window_of_the_full_grid(tmp_path, slab_planes, datatype, ext):
+    dtype = nifti._DTYPES[datatype]
+    stored = np.random.default_rng(6).choice([0, 1, 2, 4], size=(7, 5, 9)).astype(dtype)
+    blob = _fabricate(shape=(7, 5, 9), datatype=datatype, bitpix=8 * dtype.itemsize,
+                      payload=stored.ravel(order="F").tobytes())
+    path = _write(tmp_path, f"s{ext}", _encode(blob, ext))
+    for box in _BOXES:
+        lab = read_labels(path, box=box)
+        assert lab.data.dtype == np.uint8 and lab.data.flags.c_contiguous
+        np.testing.assert_array_equal(lab.data, stored[box or ...])
+
+
+@pytest.mark.parametrize("box", _BOXES[:4], ids=["full", "whole-box", "inner", "one-voxel"])
+def test_windowed_read_names_the_first_bad_voxel_of_the_full_grid(tmp_path, slab_planes, box):
+    """Bad voxels in several slabs, inside and outside the box: the error names
+    the first of them in (x, y, z) order, which lies in the last slab."""
+    data = np.zeros((7, 5, 9), np.float32)
+    data[6, 0, 0], data[3, 2, 4], data[2, 4, 8] = np.inf, np.nan, -np.inf
+    path = _write(tmp_path, "v.nii.gz", _encode(
+        _fabricate(shape=(7, 5, 9), payload=data.ravel(order="F").tobytes()), ".nii.gz"))
+    first = tuple(int(v) for v in np.argwhere(~np.isfinite(data))[0])
+    assert first == (2, 4, 8)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite voxel at index {first}")):
+        read_volume(path, box=box)
+
+    labels = np.zeros((7, 5, 9), np.int16)
+    labels[6, 0, 0], labels[4, 1, 8], labels[4, 3, 0] = 7, -1, 3
+    path = _write(tmp_path, "s.nii.gz", _encode(
+        _fabricate(shape=(7, 5, 9), datatype=4, bitpix=16,
+                   payload=labels.ravel(order="F").tobytes()), ".nii.gz"))
+    message = "label value -1 at voxel (4, 1, 8) not in raw alphabet (0, 1, 2, 4)"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read_labels(path, box=box)
+
+
+@pytest.mark.parametrize("datatype, big", [(16, 3e38), (64, 1e308)], ids=["float32", "float64"])
+def test_values_that_overflow_after_scaling_are_non_finite_without_a_warning(
+    tmp_path, slab_planes, datatype, big
+):
+    dtype = nifti._DTYPES[datatype]
+    stored = np.ones((7, 5, 9), dtype)
+    stored[1, 2, 3] = big  # finite on disk; times 10, beyond float32 (or float64)
+    path = _write(tmp_path, "v.nii", _fabricate(shape=(7, 5, 9), datatype=datatype,
+                                                bitpix=8 * dtype.itemsize, slope=10.0,
+                                                payload=stored.ravel(order="F").tobytes()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a second stderr line
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite voxel at index (1, 2, 3)")):
+            read_volume(path, box=(slice(4, 6), slice(0, 2), slice(5, 7)))
+
+
+@pytest.mark.parametrize(
+    "box", [(slice(0, 2), slice(0, 0), slice(None)), (slice(0, 2, 2), slice(None), slice(None)),
+            (slice(None), slice(None))],
+    ids=["empty", "strided", "two-slices"],
+)
+def test_bad_box_is_rejected_by_name(tmp_path, box):
+    path = _write(tmp_path, "v.nii", _fabricate(payload=b"\x00" * 96))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: box ")):
+        read_volume(path, box=box)
+
+
+@pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
+def test_read_grid_reads_the_header_only(tmp_path, ext):
+    blob = _fabricate(shape=(4, 5, 6), spacing=(0.5, 1.0, 3.0), payload=b"\x00" * 16)  # truncated data
+    path = _write(tmp_path, f"g{ext}", _encode(blob, ext))
+    assert read_grid(path) == ((4, 5, 6), (0.5, 1.0, 3.0))
+
+
+@pytest.fixture(scope="module")
+def full_size_files(tmp_path_factory):
+    """A BraTS-sized float32 channel and label map, 240x240x155."""
+    root = tmp_path_factory.mktemp("full")
+    sample = make_phantom(2, shape=(240, 240, 155), subject_id="big")
+    write_volume(sample.channels[0], root / "t1.nii.gz")
+    write_volume(sample.labels, root / "seg.nii.gz")
+    return root
+
+
+def _read_peak(fn):
+    fn()  # first-use allocations are not the read's
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, reader", [("t1", read_volume), ("seg", read_labels)])
+def test_read_peak_memory_is_bounded(full_size_files, name, reader):
+    """A full-grid read holds its array and one slab (parent: 2.25x for a
+    float32 channel, 2.00x for a label map); a windowed read its patch and
+    one slab, never the full grid."""
+    path = full_size_files / f"{name}.nii.gz"
+    full, peak = _read_peak(lambda: reader(path))
+    assert full.shape == (240, 240, 155)
+    assert peak <= 1.3 * full.data.nbytes
+    slab = nifti._SLAB_PLANES * 240 * 240 * full.data.itemsize
+    box = center_box(full.shape, (128, 128, 128))
+    patch, peak = _read_peak(lambda: reader(path, box=box))
+    np.testing.assert_array_equal(patch.data, full.data[box])
+    assert peak <= patch.data.nbytes + 2 * slab
+    assert peak < 0.5 * full.data.nbytes
 
 
 # --- atomic writes ---------------------------------------------------------------

@@ -20,15 +20,18 @@ one is replayed by passing the recorded ``(kind, params)`` pairs to
 
 A pipeline applies its geometric steps first and its intensity steps after
 them. Two or more fired flip, rotation, scale and elastic steps are composed
-into one sampling map and interpolated once by :mod:`voxaug.interp`, which
-moves channels trilinearly and labels nearest-neighbor at the same
+into one sampling map and interpolated once by :func:`voxaug.interp.warp`,
+which moves channels trilinearly and labels nearest-neighbor at the same
 positions, so constituents stay co-registered and the label alphabet is
-preserved; a lone geometric step runs its own core. The brightness steps
-then run, in their order, on that output.
+preserved. A lone geometric step runs its own core: rotation, scale and
+elastic call the same ``warp`` with their one step, and a flip stays an
+index reversal. The brightness steps then run, in their order, on that
+output.
 """
 
 import hashlib
 import json
+import numbers
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
@@ -57,10 +60,18 @@ def _menu(choices: tuple) -> Callable:
     return check
 
 
-def _grid_size(kind: str, name: str, value) -> int:
-    if int(value) < 2:
-        raise ValueError(f"{kind} {name} must be >= 2, got {value}")
+def whole_number(value) -> int | None:
+    """``value`` as an int if it is a whole number (4 or 4.0), else None;
+    a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        return None
     return int(value)
+
+
+def _grid_size(kind: str, name: str, value) -> int:
+    if (g := whole_number(value)) is None or g < 2:
+        raise ValueError(f"{kind} {name} must be a whole number >= 2, got {value!r}")
+    return g
 
 
 class _Op(NamedTuple):
@@ -68,7 +79,7 @@ class _Op(NamedTuple):
     that validates it and returns its canonical value; how it draws its
     parameters from a stream; how it applies them; what it records; and,
     for a geometric kind, the step its parameters add to
-    :func:`voxaug.interp.resample_chain` (None for an intensity kind)."""
+    :func:`voxaug.interp.warp` (None for an intensity kind)."""
 
     spec_fields: dict[str, Callable]
     draw: Callable[[RandomStream, "AugmentSpec"], dict]
@@ -132,8 +143,8 @@ class AugmentSpec:
 
     Parameters are restricted to the menu above so a pipeline document
     always describes a supported experiment configuration. The fields a
-    kind reads are stored in canonical form (menu values as float,
-    ``grid_size`` as int); the others must keep their defaults.
+    kind reads are stored in canonical form (``probability`` and menu values
+    as float, ``grid_size`` as int); the others must keep their defaults.
     """
 
     kind: str
@@ -148,6 +159,7 @@ class AugmentSpec:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
         if isinstance(self.probability, bool) or not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be a number in [0, 1], got {self.probability}")
+        object.__setattr__(self, "probability", float(self.probability))
         checks = _OPS[self.kind].spec_fields
         for f in fields(self)[2:]:  # the parameters after kind and probability
             value = getattr(self, f.name)
@@ -227,7 +239,7 @@ def draw_rotation_params(rng: RandomStream, max_deg: float) -> dict:
 
 def rotate_by(sample: Sample, angles_deg) -> Sample:
     """Rotate about the volume center by per-axis angles, order Rx.Ry.Rz."""
-    return interp.resample_affine(sample, AffineTransform.rotation_xyz(angles_deg))
+    return interp.warp(sample, [AffineTransform.rotation_xyz(angles_deg)])
 
 
 # scaling --------------------------------------------------------------
@@ -241,7 +253,7 @@ def scale_by(sample: Sample, factors) -> Sample:
     """Scale about the center by per-axis factors; shape is unchanged, so
     factors > 1 enlarge content (cropping at the edges) and factors < 1
     shrink it (padding with background)."""
-    return interp.resample_affine(sample, AffineTransform.scaling(factors))
+    return interp.warp(sample, [AffineTransform.scaling(factors)])
 
 
 # brightness -----------------------------------------------------------
@@ -272,7 +284,7 @@ def draw_elastic_grid(rng: RandomStream, sigma: float, grid_size: int) -> np.nda
 
 def elastic_by(sample: Sample, control_grid: np.ndarray) -> Sample:
     """Warp by the dense field upsampled from an explicit control grid."""
-    return interp.warp(sample, interp.bspline_upsample(control_grid, sample.shape))
+    return interp.warp(sample, [control_grid])
 
 
 # pipeline composition -------------------------------------------------
@@ -308,7 +320,7 @@ def apply_steps(sample: Sample, steps) -> Sample:
         kind, params = geometric[0]
         sample = _OPS[kind].apply(sample, params)
     elif geometric:
-        sample = interp.resample_chain(sample, [_OPS[k].geometry(p) for k, p in geometric])
+        sample = interp.warp(sample, [_OPS[k].geometry(p) for k, p in geometric])
     for kind, params in steps:
         if _OPS[kind].geometry is None:
             sample = _OPS[kind].apply(sample, params)

@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .augment import AugmentPipeline, AugmentSpec
+from .augment import AugmentPipeline, AugmentSpec, whole_number
 from .nifti import atomic_write_bytes
 from .volume import CHANNEL_NAMES
 
@@ -36,9 +36,9 @@ class PipelineConfig:
         for spec in self.pipeline:
             if not isinstance(spec, AugmentSpec):
                 raise ValueError(f"pipeline entries must be AugmentSpec, got {spec!r}")
-        ps = tuple(int(v) for v in self.patch_shape)
-        if len(ps) != 3 or any(v < 1 for v in ps):
-            raise ValueError(f"patch_shape must be three positive ints, got {self.patch_shape}")
+        ps = tuple(whole_number(v) for v in self.patch_shape)
+        if len(ps) != 3 or any(v is None or v < 1 for v in ps):
+            raise ValueError(f"patch_shape must be three whole numbers >= 1, got {self.patch_shape}")
         object.__setattr__(self, "patch_shape", ps)
         cs = tuple(str(s) for s in self.channel_suffixes)
         if len(cs) == 0 or len(set(cs)) != len(cs):

@@ -1,7 +1,7 @@
-"""Geometric resampling engine: affine resampling, displacement-field
-upsampling, and dense warping of whole samples.
+"""Geometric resampling: :func:`warp` reads a whole sample at moved
+positions, once, through any list of affine and elastic steps.
 
-Conventions shared by all functions here:
+Conventions:
 
 * Backward mapping: the output voxel at x is read from the input at the
   inverse-transformed position, so no holes appear.
@@ -9,18 +9,17 @@ Conventions shared by all functions here:
   in voxel coordinates; the output grid equals the input grid.
 * A positive rotation angle about an axis rotates the next axis toward the
   one after it (x toward y for a z rotation; right-handed).
-* One path resamples a whole :class:`~voxaug.volume.Sample`: the sampling
-  positions are built once and shared by every constituent. A single
-  operation builds them for itself; :func:`resample_chain` composes a whole
-  pipeline's geometric steps into one set of positions, so a pipeline
-  interpolates once however many of its geometric steps fire. Image
-  channels are read trilinearly, the label map nearest-neighbor, so
-  constituents stay co-registered and no label value is invented.
+* :func:`warp` is the one resampler. Its steps are
+  :class:`AffineTransform` objects and control grids; a grid's
+  :func:`bspline_upsample` field f of voxel offsets warps as
+  out(x) = in(x + f(x)). The steps compose into one set of sampling
+  positions, shared by every constituent, so a pipeline interpolates once
+  however many of its geometric steps fire, and a list of one step is that
+  step's own resampling. Image channels are read trilinearly, the label map
+  nearest-neighbor, so constituents stay co-registered and no label value
+  is invented.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
-
-A displacement field is a plain float array of shape (nx, ny, nz, 3) holding
-per-voxel offsets in voxel units: warped(x) = input(x + field(x)).
 
 Importing this module loads numpy only: ``scipy.ndimage`` loads on the first
 :func:`map_coordinates` call and ``scipy.interpolate`` on the first
@@ -34,8 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .volume import Sample, Shape3
-
-DisplacementField = np.ndarray
 
 
 # exact (cos, sin) at quadrant angles so axis-aligned rotations are lossless
@@ -109,31 +106,14 @@ def _affine_coords(
 def map_coordinates(*args, **kwargs):
     """``scipy.ndimage.map_coordinates``, imported on first call.
 
-    :func:`_resample` looks this name up on the module at every call, so
+    :func:`warp` looks this name up on the module at every call, so
     replacing the module attribute intercepts every sampling call."""
     from scipy.ndimage import map_coordinates
 
     return map_coordinates(*args, **kwargs)
 
 
-def _resample(sample: Sample, coords: np.ndarray) -> Sample:
-    """Read every constituent at ``coords``: channels trilinear into float32,
-    labels nearest-neighbor into uint8, 0 beyond the grid."""
-
-    def reader(order, dtype):
-        return lambda data: map_coordinates(
-            data, coords, output=dtype, order=order, mode="grid-constant", cval=0.0
-        )
-
-    return sample.map(reader(1, np.float32), reader(0, np.uint8))
-
-
-def resample_affine(sample: Sample, t: AffineTransform) -> Sample:
-    """Resample a sample through an affine transform about its center."""
-    return _resample(sample, _affine_coords(sample.shape, t.matrix))
-
-
-def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> DisplacementField:
+def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> np.ndarray:
     """Upsample a coarse control grid of 3-vectors to a dense field.
 
     Control points are spaced uniformly across the target extent including
@@ -163,20 +143,14 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> DisplacementFi
     return field
 
 
-def _warp_coords(shape: Shape3, field: DisplacementField) -> np.ndarray:
-    field = np.asarray(field, dtype=np.float64)
-    if field.shape != tuple(shape) + (3,):
-        raise ValueError(f"field shape {field.shape} does not match volume {tuple(shape)}")
+def _warp_coords(shape: Shape3, field: np.ndarray) -> np.ndarray:
+    """Sampling positions x + field(x) on the grid, for a dense (*shape, 3)
+    field of voxel offsets."""
     if not np.isfinite(field).all():
         raise ValueError("non-finite displacement")
     coords = np.indices(shape, dtype=np.float64)
     coords += np.moveaxis(field, -1, 0)
     return coords
-
-
-def warp(sample: Sample, field: DisplacementField) -> Sample:
-    """Warp a sample by a dense displacement field: out(x) = in(x + field(x))."""
-    return _resample(sample, _warp_coords(sample.shape, field))
 
 
 def _chain_coords(shape: Shape3, steps) -> np.ndarray:
@@ -213,13 +187,21 @@ def _chain_coords(shape: Shape3, steps) -> np.ndarray:
     return coords
 
 
-def resample_chain(sample: Sample, steps) -> Sample:
-    """Resample a sample once through a chain of geometric steps, in order.
+def warp(sample: Sample, steps) -> Sample:
+    """Resample a sample once through geometric steps applied in order.
 
     ``steps`` holds :class:`AffineTransform` objects (about the center) and
-    control grids (warped by their :func:`bspline_upsample` field); the
-    whole chain is one backward map and one interpolation, so the output
-    differs from resampling step by step only by the interpolation that the
-    chain skips in between.
+    control grids (warped by their :func:`bspline_upsample` field). The
+    whole list is one backward map, read once per constituent: channels
+    trilinearly into float32, labels nearest-neighbor into uint8, 0 beyond
+    the grid. So the output differs from resampling step by step only by
+    the interpolation that the list skips in between.
     """
-    return _resample(sample, _chain_coords(sample.shape, steps))
+    coords = _chain_coords(sample.shape, steps)
+
+    def reader(order, dtype):
+        return lambda data: map_coordinates(
+            data, coords, output=dtype, order=order, mode="grid-constant", cval=0.0
+        )
+
+    return sample.map(reader(1, np.float32), reader(0, np.uint8))

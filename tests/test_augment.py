@@ -68,6 +68,29 @@ def test_spec_parameter_menus():
         AugmentSpec("blur")
 
 
+def test_spec_grid_size_must_be_a_whole_number():
+    assert AugmentSpec("elastic", sigma=2.0, grid_size=5.0).grid_size == 5
+    for bad in (4.7, True, "4"):
+        with pytest.raises(ValueError, match="elastic grid_size must be a whole number"):
+            AugmentSpec("elastic", sigma=2.0, grid_size=bad)
+
+
+def test_equal_specs_record_equal_provenance(tiny_sample):
+    """An int probability is stored as the float it equals, so equal specs
+    write the same provenance JSON."""
+    as_int = AugmentSpec("brightness", probability=1)
+    as_float = AugmentSpec("brightness", probability=1.0)
+    assert as_int == as_float
+    assert type(as_int.probability) is float
+    assert as_int.to_dict() == as_float.to_dict()
+    texts = [
+        apply_pipeline(tiny_sample, AugmentPipeline((spec,)), RandomStream(0))[1].to_json()
+        for spec in (as_int, as_float)
+    ]
+    assert texts[0] == texts[1]
+    assert '"probability": 1.0' in texts[0]
+
+
 def test_spec_dict_roundtrip():
     spec = AugmentSpec("elastic", probability=0.25, sigma=8.0, grid_size=5)
     assert AugmentSpec.from_dict(spec.to_dict()) == spec
@@ -549,6 +572,34 @@ def test_pipeline_interpolates_once(small_sample, monkeypatch):
     assert calls == {"map_coordinates": 0, "bspline_upsample": 0}
     axis = prov.records[0].params["axis"]
     np.testing.assert_array_equal(out.labels.data, np.flip(small_sample.labels.data, axis))
+
+
+def test_fired_geometric_steps_resample_through_one_warp_call(small_sample, monkeypatch):
+    """However many geometric steps fire, the sample is resampled by exactly
+    one call to voxaug.interp.warp, looked up on the module; a flip alone is
+    an index reversal and resamples nothing."""
+    calls = []
+    original = interp.warp
+
+    def counting(sample, steps):
+        calls.append(len(steps))
+        return original(sample, steps)
+
+    monkeypatch.setattr(interp, "warp", counting)
+    pipe = _standard_pipeline()
+    expected = {
+        frozenset(KINDS): [4],
+        frozenset({"rotation"}): [1],
+        frozenset({"scale"}): [1],
+        frozenset({"elastic"}): [1],
+        frozenset({"flip"}): [],
+        frozenset({"flip", "brightness"}): [],
+    }
+    for kinds, want in expected.items():
+        calls.clear()
+        _, prov = apply_pipeline(small_sample, _only(pipe, kinds), RandomStream(0, ("warp",)))
+        assert {r.kind for r in prov.records if r.fired} == kinds
+        assert calls == want, sorted(kinds)
 
 
 def test_fused_pipeline_close_to_sequential_chain():

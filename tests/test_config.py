@@ -4,6 +4,7 @@ import os
 import pytest
 
 from voxaug.augment import AugmentSpec
+from voxaug.cli import main
 from voxaug.config import (
     DEFAULT_CHANNEL_SUFFIXES,
     DEFAULT_PATCH_SHAPE,
@@ -89,6 +90,40 @@ def test_patch_shape_validation():
         PipelineConfig(seed=0, patch_shape=(32, 32))
     with pytest.raises(ValueError, match="patch_shape"):
         PipelineConfig(seed=0, patch_shape=(32, 0, 32))
+
+
+def test_patch_shape_whole_floats_accepted():
+    assert PipelineConfig(seed=0, patch_shape=(32.0, 16, 8)).patch_shape == (32, 16, 8)
+
+
+_PATCH = "patch_shape must be three whole numbers >= 1"
+_GRID = "elastic grid_size must be a whole number"
+
+
+def _elastic(grid_size):
+    return {"pipeline": [{"kind": "elastic", "sigma": 2.0, "grid_size": grid_size}]}
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"patch_shape": [128.5, 64.9, 32]}, _PATCH),
+        ({"patch_shape": [True, True, True]}, _PATCH),
+        (_elastic(4.7), _GRID),
+        (_elastic(True), _GRID),
+    ],
+)
+def test_non_integral_sizes_rejected_not_truncated(tmp_path, capsys, fields, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 0, **fields}))
+    with pytest.raises(ValueError, match=f"cfg.json: {message}"):
+        load_config(path)
+    out = tmp_path / "o"
+    code = main(["augment", "--config", str(path), "--in", str(tmp_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 def test_suffix_validation():

@@ -109,8 +109,8 @@ def digest(s):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 jobs = {
-    "resample_affine": lambda: digest(
-        interp.resample_affine(sample, interp.AffineTransform.rotation_xyz((12.0, -20.0, 7.0)))
+    "warp": lambda: digest(
+        interp.warp(sample, [interp.AffineTransform.rotation_xyz((12.0, -20.0, 7.0))])
     ),
     "bspline_upsample": lambda: hashlib.sha256(
         interp.bspline_upsample(grid, sample.shape).tobytes()
@@ -153,5 +153,5 @@ def _first_use(mode: str) -> dict:
 def test_concurrent_first_use_matches_a_sequential_run():
     threaded, sequential = _first_use("threads"), _first_use("sequential")
     assert threaded["before"] == sequential["before"] == []
-    assert sorted(threaded["results"]) == ["bspline_upsample", "hausdorff95", "resample_affine"]
+    assert sorted(threaded["results"]) == ["bspline_upsample", "hausdorff95", "warp"]
     assert threaded["results"] == sequential["results"]

@@ -6,7 +6,7 @@ from oracles import oracle_affine
 from scipy.ndimage import gaussian_filter
 
 import voxaug as vx
-from voxaug.interp import AffineTransform, bspline_upsample, resample_affine, warp
+from voxaug.interp import AffineTransform, bspline_upsample, warp
 from voxaug.volume import LabelMap, Sample, Volume
 
 
@@ -26,7 +26,7 @@ def _sample(*channels, labels=None):
 
 def test_identity_is_bitwise_identity():
     s = _sample(_rand_volume(0), _rand_volume(10), labels=_rand_labels(20))
-    out = resample_affine(s, AffineTransform.identity())
+    out = warp(s, [AffineTransform.identity()])
     for got, want in zip(out.channels, s.channels):
         np.testing.assert_array_equal(got.data, want.data)
     np.testing.assert_array_equal(out.labels.data, s.labels.data)
@@ -47,12 +47,12 @@ def test_inverse_composes_to_identity():
     np.testing.assert_allclose(t.matrix @ t.inverse().matrix, np.eye(3), atol=1e-12)
 
 
-# --- resample_affine ------------------------------------------------------
+# --- warp: affine steps ---------------------------------------------------
 
 def test_rot90_about_z_is_exact_permutation():
     shape = (32, 32, 32)
     s = _sample(_rand_volume(1, shape), labels=_rand_labels(11, shape))
-    out = resample_affine(s, AffineTransform.rotation_xyz((0.0, 0.0, 90.0)))
+    out = warp(s, [AffineTransform.rotation_xyz((0.0, 0.0, 90.0))])
     np.testing.assert_array_equal(out.channels[0].data, np.rot90(s.channels[0].data, 1, axes=(0, 1)))
     np.testing.assert_array_equal(out.labels.data, np.rot90(s.labels.data, 1, axes=(0, 1)))
 
@@ -62,7 +62,7 @@ def test_rot90_each_axis_is_permutation():
     shape = (16, 16, 16)
     s = _sample(_rand_volume(2, shape), labels=_rand_labels(12, shape))
     for angles in ((90.0, 0.0, 0.0), (0.0, 90.0, 0.0), (0.0, 0.0, -90.0), (0.0, 0.0, 180.0)):
-        out = resample_affine(s, AffineTransform.rotation_xyz(angles))
+        out = warp(s, [AffineTransform.rotation_xyz(angles)])
         for got, want in ((out.channels[0], s.channels[0]), (out.labels, s.labels)):
             np.testing.assert_array_equal(np.sort(got.data, axis=None), np.sort(want.data, axis=None))
 
@@ -72,7 +72,7 @@ def test_scale_matches_brute_force_oracle_on_5cube():
     data[2, 2, 2] = 1.0
     data[1, 3, 2] = 0.5
     t = AffineTransform.scaling((2.0, 2.0, 2.0))
-    got = resample_affine(_sample(Volume(data)), t).channels[0].data
+    got = warp(_sample(Volume(data)), [t]).channels[0].data
     want = oracle_affine(data.astype(np.float64), t.matrix, order=1)
     np.testing.assert_allclose(got, want.astype(np.float32), atol=1e-6)
 
@@ -81,7 +81,7 @@ def test_rotation_matches_brute_force_oracle():
     rng = np.random.default_rng(3)
     vol = Volume(rng.random((6, 5, 7)))
     t = AffineTransform.rotation_xyz((11.0, -23.0, 37.0))
-    got = resample_affine(_sample(vol), t).channels[0].data
+    got = warp(_sample(vol), [t]).channels[0].data
     want = oracle_affine(vol.data.astype(np.float64), t.matrix, order=1)
     np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -90,7 +90,7 @@ def test_nearest_matches_brute_force_oracle():
     shape = (6, 6, 6)
     labels = _rand_labels(4, shape)
     t = AffineTransform.rotation_xyz((0.0, 30.0, 10.0))
-    got = resample_affine(_sample(Volume(np.zeros(shape)), labels=labels), t).labels.data
+    got = warp(_sample(Volume(np.zeros(shape)), labels=labels), [t]).labels.data
     want = oracle_affine(labels.data.astype(np.float64), t.matrix, order=0)
     np.testing.assert_array_equal(got, want.astype(np.uint8))
 
@@ -98,7 +98,7 @@ def test_nearest_matches_brute_force_oracle():
 def test_uniform_upscale_enlarges_centered_content():
     data = np.zeros((9, 9, 9), dtype=np.float32)
     data[4, 4, 4] = 1.0
-    out = resample_affine(_sample(Volume(data)), AffineTransform.scaling((2.0, 2.0, 2.0)))
+    out = warp(_sample(Volume(data)), [AffineTransform.scaling((2.0, 2.0, 2.0))])
     out = out.channels[0]
     assert (out.data >= 0.1).sum() > 1  # the bright voxel spreads over its neighborhood
     assert out.data[4, 4, 4] == pytest.approx(1.0)
@@ -106,7 +106,7 @@ def test_uniform_upscale_enlarges_centered_content():
 
 def test_downscale_shrinks_foreground(phantom_sample):
     ch = phantom_sample.channels[0]
-    out = resample_affine(phantom_sample, AffineTransform.scaling((0.8, 0.8, 0.8))).channels[0]
+    out = warp(phantom_sample, [AffineTransform.scaling((0.8, 0.8, 0.8))]).channels[0]
     assert (out.data > 0.05).sum() < (ch.data > 0.05).sum()
 
 
@@ -115,7 +115,7 @@ def test_trilinear_reproduces_linear_functions():
     i, j, k = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in shape], indexing="ij")
     lin = 0.2 + 0.03 * i - 0.05 * j + 0.01 * k
     t = AffineTransform.rotation_xyz((7.0, -4.0, 12.0))
-    out = resample_affine(_sample(Volume(lin)), t).channels[0].data.astype(np.float64)
+    out = warp(_sample(Volume(lin)), [t]).channels[0].data.astype(np.float64)
     inv = np.linalg.inv(t.matrix)
     c = (np.asarray(shape) - 1.0) / 2.0
     pts = np.stack([i, j, k], axis=-1) - c
@@ -130,14 +130,14 @@ def test_affine_roundtrip_bound_on_smooth_phantoms():
     for seed in range(3):
         s = vx.make_phantom(seed, (48, 48, 40))
         smooth = Volume(gaussian_filter(s.channels[0].data.astype(np.float64), 1.0))
-        back = resample_affine(resample_affine(_sample(smooth), t), t.inverse()).channels[0]
+        back = warp(warp(_sample(smooth), [t]), [t.inverse()]).channels[0]
         err = np.abs(back.data.astype(np.float64) - smooth.data.astype(np.float64)).max()
         assert err < 0.02, f"seed {seed}: round-trip error {err}"
 
 
 def test_labels_resample_nearest_alphabet_preserved(phantom_sample):
     t = AffineTransform.rotation_xyz((25.0, -10.0, 5.0))
-    out = resample_affine(phantom_sample, t).labels
+    out = warp(phantom_sample, [t]).labels
     assert set(np.unique(out.data)) <= {0, 1, 2, 4}
     assert out.data.dtype == np.uint8
 
@@ -146,7 +146,7 @@ def test_labels_resample_nearest_alphabet_preserved(phantom_sample):
 @settings(max_examples=20)
 def test_random_rotations_never_invent_labels(angles):
     s = _sample(_rand_volume(5, (10, 10, 10)), labels=_rand_labels(5, (10, 10, 10)))
-    out = resample_affine(s, AffineTransform.rotation_xyz(angles))
+    out = warp(s, [AffineTransform.rotation_xyz(angles)])
     assert set(np.unique(out.labels.data)) <= {0, 1, 2, 4}
 
 
@@ -203,11 +203,15 @@ def test_bad_control_grids_rejected():
         bspline_upsample(bad, (4, 4, 4))
 
 
-# --- warp ------------------------------------------------------------------
+# --- warp: elastic steps ---------------------------------------------------
+# A constant control grid upsamples to exactly that constant field.
+
+def _constant_grid(shift):
+    return np.tile(np.asarray(shift, dtype=np.float64), (4, 4, 4, 1))
+
 
 def test_zero_field_identity_both_modes(phantom_sample):
-    fld = np.zeros(phantom_sample.shape + (3,))
-    out = warp(phantom_sample, fld)
+    out = warp(phantom_sample, [_constant_grid((0.0, 0.0, 0.0))])
     for got, want in zip(out.channels, phantom_sample.channels):
         np.testing.assert_array_equal(got.data, want.data)
     np.testing.assert_array_equal(out.labels.data, phantom_sample.labels.data)
@@ -216,9 +220,8 @@ def test_zero_field_identity_both_modes(phantom_sample):
 def test_unit_shift_field():
     shape = (10, 10, 10)
     s = _sample(_rand_volume(8, shape), labels=_rand_labels(18, shape))
-    fld = np.zeros(shape + (3,))
-    fld[..., 0] = 1.0  # output(x) = input(x + 1 along axis 0)
-    out = warp(s, fld)
+    # output(x) = input(x + 1 along axis 0)
+    out = warp(s, [_constant_grid((1.0, 0.0, 0.0))])
     np.testing.assert_allclose(out.channels[0].data[:-1], s.channels[0].data[1:], atol=1e-6)
     np.testing.assert_array_equal(out.labels.data[:-1], s.labels.data[1:])
     assert not out.labels.data[-1].any()  # read beyond the grid: pad label 0
@@ -227,18 +230,14 @@ def test_unit_shift_field():
 def test_half_shift_on_linear_ramp():
     shape = (9, 5, 5)
     ramp = np.broadcast_to(np.arange(9, dtype=np.float64)[:, None, None], shape).copy()
-    fld = np.zeros(shape + (3,))
-    fld[..., 0] = 0.5
-    out = warp(_sample(Volume(ramp)), fld).channels[0].data
+    out = warp(_sample(Volume(ramp)), [_constant_grid((0.5, 0.0, 0.0))]).channels[0].data
     want = ramp + 0.5
     np.testing.assert_allclose(out[:-1], want[:-1], atol=1e-6)
 
 
-def test_warp_shape_mismatch_rejected():
+def test_warp_non_finite_control_grid_rejected():
     s = _sample(_rand_volume(9, (6, 6, 6)))
-    with pytest.raises(ValueError, match="does not match volume"):
-        warp(s, np.zeros((5, 6, 6, 3)))
-    bad = np.zeros((6, 6, 6, 3))
+    bad = _constant_grid((0.0, 0.0, 0.0))
     bad[1, 2, 3, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite displacement"):
-        warp(s, bad)
+    with pytest.raises(ValueError, match="non-finite control displacement"):
+        warp(s, [bad])

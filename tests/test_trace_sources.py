@@ -27,3 +27,23 @@ def test_every_traced_metric_has_a_function_to_trace():
     assert absent == []
     # the metrics computed outside _SOURCES
     assert {"metrics.hausdorff95", "volume.make_phantom", "cli.batch"}.isdisjoint(tracer.missing)
+
+
+def test_traced_all_five_pipeline_reads_position_building_time():
+    """A resampler renamed under ``src/`` would leave ``interp.coords_s`` at 0
+    on a run where every geometric op fires; the traced name must keep
+    covering the positions that ``interp.warp`` builds."""
+    from voxaug.augment import KINDS, AugmentPipeline, AugmentSpec, apply_pipeline
+    from voxaug.rng import RandomStream
+    from voxaug.volume import make_phantom
+
+    tracing = _tracing()
+    sample = make_phantom(0, (24, 22, 20))
+    menu = {"rotation": {"max_deg": 15.0}, "scale": {"max_frac": 0.1}, "elastic": {"sigma": 2.0}}
+    pipeline = AugmentPipeline(
+        tuple(AugmentSpec(kind, probability=1.0, **menu.get(kind, {})) for kind in KINDS)
+    )
+    with tracing.Tracer() as tracer:
+        _, prov = apply_pipeline(sample, pipeline, RandomStream(0, ("trace",)))
+    assert all(r.fired for r in prov.records)
+    assert tracing.layer_metrics(tracer, threads=1)["interp.coords_s"] > 0

@@ -6,27 +6,36 @@ parameters, and a ``draw_*`` helper that draws those parameters from a
 :class:`~voxaug.rng.RandomStream`.
 
 One private table maps each kind to its spec fields (with their menu or
-check), its draw, its core, the parameters it records in provenance and,
-for the four geometric kinds, the step it adds to a fused resampling.
+check), its draw, its core, the parameters it records in provenance and
+what it does to one array: for the four geometric kinds, the step it adds
+to a fused resampling; for brightness, its function of one channel.
 :class:`AugmentSpec` validation and serialisation, :data:`KINDS`,
-:func:`apply_spec` and :func:`apply_steps` all read that table.
+:func:`apply_spec` and :func:`plan_steps` all read that table.
 ``apply_spec`` draws and applies one operator unconditionally.
-:func:`apply_pipeline` decides per step whether it fires, records every
-drawn value, and hands the fired steps to :func:`apply_steps`, so re-running
-with the same stream reproduces the output bit for bit. Feeding recorded
-parameters back into a single core reproduces a one-step pipeline; a longer
-one is replayed by passing the recorded ``(kind, params)`` pairs to
+
+A pipeline runs in two parts. :func:`draw_pipeline` decides per step whether
+it fires and draws and records every value, so re-running with the same
+stream reproduces the output bit for bit. :func:`plan_steps` turns the fired
+steps into an :class:`ArrayPlan`, one function for a channel's array and one
+for the label map's, which ``voxaug augment`` applies to each array of a
+subject as it reads it, so a subject is never held whole.
+:func:`apply_steps` is that plan applied to a sample through
+:meth:`~voxaug.volume.Sample.map`, and :func:`apply_pipeline` is the draw
+followed by ``apply_steps``: the library and the command line run the same
+functions. Each core is its kind applied alone with ``apply_steps``. Feeding
+recorded parameters back into a single core reproduces a one-step pipeline;
+a longer one is replayed by passing the recorded ``(kind, params)`` pairs to
 ``apply_steps``.
 
-A pipeline applies its geometric steps first and its intensity steps after
+A plan applies its geometric steps first and its intensity steps after
 them. Two or more fired flip, rotation, scale and elastic steps are composed
-into one sampling map and interpolated once by :func:`voxaug.interp.warp`,
-which moves channels trilinearly and labels nearest-neighbor at the same
-positions, so constituents stay co-registered and the label alphabet is
-preserved. A lone geometric step runs its own core: rotation, scale and
-elastic call the same ``warp`` with their one step, and a flip stays an
-index reversal. The brightness steps then run, in their order, on that
-output.
+into one sampling map, whose positions :func:`voxaug.interp.warp` builds once
+per subject and interpolates once per array: channels trilinearly and labels
+nearest-neighbor at the same positions, so constituents stay co-registered
+and the label alphabet is preserved. A lone rotation, scale or elastic step
+is the same ``warp`` with its one step, and a lone flip stays an index
+reversal. The brightness steps then run, in their order, on each channel's
+output, in float64 slabs.
 """
 
 import hashlib
@@ -41,7 +50,7 @@ import numpy as np
 from . import interp
 from .interp import AffineTransform
 from .rng import RandomStream
-from .volume import Sample
+from .volume import Sample, Shape3
 
 # parameter menu accepted by the declarative layer (configs); the operator
 # functions themselves take any value in their documented domain
@@ -53,8 +62,8 @@ DEFAULT_GRID_SIZE = 4
 
 def _menu(choices: tuple) -> Callable:
     def check(kind: str, name: str, value) -> float:
-        if value is None or float(value) not in choices:
-            raise ValueError(f"{kind} {name} must be one of {choices}, got {value}")
+        if isinstance(value, bool) or value not in choices:  # "30" is not 30.0
+            raise ValueError(f"{kind} {name} must be one of {choices}, got {value!r}")
         return float(value)
 
     return check
@@ -77,15 +86,17 @@ def _grid_size(kind: str, name: str, value) -> int:
 class _Op(NamedTuple):
     """One augmentation kind: the spec fields it reads, each with the check
     that validates it and returns its canonical value; how it draws its
-    parameters from a stream; how it applies them; what it records; and,
-    for a geometric kind, the step its parameters add to
-    :func:`voxaug.interp.warp` (None for an intensity kind)."""
+    parameters from a stream; how it applies them to a sample; what it
+    records; and either, for a geometric kind, the step its parameters add
+    to :func:`voxaug.interp.warp`, or, for an intensity kind, how it applies
+    them to one channel's array (the other one is None)."""
 
     spec_fields: dict[str, Callable]
     draw: Callable[[RandomStream, "AugmentSpec"], dict]
     apply: Callable[[Sample, dict], Sample]
     provenance: Callable[["AugmentSpec", dict], dict]
-    geometry: Callable[[dict], AffineTransform | np.ndarray] | None
+    geometry: Callable[[dict], AffineTransform | np.ndarray] | None = None
+    intensity: Callable[[np.ndarray, dict], np.ndarray] | None = None
 
 
 # The cores are looked up by name when an op runs, not captured here, so
@@ -117,7 +128,7 @@ _OPS = {
         draw=lambda rng, spec: draw_brightness_params(rng),
         apply=lambda s, p: brightness_by(s, **p),
         provenance=lambda spec, p: p,
-        geometry=None,
+        intensity=lambda a, p: _brighten(a, **p),
     ),
     "elastic": _Op(
         spec_fields={"sigma": _menu(ELASTIC_SIGMAS), "grid_size": _grid_size},
@@ -224,9 +235,7 @@ def draw_flip_params(rng: RandomStream) -> dict:
 
 def flip_axis(sample: Sample, axis: int) -> Sample:
     """Reverse the sample along one axis (0=x, 1=y, 2=z)."""
-    if axis not in (0, 1, 2):
-        raise ValueError(f"flip axis must be 0, 1 or 2, got {axis}")
-    return sample.map(lambda a: np.flip(a, axis), lambda a: np.flip(a, axis))
+    return apply_steps(sample, [("flip", {"axis": axis})])
 
 
 # rotation -------------------------------------------------------------
@@ -239,7 +248,7 @@ def draw_rotation_params(rng: RandomStream, max_deg: float) -> dict:
 
 def rotate_by(sample: Sample, angles_deg) -> Sample:
     """Rotate about the volume center by per-axis angles, order Rx.Ry.Rz."""
-    return interp.warp(sample, [AffineTransform.rotation_xyz(angles_deg)])
+    return apply_steps(sample, [("rotation", {"angles_deg": angles_deg})])
 
 
 # scaling --------------------------------------------------------------
@@ -253,7 +262,7 @@ def scale_by(sample: Sample, factors) -> Sample:
     """Scale about the center by per-axis factors; shape is unchanged, so
     factors > 1 enlarge content (cropping at the edges) and factors < 1
     shrink it (padding with background)."""
-    return interp.warp(sample, [AffineTransform.scaling(factors)])
+    return apply_steps(sample, [("scale", {"factors": factors})])
 
 
 # brightness -----------------------------------------------------------
@@ -268,10 +277,32 @@ def brightness_by(sample: Sample, gain: float, gamma: float) -> Sample:
     One (gain, gamma) pair is shared by all channels; labels are untouched.
     Requires nonnegative intensities (normalize first).
     """
-    for ch in sample.channels:
-        if ch.data.min() < 0:
-            raise ValueError("brightness requires nonnegative intensities - normalize first")
-    return sample.map(lambda a: float(gain) * a.astype(np.float64) ** float(gamma))
+    return apply_steps(sample, [("brightness", {"gain": gain, "gamma": gamma})])
+
+
+_BRIGHTEN_SLAB = 1 << 17  # float64 values per slab, 1 MB
+
+
+def _brighten(data: np.ndarray, gain: float, gamma: float) -> np.ndarray:
+    """``gain * data**gamma`` of one channel's array, as float32.
+
+    It is computed in one reused float64 buffer of whole x-planes, about
+    1 MB, with the same operations in the same order per voxel as the
+    whole-array expression, so the bytes are the same and no whole-array
+    float64 temporary is made.
+    """
+    if data.min() < 0:
+        raise ValueError("brightness requires nonnegative intensities - normalize first")
+    out = np.empty(data.shape, np.float32)
+    step = max(1, _BRIGHTEN_SLAB // data[0].size)
+    buf = np.empty((min(step, len(data)), *data.shape[1:]))
+    for x in range(0, len(data), step):
+        slab = buf[: min(step, len(data) - x)]
+        slab[...] = data[x : x + step]
+        slab **= float(gamma)
+        slab *= float(gain)
+        out[x : x + step] = slab
+    return out
 
 
 # elastic deformation --------------------------------------------------
@@ -284,7 +315,7 @@ def draw_elastic_grid(rng: RandomStream, sigma: float, grid_size: int) -> np.nda
 
 def elastic_by(sample: Sample, control_grid: np.ndarray) -> Sample:
     """Warp by the dense field upsampled from an explicit control grid."""
-    return interp.warp(sample, [control_grid])
+    return apply_steps(sample, [("elastic", {"control_grid": control_grid})])
 
 
 # pipeline composition -------------------------------------------------
@@ -302,42 +333,68 @@ def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sa
     return op.apply(sample, params), op.provenance(spec, params)
 
 
-def apply_steps(sample: Sample, steps) -> Sample:
-    """Apply fired steps, each a ``(kind, core params)`` pair: the geometric
-    steps first, in order, as one resampling, then the intensity steps, in
-    order, on its output.
+class ArrayPlan(NamedTuple):
+    """What fired steps do to one array of a subject: ``channel`` maps a
+    channel's array, ``labels`` the label map's."""
 
-    A single geometric step runs its core, so the output is the core's byte
-    for byte and a lone flip stays a pure index reversal. With no steps the
-    sample itself is returned.
+    channel: Callable[[np.ndarray], np.ndarray]
+    labels: Callable[[np.ndarray], np.ndarray]
+
+
+def plan_steps(shape: Shape3, steps) -> ArrayPlan:
+    """The plan of fired steps, each a ``(kind, core params)`` pair, for the
+    arrays of a ``shape`` grid: the geometric steps first, in order, as one
+    resampling whose positions are built here, once; then the intensity
+    steps, in order, on each channel.
+
+    A lone flip is an index reversal and builds no positions, and with no
+    geometric step an array is not moved.
     """
     steps = list(steps)
     for kind, _ in steps:
         if kind not in _OPS:
             raise ValueError(f"unknown augmentation kind {kind!r}")
     geometric = [(kind, params) for kind, params in steps if _OPS[kind].geometry is not None]
-    if len(geometric) == 1:
-        kind, params = geometric[0]
-        sample = _OPS[kind].apply(sample, params)
-    elif geometric:
-        sample = interp.warp(sample, [_OPS[k].geometry(p) for k, p in geometric])
-    for kind, params in steps:
-        if _OPS[kind].geometry is None:
-            sample = _OPS[kind].apply(sample, params)
-    return sample
+    moves = [_OPS[kind].geometry(params) for kind, params in geometric]  # checks the params
+    if not moves:
+        move_channel = move_labels = lambda data: data
+    elif len(moves) == 1 and geometric[0][0] == "flip":
+        axis = geometric[0][1]["axis"]
+        move_channel = move_labels = lambda data: np.flip(data, axis)
+    else:
+        move_channel, move_labels = interp.warp(shape, moves)
+    intensity = [(_OPS[kind].intensity, params) for kind, params in steps if _OPS[kind].intensity]
+
+    def channel(data: np.ndarray) -> np.ndarray:
+        data = move_channel(data)
+        for apply, params in intensity:
+            data = apply(data, params)
+        return data
+
+    return ArrayPlan(channel, move_labels)
 
 
-def apply_pipeline(
-    sample: Sample, pipeline: AugmentPipeline, rng: RandomStream
-) -> tuple[Sample, ProvenanceRecord]:
-    """Decide each spec independently with its probability, in order, then
-    apply the fired ones with :func:`apply_steps`.
+def apply_steps(sample: Sample, steps) -> Sample:
+    """Apply fired steps, each a ``(kind, core params)`` pair, to every array
+    of a sample with their :func:`plan_steps` plan. With no steps the sample
+    itself is returned."""
+    steps = list(steps)
+    return sample.map(*plan_steps(sample.shape, steps)) if steps else sample
+
+
+def draw_pipeline(
+    pipeline: AugmentPipeline, rng: RandomStream, subject_id: str = ""
+) -> tuple[list[tuple[str, dict]], ProvenanceRecord]:
+    """Decide each spec independently with its probability, in order, and
+    draw the parameters of the fired ones: returns the fired
+    ``(kind, core params)`` steps and the record of every decision and drawn
+    value.
 
     Every spec gets its own substream keyed by (position, kind), so draws do
     not depend on whether earlier specs fired. With k specs at probability
     0.5 the chance that nothing fires is 0.5**k.
     """
-    prov = ProvenanceRecord(subject_id=sample.subject_id)
+    prov = ProvenanceRecord(subject_id=subject_id)
     steps = []
     for i, spec in enumerate(pipeline.specs):
         sub = rng.substream(i, spec.kind)
@@ -351,4 +408,13 @@ def apply_pipeline(
         prov.records.append(
             OpRecord(kind=spec.kind, probability=spec.probability, fired=fired, params=params)
         )
+    return steps, prov
+
+
+def apply_pipeline(
+    sample: Sample, pipeline: AugmentPipeline, rng: RandomStream
+) -> tuple[Sample, ProvenanceRecord]:
+    """:func:`draw_pipeline`, then the fired steps applied with
+    :func:`apply_steps`."""
+    steps, prov = draw_pipeline(pipeline, rng, sample.subject_id)
     return apply_steps(sample, steps), prov

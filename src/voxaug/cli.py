@@ -7,15 +7,27 @@ byte-identical for any thread count because every subject draws from its own
 seed-derived random substream and tables are sorted before writing. A batch
 runs every subject to the end; one failure is reported with its own message,
 several as ``error: k of n subjects failed: <msg>; <msg>`` in subject order.
+
+``augment`` streams each subject one array at a time. It checks every
+header's grid, draws the pipeline and builds its sampling positions once,
+then, for each channel in order and the label map last, reads the patch
+window, applies the per-array plan and writes the result, before the next
+array is read. So it holds about one array in and one out, never the whole
+patch. All of a subject's files are written into one atomic group, so a
+fault met after earlier arrays were written (a bad voxel in a later file, a
+negative intensity under brightness) still leaves none of them behind. A
+subject with one fault reports it as a whole-patch run did; one with several
+reports the first met in that order.
 """
 
 import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
-from .augment import apply_pipeline
+from .augment import draw_pipeline, plan_steps
 from .config import DEFAULT_LABEL_SUFFIX, load_config
 from .metrics import REGIONS, evaluate_sample
 from .nifti import (
@@ -30,9 +42,10 @@ from .nifti import (
 from .rng import RandomStream
 from .stats import rank_models, sign_flip_test
 from .tables import read_metrics, write_metrics, write_ranks
-from .volume import Sample, center_box, check_grids, make_phantom
-# augment crops while reading; the name stays here, where the benchmark's
-# tracer looks it up
+from .volume import center_box, check_grids, make_phantom
+# augment crops while reading and applies a per-array plan; these names stay
+# here, where the benchmark's tracer looks them up
+from .augment import apply_pipeline  # noqa: F401
 from .volume import extract_center_patch  # noqa: F401
 
 
@@ -118,16 +131,19 @@ def _cmd_augment(args) -> int:
         grids = [read_grid(p) for p in paths]
         check_grids(grids, None if label_path is None else read_grid(label_path))
         box = center_box(grids[0][0], cfg.patch_shape)
-        channels = tuple(read_volume(p, box=box) for p in paths)
-        labels = None if label_path is None else read_labels(label_path, box=box)
-        patch = Sample(channels=channels, labels=labels, subject_id=subject)
-        rng = RandomStream(cfg.seed, ("augment", subject))
-        augmented, provenance = apply_pipeline(patch, pipeline, rng)
+        steps, provenance = draw_pipeline(
+            pipeline, RandomStream(cfg.seed, ("augment", subject)), subject
+        )
+        plan = plan_steps(cfg.patch_shape, steps)
+        arrays = [(read_volume, p, plan.channel, s) for p, s in zip(paths, cfg.channel_suffixes)]
+        if label_path is not None:
+            arrays.append((read_labels, label_path, plan.labels, cfg.label_suffix))
         with atomic_group():  # the subject's files appear together or not at all
-            for suffix, ch in zip(cfg.channel_suffixes, augmented.channels):
-                write_volume(ch, out_dir / f"{subject}{suffix}.nii.gz")
-            if augmented.labels is not None:
-                write_volume(augmented.labels, out_dir / f"{subject}{cfg.label_suffix}.nii.gz")
+            for read, path, apply, suffix in arrays:
+                array = read(path, box=box)
+                array = replace(array, data=apply(array.data))  # drops the array as read
+                write_volume(array, out_dir / f"{subject}{suffix}.nii.gz")
+                del array  # before the next read
             atomic_write_bytes(
                 out_dir / f"{subject}_provenance.json",
                 (provenance.to_json() + "\n").encode(),

@@ -40,11 +40,11 @@ class PipelineConfig:
         if len(ps) != 3 or any(v is None or v < 1 for v in ps):
             raise ValueError(f"patch_shape must be three whole numbers >= 1, got {self.patch_shape}")
         object.__setattr__(self, "patch_shape", ps)
-        cs = tuple(str(s) for s in self.channel_suffixes)
-        if len(cs) == 0 or len(set(cs)) != len(cs):
-            raise ValueError(f"channel_suffixes must be nonempty and unique, got {cs}")
+        cs = tuple(self.channel_suffixes) if isinstance(self.channel_suffixes, (list, tuple)) else ()
+        if not cs or not all(isinstance(s, str) for s in cs) or len(set(cs)) != len(cs):
+            raise ValueError(f"channel_suffixes must be unique strings, got {self.channel_suffixes!r}")
         object.__setattr__(self, "channel_suffixes", cs)
-        if not self.label_suffix or self.label_suffix in cs:
+        if not isinstance(self.label_suffix, str) or not self.label_suffix or self.label_suffix in cs:
             raise ValueError(f"bad label_suffix {self.label_suffix!r}")
 
     def to_pipeline(self) -> AugmentPipeline:

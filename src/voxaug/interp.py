@@ -1,5 +1,6 @@
-"""Geometric resampling: :func:`warp` reads a whole sample at moved
-positions, once, through any list of affine and elastic steps.
+"""Geometric resampling: :func:`warp` builds the moved sampling positions of
+any list of affine and elastic steps once, and returns the readers that
+resample one array of a sample there.
 
 Conventions:
 
@@ -17,7 +18,8 @@ Conventions:
   however many of its geometric steps fire, and a list of one step is that
   step's own resampling. Image channels are read trilinearly, the label map
   nearest-neighbor, so constituents stay co-registered and no label value
-  is invented.
+  is invented. The readers take one array at a time, so a caller may read,
+  resample and write a subject's arrays one after another.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
@@ -28,11 +30,12 @@ for them.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Sample, Shape3
+from .volume import Shape3
 
 
 # exact (cos, sin) at quadrant angles so axis-aligned rotations are lossless
@@ -187,21 +190,24 @@ def _chain_coords(shape: Shape3, steps) -> np.ndarray:
     return coords
 
 
-def warp(sample: Sample, steps) -> Sample:
-    """Resample a sample once through geometric steps applied in order.
+def warp(shape: Shape3, steps) -> tuple[Callable, Callable]:
+    """The readers that resample an array of a ``shape`` grid once through
+    geometric steps applied in order: ``(channel, labels)``.
 
     ``steps`` holds :class:`AffineTransform` objects (about the center) and
     control grids (warped by their :func:`bspline_upsample` field). The
-    whole list is one backward map, read once per constituent: channels
-    trilinearly into float32, labels nearest-neighbor into uint8, 0 beyond
-    the grid. So the output differs from resampling step by step only by
-    the interpolation that the list skips in between.
+    whole list is one backward map, whose positions are built here, once,
+    and read by both readers: ``channel`` reads a channel's array
+    trilinearly into float32, ``labels`` a label array nearest-neighbor into
+    uint8, 0 beyond the grid. So ``sample.map(*warp(sample.shape, steps))``
+    differs from resampling step by step only by the interpolation that the
+    list skips in between.
     """
-    coords = _chain_coords(sample.shape, steps)
+    coords = _chain_coords(shape, steps)
 
     def reader(order, dtype):
         return lambda data: map_coordinates(
             data, coords, output=dtype, order=order, mode="grid-constant", cval=0.0
         )
 
-    return sample.map(reader(1, np.float32), reader(0, np.uint8))
+    return reader(1, np.float32), reader(0, np.uint8)

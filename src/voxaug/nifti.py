@@ -22,8 +22,10 @@ more voxels than the file can hold. They stream too: the header first, then
 z-planes inflated into one reused slab buffer. Each slab is checked voxel by
 voxel (non-finite values, or labels outside the raw alphabet), and its part
 of the requested box is copied into a C-ordered array in (x, z) tiles. The
-box is the whole grid by default; ``augment`` asks for its patch window, so
-it never holds a full-size array. Every voxel is still decoded and checked,
+box is the whole grid by default; ``augment`` asks for its patch window, one
+file at a time, augmenting and writing each array before it reads the next,
+so it never holds a full-size array, nor more than one array of its patch
+as read. Every voxel is still decoded and checked,
 the stream is read to its end (so a gzip CRC is checked), and an error
 names the first bad voxel in (x, y, z) order by its full-grid index.
 """

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -20,16 +21,18 @@ from voxaug.augment import (
     brightness_by,
     draw_elastic_grid,
     draw_flip_params,
+    draw_pipeline,
     draw_rotation_params,
     draw_scale_params,
     elastic_by,
     flip_axis,
+    plan_steps,
     rotate_by,
     scale_by,
 )
 from voxaug.interp import AffineTransform, _affine_coords, _warp_coords, bspline_upsample
 from voxaug.rng import RandomStream
-from voxaug.volume import Sample, Volume, extract_center_patch
+from voxaug.volume import LabelMap, Sample, Volume, extract_center_patch
 
 
 def _assert_samples_equal(a, b):
@@ -629,3 +632,56 @@ def test_fused_pipeline_close_to_sequential_chain():
         assert delta.mean() <= 1.5e-3
         assert (fused.labels.data != chain.labels.data).mean() <= 0.01
         assert set(np.unique(fused.labels.data)) == {0, 1, 2, 4}
+
+
+# --- the per-array plan -----------------------------------------------------------
+
+# sha256 over the 32 fire patterns below: each output's channel and label bytes
+# and provenance JSON, as apply_pipeline gave them while it still held every
+# array of the sample at once
+ALL_PATTERNS_DIGEST = "da39163e646352cf520263aaf26134d2542fcf8a83f7d270d1090e92c341345a"
+
+
+def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeypatch):
+    """For every set of the five kinds that fires, drawing once and then
+    applying the plan to one array at a time, as ``voxaug augment`` does,
+    gives apply_pipeline's bytes and provenance. The positions are built at
+    most once per subject, and not at all without a step that resamples."""
+    built = []
+    chain_coords = interp._chain_coords
+    monkeypatch.setattr(interp, "_chain_coords", lambda *a: built.append(1) or chain_coords(*a))
+    digest = hashlib.sha256()
+    for pattern in range(32):
+        kinds = {kind for bit, kind in enumerate(KINDS) if pattern >> bit & 1}
+        pipe = _only(_standard_pipeline(), kinds)
+        key = ("augment", small_sample.subject_id)
+        want, want_prov = apply_pipeline(small_sample, pipe, RandomStream(6, key))
+
+        built.clear()
+        steps, prov = draw_pipeline(pipe, RandomStream(6, key), small_sample.subject_id)
+        plan = plan_steps(small_sample.shape, steps)
+        channels = [Volume(plan.channel(ch.data)).data for ch in small_sample.channels]
+        labels = LabelMap(plan.labels(small_sample.labels.data)).data
+        assert len(built) == (1 if kinds - {"flip", "brightness"} else 0), sorted(kinds)
+
+        assert {r.kind for r in prov.records if r.fired} == kinds
+        assert prov.to_json() == want_prov.to_json()
+        for got, ref in zip(channels, want.channels, strict=True):
+            assert got.tobytes() == ref.data.tobytes()
+        assert labels.tobytes() == want.labels.data.tobytes()
+        for array in channels + [labels]:
+            digest.update(array.tobytes())
+        digest.update(prov.to_json().encode())
+    assert digest.hexdigest() == ALL_PATTERNS_DIGEST
+
+
+def test_brightness_slabs_give_the_whole_array_bytes(monkeypatch):
+    """Brightness runs in float64 slabs of whole x-planes; a ragged last slab
+    and a one-plane slab give the bytes of the whole-array expression."""
+    data = np.random.default_rng(3).random((7, 5, 6), dtype=np.float32)
+    s = Sample(channels=(Volume(data),), subject_id="slabs")
+    want = (1.17 * data.astype(np.float64) ** 0.93).astype(np.float32)
+    for planes in (1, 3, 7, 100):
+        monkeypatch.setattr(augment, "_BRIGHTEN_SLAB", planes * 5 * 6)
+        got = brightness_by(s, 1.17, 0.93).channels[0].data
+        assert got.tobytes() == want.tobytes(), planes

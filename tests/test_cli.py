@@ -1,10 +1,12 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
+import gzip
 import hashlib
 import json
 import os
 import shutil
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import voxaug.cli
 from voxaug.augment import AugmentSpec
 from voxaug.cli import _thread_count, main
 from voxaug.config import PipelineConfig, save_config
-from voxaug.nifti import write_volume
+from voxaug.nifti import _build_header, read_volume, write_volume
 from voxaug.tables import read_metrics
 from voxaug.volume import LabelMap
 
@@ -246,6 +248,110 @@ def test_failed_subject_leaves_no_file(tmp_path, capsys, monkeypatch, threads):
     assert left == sorted(p.name for p in clean.iterdir() if not p.name.startswith("phantom001"))
     for name in left:
         assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
+_ALL_FIVE = (
+    AugmentSpec(kind="flip", probability=1.0),
+    AugmentSpec(kind="rotation", probability=1.0, max_deg=30.0),
+    AugmentSpec(kind="scale", probability=1.0, max_frac=0.1),
+    AugmentSpec(kind="brightness", probability=1.0),
+    AugmentSpec(kind="elastic", probability=1.0, sigma=2.0),
+)
+
+
+def _write_unchecked(path, data):
+    """``data`` (float32 or uint8) as a .nii.gz file, written without the
+    checks of ``Volume``/``LabelMap``, so that it may hold any value."""
+    datatype, bitpix = (2, 8) if data.dtype == np.uint8 else (16, 32)
+    blob = _build_header(data.shape, (1.0, 1.0, 1.0), datatype, bitpix) + b"\0" * 4
+    path.write_bytes(gzip.compress(blob + data.ravel(order="F").tobytes(), mtime=0))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("suffix", ["_flair", "_seg"])
+def test_fault_after_earlier_arrays_were_written_leaves_nothing_behind(
+    tmp_path, capsys, monkeypatch, threads, suffix
+):
+    """augment reads, augments and writes a subject's arrays one after
+    another, the label map last, so a bad voxel in its last channel or its
+    label map is met after three or four of its files went to temp files.
+    The subject still gets its one error line and leaves no file behind."""
+    subjects = tmp_path / "subjects"
+    code, _, err = run(
+        capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "24,22,20",
+        "--out", str(subjects),
+    )
+    assert code == 0, err
+    cfg = tmp_path / "cfg.json"
+    save_config(PipelineConfig(seed=3, pipeline=_ALL_FIVE, patch_shape=(12, 10, 8)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    clean = tmp_path / "clean"
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(clean))
+    assert code == 0, err
+
+    where = (10, 9, 8)  # inside the window x 6..17, y 6..15, z 6..13
+    path = subjects / f"phantom001{suffix}.nii.gz"
+    data = read_volume(path, as_labels=suffix == "_seg").data.copy()
+    if suffix == "_seg":
+        data[where] = 3
+        message = f"label value 3 at voxel {where} not in raw alphabet (0, 1, 2, 4)"
+    else:
+        data[where] = np.nan
+        message = f"non-finite voxel at index {where}"
+    _write_unchecked(path, data)
+
+    write_volume = voxaug.cli.write_volume
+    lock, written = threading.Lock(), []
+
+    def recording(obj, out_path):
+        if out_path.name.startswith("phantom001"):
+            with lock:
+                written.append(out_path.name)
+        write_volume(obj, out_path)
+
+    monkeypatch.setattr(voxaug.cli, "write_volume", recording)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(out))
+    assert code == 1
+    assert err == f"error: {path}: {message}\n"
+    before = ["_t1", "_t1ce", "_t2"] + (["_flair"] if suffix == "_seg" else [])
+    assert written == [f"phantom001{s}.nii.gz" for s in before]
+    assert list(out.glob("tmp*.tmp")) == []
+    left = sorted(p.name for p in out.iterdir())
+    assert left == sorted(p.name for p in clean.iterdir() if not p.name.startswith("phantom001"))
+    for name in left:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
+def test_augment_holds_about_one_channel_in_and_one_out(tmp_path, capsys, monkeypatch):
+    """One subject under flip + brightness, at a 96^3 patch and one thread,
+    peaks (tracemalloc) within three channels' bytes: the channel read and
+    its output, plus the slabs of the read, of brightness (1 MB of float64)
+    and of the write (1 MB, and what deflate returns for it), which are at
+    most about one channel at this size. Holding the whole patch and every
+    output, as augment did before, took about 15.5."""
+    code, _, err = run(
+        capsys, "phantom", "--seed", "2", "--count", "1", "--shape", "100,100,100",
+        "--out", str(tmp_path / "in"),
+    )
+    assert code == 0, err
+    cfg = tmp_path / "cfg.json"
+    save_config(PipelineConfig(seed=3, pipeline=_ALL_FIVE[:1] + _ALL_FIVE[3:4],
+                               patch_shape=(96, 96, 96)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    argv = ["augment", "--config", str(cfg), "--in", str(tmp_path / "in")]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "warm"))
+    assert code == 0, err
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    channel = 96**3 * 4
+    assert peak <= 3 * channel, f"peak {peak / channel:.2f} channels"
 
 
 def test_augment_requires_input_dir(config_path, tmp_path, capsys):

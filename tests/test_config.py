@@ -135,6 +135,63 @@ def test_suffix_validation():
         PipelineConfig(seed=0, channel_suffixes=("_t1",), label_suffix="_t1")
 
 
+_WRONG_TYPES = {
+    "max_deg-string": (
+        {"pipeline": [{"kind": "rotation", "max_deg": "30"}]},
+        "rotation max_deg must be one of (15.0, 30.0, 60.0, 90.0), got '30'",
+    ),
+    "max_frac-string": (
+        {"pipeline": [{"kind": "scale", "max_frac": "0.1"}]},
+        "scale max_frac must be one of (0.1, 0.2), got '0.1'",
+    ),
+    "sigma-string": (
+        {"pipeline": [{"kind": "elastic", "sigma": "2"}]},
+        "elastic sigma must be one of (2.0, 5.0, 8.0, 10.0), got '2'",
+    ),
+    "channel_suffixes-ints": (
+        {"channel_suffixes": [1, 2]},
+        "channel_suffixes must be unique strings, got [1, 2]",
+    ),
+    "channel_suffixes-string": (
+        {"channel_suffixes": "_t1"},
+        "channel_suffixes must be unique strings, got '_t1'",
+    ),
+    "label_suffix-int": ({"label_suffix": 5}, "bad label_suffix 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_wrong_json_type_rejected_not_coerced(tmp_path, case):
+    fields, message = _WRONG_TYPES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 0, **fields}))
+    with pytest.raises(ValueError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_wrong_json_type_is_one_error_line(tmp_path, capsys, case):
+    fields, message = _WRONG_TYPES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 0, **fields}))
+    out = tmp_path / "o"
+    code = main(["augment", "--config", str(path), "--in", str(tmp_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_numbers_of_either_json_type_still_accepted():
+    """A menu value written as an int is stored as the float it equals, so
+    existing configs load, save and record provenance as before."""
+    spec = AugmentSpec.from_dict({"kind": "rotation", "max_deg": 30, "probability": 1})
+    assert spec.max_deg == 30.0 and isinstance(spec.max_deg, float)
+    assert spec.to_dict() == {"kind": "rotation", "probability": 1.0, "max_deg": 30.0}
+    cfg = PipelineConfig.from_dict({"seed": 0, "channel_suffixes": ("_a", "_b")})
+    assert cfg.channel_suffixes == ("_a", "_b")
+
+
 def test_load_invalid_json_names_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

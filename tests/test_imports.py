@@ -109,9 +109,9 @@ def digest(s):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 jobs = {
-    "warp": lambda: digest(
-        interp.warp(sample, [interp.AffineTransform.rotation_xyz((12.0, -20.0, 7.0))])
-    ),
+    "warp": lambda: digest(sample.map(
+        *interp.warp(sample.shape, [interp.AffineTransform.rotation_xyz((12.0, -20.0, 7.0))])
+    )),
     "bspline_upsample": lambda: hashlib.sha256(
         interp.bspline_upsample(grid, sample.shape).tobytes()
     ).hexdigest(),

@@ -6,8 +6,15 @@ from oracles import oracle_affine
 from scipy.ndimage import gaussian_filter
 
 import voxaug as vx
-from voxaug.interp import AffineTransform, bspline_upsample, warp
+from voxaug import interp
+from voxaug.interp import AffineTransform, bspline_upsample
 from voxaug.volume import LabelMap, Sample, Volume
+
+
+def warp(sample, steps):
+    """``sample`` resampled through ``steps``: the readers of
+    :func:`voxaug.interp.warp` applied to each of its arrays."""
+    return sample.map(*interp.warp(sample.shape, steps))
 
 
 def _rand_volume(seed, shape=(12, 10, 14)):

@@ -5,13 +5,21 @@ Each operator has a deterministic core (``flip_axis``, ``rotate_by``,
 parameters, and a ``draw_*`` helper that draws those parameters from a
 :class:`~voxaug.rng.RandomStream`.
 
-One private table maps each kind to its spec fields (with their menu or
-check), its draw, its core, the parameters it records in provenance and
-what it does to one array: for the four geometric kinds, the step it adds
-to a fused resampling; for brightness, its function of one channel.
+One private table maps each kind to the spec parameters it reads, its
+draw, its core, the parameters it records in provenance and what it does to
+one array: for the four geometric kinds, the step it adds to a fused
+resampling; for brightness, its function of one channel.
 :class:`AugmentSpec` validation and serialisation, :data:`KINDS`,
 :func:`apply_spec` and :func:`plan_steps` all read that table.
 ``apply_spec`` draws and applies one operator unconditionally.
+
+Every spec field has one :class:`Rule` in :data:`SPEC_FIELDS`: what it must
+be, a test of its raw JSON value that coerces nothing, and its canonical
+form. :func:`check_fields` applies such rules to a dataclass, and
+:func:`from_json` checks the shape of a JSON object before the dataclass is
+built; :mod:`voxaug.config` checks its own fields the same way. A spec
+parameter's error carries its kind, as in ``rotation max_deg must be one of
+(15.0, 30.0, 60.0, 90.0), got '30'``.
 
 A pipeline runs in two parts. :func:`draw_pipeline` decides per step whether
 it fires and draws and records every value, so re-running with the same
@@ -60,38 +68,71 @@ ELASTIC_SIGMAS = (2.0, 5.0, 8.0, 10.0)
 DEFAULT_GRID_SIZE = 4
 
 
-def _menu(choices: tuple) -> Callable:
-    def check(kind: str, name: str, value) -> float:
-        if isinstance(value, bool) or value not in choices:  # "30" is not 30.0
-            raise ValueError(f"{kind} {name} must be one of {choices}, got {value!r}")
-        return float(value)
+class Rule(NamedTuple):
+    """One config or spec field: what it must be, for the error; a test of
+    its raw JSON value that coerces nothing; and the canonical form it is
+    stored in."""
 
-    return check
-
-
-def whole_number(value) -> int | None:
-    """``value`` as an int if it is a whole number (4 or 4.0), else None;
-    a bool is not a number here."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
-        return None
-    return int(value)
+    what: str
+    test: Callable[[object], bool]
+    canonical: Callable = lambda value: value
 
 
-def _grid_size(kind: str, name: str, value) -> int:
-    if (g := whole_number(value)) is None or g < 2:
-        raise ValueError(f"{kind} {name} must be a whole number >= 2, got {value!r}")
-    return g
+def _real(value) -> bool:  # a bool is not a number here
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def whole(value) -> bool:
+    """True for a whole number (4 or 4.0); a bool is not one."""
+    return _real(value) and value % 1 == 0
+
+
+def _one_of(choices: tuple) -> Rule:
+    return Rule(f"one of {choices}", lambda v: _real(v) and v in choices, float)  # "30" is not 30.0
+
+
+SPEC_FIELDS = {
+    "probability": Rule("a number in [0, 1]", lambda v: _real(v) and 0 <= v <= 1, float),
+    "max_deg": _one_of(ROTATION_MAX_DEG),
+    "max_frac": _one_of(SCALE_MAX_FRAC),
+    "sigma": _one_of(ELASTIC_SIGMAS),
+    "grid_size": Rule("a whole number >= 2", lambda v: whole(v) and v >= 2, int),
+}
+
+
+def check_fields(obj, rules: dict[str, Rule], prefix: str = "") -> None:
+    """Check each field of the frozen dataclass ``obj`` that ``rules`` names
+    and store it in its canonical form; a field that fails raises
+    ``<prefix><field> must be <what>, got <value!r>``."""
+    for name, rule in rules.items():
+        value = getattr(obj, name)
+        if not rule.test(value):
+            raise ValueError(f"{prefix}{name} must be {rule.what}, got {value!r}")
+        object.__setattr__(obj, name, rule.canonical(value))
+
+
+def from_json(cls, d, what: str, required: tuple[str, ...]) -> dict:
+    """The fields of the dataclass ``cls`` given by the parsed JSON ``d``:
+    it must be an object, name only fields of ``cls`` and name every
+    ``required`` one. The values are checked when ``cls`` is built."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if extra := set(d) - {f.name for f in fields(cls)}:
+        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+    if missing := [name for name in required if name not in d]:
+        raise ValueError(f"{what} is missing required field {missing[0]!r}")
+    return dict(d)
 
 
 class _Op(NamedTuple):
-    """One augmentation kind: the spec fields it reads, each with the check
-    that validates it and returns its canonical value; how it draws its
-    parameters from a stream; how it applies them to a sample; what it
-    records; and either, for a geometric kind, the step its parameters add
-    to :func:`voxaug.interp.warp`, or, for an intensity kind, how it applies
+    """One augmentation kind: the spec parameters it reads, each checked by
+    its :data:`SPEC_FIELDS` rule; how it draws its parameters from a stream;
+    how it applies them to a sample; what it records; and either, for a
+    geometric kind, the step its parameters add to
+    :func:`voxaug.interp.warp`, or, for an intensity kind, how it applies
     them to one channel's array (the other one is None)."""
 
-    spec_fields: dict[str, Callable]
+    spec_fields: tuple[str, ...]
     draw: Callable[[RandomStream, "AugmentSpec"], dict]
     apply: Callable[[Sample, dict], Sample]
     provenance: Callable[["AugmentSpec", dict], dict]
@@ -103,35 +144,35 @@ class _Op(NamedTuple):
 # code that replaces them on this module (tracing, tests) sees every call.
 _OPS = {
     "flip": _Op(
-        spec_fields={},
+        spec_fields=(),
         draw=lambda rng, spec: draw_flip_params(rng),
         apply=lambda s, p: flip_axis(s, **p),
         provenance=lambda spec, p: p,
         geometry=lambda p: AffineTransform.flip(p["axis"]),
     ),
     "rotation": _Op(
-        spec_fields={"max_deg": _menu(ROTATION_MAX_DEG)},
+        spec_fields=("max_deg",),
         draw=lambda rng, spec: draw_rotation_params(rng, spec.max_deg),
         apply=lambda s, p: rotate_by(s, **p),
         provenance=lambda spec, p: {"angles_deg": list(p["angles_deg"])},
         geometry=lambda p: AffineTransform.rotation_xyz(p["angles_deg"]),
     ),
     "scale": _Op(
-        spec_fields={"max_frac": _menu(SCALE_MAX_FRAC)},
+        spec_fields=("max_frac",),
         draw=lambda rng, spec: draw_scale_params(rng, spec.max_frac),
         apply=lambda s, p: scale_by(s, **p),
         provenance=lambda spec, p: {"factors": list(p["factors"])},
         geometry=lambda p: AffineTransform.scaling(p["factors"]),
     ),
     "brightness": _Op(
-        spec_fields={},
+        spec_fields=(),
         draw=lambda rng, spec: draw_brightness_params(rng),
         apply=lambda s, p: brightness_by(s, **p),
         provenance=lambda spec, p: p,
         intensity=lambda a, p: _brighten(a, **p),
     ),
     "elastic": _Op(
-        spec_fields={"sigma": _menu(ELASTIC_SIGMAS), "grid_size": _grid_size},
+        spec_fields=("sigma", "grid_size"),
         draw=lambda rng, spec: {
             "control_grid": draw_elastic_grid(rng, spec.sigma, spec.grid_size)
         },
@@ -152,10 +193,11 @@ KINDS = tuple(_OPS)
 class AugmentSpec:
     """Declarative description of one augmentation operator.
 
-    Parameters are restricted to the menu above so a pipeline document
-    always describes a supported experiment configuration. The fields a
-    kind reads are stored in canonical form (``probability`` and menu values
-    as float, ``grid_size`` as int); the others must keep their defaults.
+    Each field is checked, and stored in canonical form, by its
+    :data:`SPEC_FIELDS` rule: ``probability`` and the menu values as float,
+    ``grid_size`` as int. The menus keep a pipeline document to a supported
+    experiment configuration. A field its kind does not read must keep its
+    default.
     """
 
     kind: str
@@ -168,28 +210,19 @@ class AugmentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        if isinstance(self.probability, bool) or not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be a number in [0, 1], got {self.probability}")
-        object.__setattr__(self, "probability", float(self.probability))
-        checks = _OPS[self.kind].spec_fields
+        check_fields(self, {"probability": SPEC_FIELDS["probability"]})
+        reads = _OPS[self.kind].spec_fields
         for f in fields(self)[2:]:  # the parameters after kind and probability
-            value = getattr(self, f.name)
-            if f.name in checks:
-                object.__setattr__(self, f.name, checks[f.name](self.kind, f.name, value))
-            elif value != f.default:
-                raise ValueError(f"{self.kind} does not read {f.name}, got {value}")
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} does not read {f.name}, got {getattr(self, f.name)}")
+        check_fields(self, {name: SPEC_FIELDS[name] for name in reads}, f"{self.kind} ")
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "probability": self.probability}
-        d.update((name, getattr(self, name)) for name in _OPS[self.kind].spec_fields)
-        return d
+        return {n: getattr(self, n) for n in ("kind", "probability", *_OPS[self.kind].spec_fields)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentSpec":
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown augmentation spec fields: {sorted(extra)}")
-        return cls(**d)
+        return cls(**from_json(cls, d, "augmentation spec", ("kind",)))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,58 @@
-"""JSON experiment configuration for the augmentation pipeline."""
+"""JSON experiment configuration for the augmentation pipeline.
+
+Each :class:`PipelineConfig` field has one rule in :data:`CONFIG_FIELDS`,
+as each :class:`~voxaug.augment.AugmentSpec` field has one in
+:data:`~voxaug.augment.SPEC_FIELDS`: what it must be, a test of its raw JSON
+value that coerces nothing ("30" is not 30, a bool is not a number), and the
+form it is stored in. A field that fails raises ``<field> must be <what>,
+got <value>``, which :func:`load_config` prefixes with the file name.
+
+One more rule spans two fields: no suffix, among the channel suffixes and
+the label suffix, may be empty or a string tail of another. ``augment`` finds
+subjects by the first channel suffix and names each output file by subject
+and suffix, so with ``channel_suffixes: [""]`` a label file ``s_seg.nii.gz``
+would be read as a second subject ``s_seg``, and both subjects would write
+``s_seg.nii.gz``.
+"""
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
-from .augment import AugmentPipeline, AugmentSpec, whole_number
+from .augment import AugmentPipeline, AugmentSpec, Rule, check_fields, from_json, whole
 from .nifti import atomic_write_bytes
 from .volume import CHANNEL_NAMES
 
 DEFAULT_PATCH_SHAPE = (128, 128, 128)
 DEFAULT_CHANNEL_SUFFIXES = tuple(f"_{name}" for name in CHANNEL_NAMES)
 DEFAULT_LABEL_SUFFIX = "_seg"
+
+
+def _seq(value) -> bool:  # a JSON array, or a tuple from Python
+    return isinstance(value, (list, tuple))
+
+
+def _to_json(value):  # a stored field in its JSON form
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value.to_dict() if isinstance(value, AugmentSpec) else value
+
+
+_DIR = Rule("a string or null", lambda v: v is None or isinstance(v, str))
+
+CONFIG_FIELDS = {
+    "seed": Rule("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "pipeline": Rule("a list of AugmentSpec objects",
+                     lambda v: _seq(v) and all(isinstance(s, AugmentSpec) for s in v), tuple),
+    "patch_shape": Rule("three whole numbers >= 1",
+                        lambda v: _seq(v) and len(v) == 3 and all(whole(n) and n >= 1 for n in v),
+                        lambda v: tuple(int(n) for n in v)),
+    "channel_suffixes": Rule("unique strings",  # unique: no suffix may be a tail of another
+                             lambda v: _seq(v) and v and all(isinstance(s, str) for s in v), tuple),
+    "label_suffix": Rule("a nonempty string", lambda v: isinstance(v, str) and v != ""),
+    "input_dir": _DIR,
+    "output_dir": _DIR,
+}
 
 
 @dataclass(frozen=True)
@@ -30,61 +72,32 @@ class PipelineConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "pipeline", tuple(self.pipeline))
-        for spec in self.pipeline:
-            if not isinstance(spec, AugmentSpec):
-                raise ValueError(f"pipeline entries must be AugmentSpec, got {spec!r}")
-        ps = tuple(whole_number(v) for v in self.patch_shape)
-        if len(ps) != 3 or any(v is None or v < 1 for v in ps):
-            raise ValueError(f"patch_shape must be three whole numbers >= 1, got {self.patch_shape}")
-        object.__setattr__(self, "patch_shape", ps)
-        cs = tuple(self.channel_suffixes) if isinstance(self.channel_suffixes, (list, tuple)) else ()
-        if not cs or not all(isinstance(s, str) for s in cs) or len(set(cs)) != len(cs):
-            raise ValueError(f"channel_suffixes must be unique strings, got {self.channel_suffixes!r}")
-        object.__setattr__(self, "channel_suffixes", cs)
-        if not isinstance(self.label_suffix, str) or not self.label_suffix or self.label_suffix in cs:
-            raise ValueError(f"bad label_suffix {self.label_suffix!r}")
+        check_fields(self, CONFIG_FIELDS)
+        sfx = (*self.channel_suffixes, self.label_suffix)
+        tails = [(a, b) for i, a in enumerate(sfx) for b in sfx[:i] + sfx[i + 1:] if b.endswith(a)]
+        if tails:
+            raise ValueError("channel_suffixes and label_suffix must be nonempty and none a string "
+                             f"tail of another, got {tails[0][0]!r}, a tail of {tails[0][1]!r}")
 
     def to_pipeline(self) -> AugmentPipeline:
         return AugmentPipeline(specs=self.pipeline)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "pipeline": [s.to_dict() for s in self.pipeline],
-            "patch_shape": list(self.patch_shape),
-            "channel_suffixes": list(self.channel_suffixes),
-            "label_suffix": self.label_suffix,
-            "input_dir": self.input_dir,
-            "output_dir": self.output_dir,
-        }
+        return {name: _to_json(getattr(self, name)) for name in CONFIG_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
-        if "seed" not in d:
-            raise ValueError("config is missing required field 'seed'")
-        kwargs = dict(d)
-        kwargs["pipeline"] = tuple(
-            AugmentSpec.from_dict(s) for s in d.get("pipeline", ())
-        )
+        kwargs = from_json(cls, d, "config", ("seed",))
+        if _seq(specs := kwargs.get("pipeline")) and all(isinstance(s, dict) for s in specs):
+            kwargs["pipeline"] = [AugmentSpec.from_dict(s) for s in specs]
         return cls(**kwargs)
 
 
 def load_config(path) -> PipelineConfig:
-    text = Path(path).read_text()
     try:
-        d = json.loads(text)
+        return PipelineConfig.from_dict(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    try:
-        return PipelineConfig.from_dict(d)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from voxaug.augment import AugmentSpec
@@ -12,6 +13,8 @@ from voxaug.config import (
     load_config,
     save_config,
 )
+from voxaug.nifti import write_volume
+from voxaug.volume import LabelMap, Volume
 
 _SPECS = (
     AugmentSpec(kind="flip"),
@@ -156,7 +159,29 @@ _WRONG_TYPES = {
         {"channel_suffixes": "_t1"},
         "channel_suffixes must be unique strings, got '_t1'",
     ),
-    "label_suffix-int": ({"label_suffix": 5}, "bad label_suffix 5"),
+    "label_suffix-int": ({"label_suffix": 5}, "label_suffix must be a nonempty string, got 5"),
+    "probability-string": (
+        {"pipeline": [{"kind": "flip", "probability": "0.5"}]},
+        "probability must be a number in [0, 1], got '0.5'",
+    ),
+    "probability-null": (
+        {"pipeline": [{"kind": "flip", "probability": None}]},
+        "probability must be a number in [0, 1], got None",
+    ),
+    "input_dir-int": ({"input_dir": 5}, "input_dir must be a string or null, got 5"),
+    "output_dir-list": ({"output_dir": ["a"]}, "output_dir must be a string or null, got ['a']"),
+    "patch_shape-int": ({"patch_shape": 5}, "patch_shape must be three whole numbers >= 1, got 5"),
+    "pipeline-null": ({"pipeline": None}, "pipeline must be a list of AugmentSpec objects, got None"),
+    "pipeline-int-entry": ({"pipeline": [5]}, "pipeline must be a list of AugmentSpec objects, got [5]"),
+    "pipeline-string": ({"pipeline": "ab"}, "pipeline must be a list of AugmentSpec objects, got 'ab'"),
+    "pipeline-object": (
+        {"pipeline": {"kind": "flip"}},
+        "pipeline must be a list of AugmentSpec objects, got {'kind': 'flip'}",
+    ),
+    "spec-without-kind": (
+        {"pipeline": [{"probability": 0.5}]},
+        "augmentation spec is missing required field 'kind'",
+    ),
 }
 
 
@@ -179,6 +204,50 @@ def test_wrong_json_type_is_one_error_line(tmp_path, capsys, case):
     code = main(["augment", "--config", str(path), "--in", str(tmp_path), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+_TAILS = "channel_suffixes and label_suffix must be nonempty and none a string tail of another"
+_SHARED_TAILS = {
+    "channel-empty": ({"channel_suffixes": [""]}, f"{_TAILS}, got '', a tail of '_seg'"),
+    "channel-tail-of-channel": (
+        {"channel_suffixes": ["1", "_t1"]},
+        f"{_TAILS}, got '1', a tail of '_t1'",
+    ),
+    "channel-tail-of-label": (
+        {"channel_suffixes": ["eg"], "label_suffix": "_seg"},
+        f"{_TAILS}, got 'eg', a tail of '_seg'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_TAILS))
+def test_suffix_that_is_a_tail_of_another_rejected(tmp_path, case):
+    """A suffix that ends another lets one file name belong to two subjects
+    (``s`` + ``_seg`` and ``s_seg`` + ``""``), so two subjects could write
+    one output file."""
+    fields, message = _SHARED_TAILS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 0, **fields}))
+    with pytest.raises(ValueError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_empty_channel_suffix_fails_before_two_subjects_write_one_file(tmp_path, capsys):
+    """With ``channel_suffixes: [""]`` the label file ``s_seg`` would also
+    be a subject, and both subjects would write ``s_seg.nii.gz``; the config
+    is refused with one ``error:`` line and nothing is written."""
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    write_volume(Volume(np.ones((6, 6, 6), np.float32)), cohort / "s.nii.gz")
+    write_volume(LabelMap(np.zeros((6, 6, 6), np.uint8)), cohort / "s_seg.nii.gz")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 0, "patch_shape": [4, 4, 4], "channel_suffixes": [""]}))
+    out = tmp_path / "o"
+    code = main(["augment", "--config", str(path), "--in", str(cohort), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {_SHARED_TAILS['channel-empty'][1]}\n"
     assert not out.exists()
 
 

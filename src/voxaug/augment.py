@@ -26,7 +26,8 @@ it fires and draws and records every value, so re-running with the same
 stream reproduces the output bit for bit. :func:`plan_steps` turns the fired
 steps into an :class:`ArrayPlan`, one function for a channel's array and one
 for the label map's, which ``voxaug augment`` applies to each array of a
-subject as it reads it, so a subject is never held whole.
+subject as it reads it, or, when the plan resamples, to each array at each
+z-slab of its sampling positions, so no whole output is held.
 :func:`apply_steps` is that plan applied to a sample through
 :meth:`~voxaug.volume.Sample.map`, and :func:`apply_pipeline` is the draw
 followed by ``apply_steps``: the library and the command line run the same
@@ -37,19 +38,19 @@ a longer one is replayed by passing the recorded ``(kind, params)`` pairs to
 
 A plan applies its geometric steps first and its intensity steps after
 them. Two or more fired flip, rotation, scale and elastic steps are composed
-into one sampling map, whose positions :func:`voxaug.interp.warp` builds once
+into one sampling map, whose positions :func:`voxaug.interp.warp` sets up once
 per subject and interpolates once per array: channels trilinearly and labels
 nearest-neighbor at the same positions, so constituents stay co-registered
 and the label alphabet is preserved. A lone rotation, scale or elastic step
 is the same ``warp`` with its one step, and a lone flip stays an index
 reversal. The brightness steps then run, in their order, on each channel's
-output, in float64 slabs.
+output (a whole array or one z-slab), in float64 slabs.
 """
 
 import hashlib
 import json
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -367,21 +368,28 @@ def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sa
 
 
 class ArrayPlan(NamedTuple):
-    """What fired steps do to one array of a subject: ``channel`` maps a
-    channel's array, ``labels`` the label map's."""
+    """What fired steps do to the arrays of a subject. Without ``slabs``,
+    ``channel`` maps a channel's whole array and ``labels`` the label map's.
+    When the plan resamples, ``slabs`` iterates over the ``(z, positions)``
+    z-slabs of its sampling positions, and each function is called as
+    ``f(array, positions)`` for that slab of the output."""
 
-    channel: Callable[[np.ndarray], np.ndarray]
-    labels: Callable[[np.ndarray], np.ndarray]
+    channel: Callable[..., np.ndarray]
+    labels: Callable[..., np.ndarray]
+    slabs: Iterator[tuple[int, np.ndarray]] | None = None
 
 
-def plan_steps(shape: Shape3, steps) -> ArrayPlan:
+def plan_steps(shape: Shape3, steps, slabs: bool = False) -> ArrayPlan:
     """The plan of fired steps, each a ``(kind, core params)`` pair, for the
     arrays of a ``shape`` grid: the geometric steps first, in order, as one
-    resampling whose positions are built here, once; then the intensity
+    resampling whose positions are set up here, once; then the intensity
     steps, in order, on each channel.
 
     A lone flip is an index reversal and builds no positions, and with no
-    geometric step an array is not moved.
+    geometric step an array is not moved. Otherwise the positions are built
+    whole, or, with ``slabs``, handed out in z-slabs (see
+    :func:`voxaug.interp.warp`); either way every check of the steps (the
+    matrices, the control grids) runs here, before any array is touched.
     """
     steps = list(steps)
     for kind, _ in steps:
@@ -389,22 +397,26 @@ def plan_steps(shape: Shape3, steps) -> ArrayPlan:
             raise ValueError(f"unknown augmentation kind {kind!r}")
     geometric = [(kind, params) for kind, params in steps if _OPS[kind].geometry is not None]
     moves = [_OPS[kind].geometry(params) for kind, params in geometric]  # checks the params
+    positions = None
     if not moves:
         move_channel = move_labels = lambda data: data
     elif len(moves) == 1 and geometric[0][0] == "flip":
         axis = geometric[0][1]["axis"]
         move_channel = move_labels = lambda data: np.flip(data, axis)
+    elif slabs:
+        positions = interp.warp(shape, moves, slabs=True)
+        move_channel, move_labels = interp.sample_channel, interp.sample_labels
     else:
         move_channel, move_labels = interp.warp(shape, moves)
     intensity = [(_OPS[kind].intensity, params) for kind, params in steps if _OPS[kind].intensity]
 
-    def channel(data: np.ndarray) -> np.ndarray:
-        data = move_channel(data)
+    def channel(data: np.ndarray, *coords) -> np.ndarray:
+        data = move_channel(data, *coords)
         for apply, params in intensity:
             data = apply(data, params)
         return data
 
-    return ArrayPlan(channel, move_labels)
+    return ArrayPlan(channel, move_labels, positions)
 
 
 def apply_steps(sample: Sample, steps) -> Sample:
@@ -412,7 +424,10 @@ def apply_steps(sample: Sample, steps) -> Sample:
     of a sample with their :func:`plan_steps` plan. With no steps the sample
     itself is returned."""
     steps = list(steps)
-    return sample.map(*plan_steps(sample.shape, steps)) if steps else sample
+    if not steps:
+        return sample
+    plan = plan_steps(sample.shape, steps)
+    return sample.map(plan.channel, plan.labels)
 
 
 def draw_pipeline(

@@ -8,19 +8,31 @@ seed-derived random substream and tables are sorted before writing. A batch
 runs every subject to the end; one failure is reported with its own message,
 several as ``error: k of n subjects failed: <msg>; <msg>`` in subject order.
 
-``augment`` streams each subject one array at a time. It checks every
-header's grid, draws the pipeline and builds its sampling positions once,
-then, for each channel in order and the label map last, reads the patch
-window, applies the per-array plan and writes the result, before the next
-array is read. So it holds about one array in and one out, never the whole
-patch. All of a subject's files are written into one atomic group, so a
-fault met after earlier arrays were written (a bad voxel in a later file, a
-negative intensity under brightness) still leaves none of them behind. A
-subject with one fault reports it as a whole-patch run did; one with several
-reports the first met in that order.
+``augment`` streams each subject. It checks every header's grid, draws the
+pipeline and sets up its plan (matrices folded and inverted, splines fitted,
+control grids checked) before any voxel is read, then takes one of two
+loops, as the plan says:
+
+* no step resamples (no geometric step, or a lone flip): for each channel in
+  order and the label map last, it reads the patch window, applies the
+  per-array plan and writes the result, before the next array is read, so
+  it holds about one array in and one out;
+* a step resamples: it reads every window, opens one writer per output
+  file, and then, one z-slab of sampling positions at a time, resamples
+  every array there, brightens the channel slabs, checks the output voxels
+  and writes each slab to its file. It holds the windows plus a few slabs,
+  never a whole position array or a whole output.
+
+All of a subject's files are written into one atomic group, so a fault met
+after earlier outputs were written (a bad voxel in a later file, a negative
+intensity under brightness, a failed write) still leaves none of them
+behind. A subject with one fault reports it as a whole-patch run did; a bad
+output voxel is named by its patch index, the first in (x, y, z) order. One
+with several faults reports the first met in the loop's order.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -37,12 +49,13 @@ from .nifti import (
     read_grid,
     read_labels,
     read_volume,
+    volume_writer,
     write_volume,
 )
 from .rng import RandomStream
 from .stats import rank_models, sign_flip_test
 from .tables import read_metrics, write_metrics, write_ranks
-from .volume import center_box, check_grids, make_phantom
+from .volume import bad_voxel_error, center_box, check_grids, earlier_bad_voxel, make_phantom
 # augment crops while reading and applies a per-array plan; these names stay
 # here, where the benchmark's tracer looks them up
 from .augment import apply_pipeline  # noqa: F401
@@ -102,6 +115,27 @@ def _subjects_with_suffix(directory: Path, suffix: str) -> list[str]:
     return sorted(ids)
 
 
+def _resample_in_slabs(slabs, windows) -> None:
+    """Resample every ``(array, apply, path)`` window at each ``(z,
+    positions)`` slab in turn, and stream each output slab into the file at
+    ``path``, so no whole output is held. Each slab is checked as the value
+    types check a whole array (finite channels, labels in the raw
+    alphabet), and a fault reports the array's first bad voxel in (x, y, z)
+    order once all slabs are seen, as a whole-array check would."""
+    with contextlib.ExitStack() as files:
+        writes = [files.enter_context(volume_writer(path, array)) for array, _, path in windows]
+        alphabets = [getattr(array, "alphabet", None) for array, _, _ in windows]
+        first = [None] * len(windows)
+        for z, coords in slabs:
+            for n, ((array, apply, _), write) in enumerate(zip(windows, writes)):
+                out = apply(array.data, coords)
+                first[n] = earlier_bad_voxel(first[n], out, z, alphabets[n])
+                write(out)
+        for bad, alphabet in zip(first, alphabets):
+            if bad is not None:
+                raise bad_voxel_error(*bad, alphabet)
+
+
 # subcommands -----------------------------------------------------------
 
 def _cmd_augment(args) -> int:
@@ -134,16 +168,23 @@ def _cmd_augment(args) -> int:
         steps, provenance = draw_pipeline(
             pipeline, RandomStream(cfg.seed, ("augment", subject)), subject
         )
-        plan = plan_steps(cfg.patch_shape, steps)
+        plan = plan_steps(cfg.patch_shape, steps, slabs=True)
         arrays = [(read_volume, p, plan.channel, s) for p, s in zip(paths, cfg.channel_suffixes)]
         if label_path is not None:
             arrays.append((read_labels, label_path, plan.labels, cfg.label_suffix))
         with atomic_group():  # the subject's files appear together or not at all
-            for read, path, apply, suffix in arrays:
-                array = read(path, box=box)
-                array = replace(array, data=apply(array.data))  # drops the array as read
-                write_volume(array, out_dir / f"{subject}{suffix}.nii.gz")
-                del array  # before the next read
+            if plan.slabs is None:  # one array at a time
+                for read, path, apply, suffix in arrays:
+                    array = read(path, box=box)
+                    array = replace(array, data=apply(array.data))  # drops the array as read
+                    write_volume(array, out_dir / f"{subject}{suffix}.nii.gz")
+                    del array  # before the next read
+            else:  # every window, then every output z-slab by z-slab
+                windows = [
+                    (read(path, box=box), apply, out_dir / f"{subject}{suffix}.nii.gz")
+                    for read, path, apply, suffix in arrays
+                ]
+                _resample_in_slabs(plan.slabs, windows)
             atomic_write_bytes(
                 out_dir / f"{subject}_provenance.json",
                 (provenance.to_json() + "\n").encode(),

@@ -1,6 +1,6 @@
 """Geometric resampling: :func:`warp` builds the moved sampling positions of
 any list of affine and elastic steps once, and returns the readers that
-resample one array of a sample there.
+resample one array of a sample there, or the positions in z-slabs.
 
 Conventions:
 
@@ -20,6 +20,12 @@ Conventions:
   nearest-neighbor, so constituents stay co-registered and no label value
   is invented. The readers take one array at a time, so a caller may read,
   resample and write a subject's arrays one after another.
+* Positions are built in z-slabs of ``_SLAB_PLANES`` planes, each by the
+  same operations in the same order per voxel as a whole grid would be, so
+  the slab size never changes a value. ``warp(..., slabs=True)`` hands out
+  the slabs themselves: a caller that resamples every array of a subject at
+  one slab before the next, and writes each output slab as it goes, holds
+  no whole position array and no whole output.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
@@ -30,8 +36,8 @@ for them.
 """
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -91,21 +97,6 @@ class AffineTransform:
         return AffineTransform(np.linalg.inv(self.matrix))
 
 
-def _affine_coords(
-    shape: Shape3, matrix: np.ndarray, coords: np.ndarray | None = None
-) -> np.ndarray:
-    """Sampling positions for output(x) = input(matrix^-1 (x - c) + c), with
-    x the grid, or the positions ``coords`` (3, *shape), which are consumed."""
-    inv = np.linalg.inv(matrix)
-    c = (np.asarray(shape, dtype=np.float64)[:, None] - 1.0) / 2.0
-    pts = np.indices(shape, dtype=np.float64) if coords is None else coords
-    pts = pts.reshape(3, -1)
-    pts -= c
-    coords = inv @ pts
-    coords += c
-    return coords.reshape(3, *shape)
-
-
 def map_coordinates(*args, **kwargs):
     """``scipy.ndimage.map_coordinates``, imported on first call.
 
@@ -116,7 +107,7 @@ def map_coordinates(*args, **kwargs):
     return map_coordinates(*args, **kwargs)
 
 
-def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> np.ndarray:
+def bspline_upsample(coarse: np.ndarray, target_shape: Shape3, z_spline: bool = False):
     """Upsample a coarse control grid of 3-vectors to a dense field.
 
     Control points are spaced uniformly across the target extent including
@@ -125,6 +116,11 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> np.ndarray:
     a separable cubic spline through the control values, so constants and
     linear ramps in the control grid are reproduced exactly on the dense
     grid (up to roundoff).
+
+    The passes run along x, then y, then z. With ``z_spline=True`` the z
+    pass is fitted but not evaluated: the spline is returned, and calling it
+    on z positions gives the dense field's (nx, ny, k, 3) planes there, the
+    same values as the whole field's.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
     if coarse.ndim != 4 or coarse.shape[-1] != 3:
@@ -142,72 +138,121 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> np.ndarray:
         g = field.shape[axis]
         ctrl = np.linspace(0.0, n - 1.0, g)
         spline = CubicSpline(ctrl, field, axis=axis, bc_type="natural")
+        if axis == 2 and z_spline:
+            return spline
         field = spline(np.arange(n, dtype=np.float64))
     return field
 
 
-def _warp_coords(shape: Shape3, field: np.ndarray) -> np.ndarray:
-    """Sampling positions x + field(x) on the grid, for a dense (*shape, 3)
-    field of voxel offsets."""
-    if not np.isfinite(field).all():
-        raise ValueError("non-finite displacement")
-    coords = np.indices(shape, dtype=np.float64)
-    coords += np.moveaxis(field, -1, 0)
+# z-planes of sampling positions built, and resampled, at a time
+_SLAB_PLANES = 8
+
+
+def _by_affine(coords: np.ndarray, inv: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Positions ``inv (coords - c) + c``; ``coords`` is consumed."""
+    pts = coords.reshape(3, -1)
+    pts -= center
+    moved = inv @ pts
+    moved += center
+    return moved.reshape(coords.shape)
+
+
+def _by_field(coords: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """``coords`` plus the (3, *shape) ``field`` read trilinearly there, edge
+    values held beyond the grid."""
+    shift = [map_coordinates(f, coords, order=1, mode="nearest") for f in field]
+    for axis, s in enumerate(shift):
+        coords[axis] += s
     return coords
 
 
-def _chain_coords(shape: Shape3, steps) -> np.ndarray:
-    """Sampling positions of ``steps`` applied one after another.
+def _positions(shape: Shape3, steps):
+    """Set up the sampling positions of ``steps`` applied one after another,
+    and return an iterator over their z-slabs: ``(z, positions)``, the
+    positions of planes z, z + 1, ... as a (3, nx, ny, k) array.
 
     Each step is an :class:`AffineTransform` or a control grid for
     :func:`bspline_upsample`. Positions are composed backward from the
-    output grid, last step first: runs of affine steps fold into one matrix
-    before the positions are touched, and an elastic step adds its field at
-    the current positions, read straight from the dense field while they are
-    still the grid and trilinearly (edge values held beyond the grid)
-    otherwise. Each dense field is freed as soon as it has been added, so
-    at most one field and two position arrays are alive at once.
+    output grid, last step first. Runs of affine steps fold into one matrix,
+    inverted here. An elastic step met while the positions are still the
+    grid has its x and y spline passes fitted here, and its field evaluated
+    along z at each slab's planes only. One met after the positions have
+    moved is read trilinearly (edge values held beyond the grid) from its
+    dense field, built here. Every slab goes through the same operations in
+    the same order per voxel as whole-grid positions would.
     """
-    coords = None  # None: still the output grid itself
-    forward = None  # affine steps met since coords was last moved, composed
+    shape = tuple(int(n) for n in shape)
+    center = (np.asarray(shape, dtype=np.float64)[:, None] - 1.0) / 2.0
+    grid_field = None  # the spline of an elastic field added to the grid itself
+    stages = []  # the updates applied to every slab's positions, in order
+    forward = None  # affine steps met since the positions last moved, composed
     for step in reversed(steps):
         if isinstance(step, AffineTransform):
             forward = step.matrix if forward is None else forward @ step.matrix
-        elif coords is None and forward is None:
-            coords = _warp_coords(shape, bspline_upsample(step, shape))
+        elif grid_field is None and not stages and forward is None:
+            grid_field = bspline_upsample(step, shape, z_spline=True)
         else:
             if forward is not None:
-                coords, forward = _affine_coords(shape, forward, coords), None
-            field = bspline_upsample(step, shape)
-            shift = [
-                map_coordinates(field[..., a], coords, order=1, mode="nearest") for a in range(3)
-            ]
-            del field
-            for axis, s in enumerate(shift):
-                coords[axis] += s
-    if forward is not None or coords is None:
-        coords = _affine_coords(shape, np.eye(3) if forward is None else forward, coords)
-    return coords
+                stages.append(partial(_by_affine, inv=np.linalg.inv(forward), center=center))
+                forward = None
+            field = np.moveaxis(bspline_upsample(step, shape), -1, 0)
+            stages.append(partial(_by_field, field=np.ascontiguousarray(field)))
+    if forward is not None or (grid_field is None and not stages):
+        inv = np.linalg.inv(np.eye(3) if forward is None else forward)
+        stages.append(partial(_by_affine, inv=inv, center=center))
+
+    def slabs():
+        for z in range(0, shape[2], _SLAB_PLANES):
+            planes = min(_SLAB_PLANES, shape[2] - z)
+            coords = np.indices((*shape[:2], planes), dtype=np.float64)
+            coords[2] += z
+            if grid_field is not None:
+                field = grid_field(np.arange(z, z + planes, dtype=np.float64))
+                if not np.isfinite(field).all():
+                    raise ValueError("non-finite displacement")
+                coords += np.moveaxis(field, -1, 0)
+            for update in stages:
+                coords = update(coords)
+            yield z, coords
+
+    return slabs()
 
 
-def warp(shape: Shape3, steps) -> tuple[Callable, Callable]:
+def sample_channel(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """A channel's array read trilinearly at ``coords`` into float32, 0
+    beyond the grid."""
+    return map_coordinates(data, coords, output=np.float32, order=1, mode="grid-constant", cval=0.0)
+
+
+def sample_labels(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """A label array read nearest-neighbor at ``coords`` into uint8, 0
+    beyond the grid."""
+    return map_coordinates(data, coords, output=np.uint8, order=0, mode="grid-constant", cval=0.0)
+
+
+def warp(shape: Shape3, steps, slabs: bool = False):
     """The readers that resample an array of a ``shape`` grid once through
     geometric steps applied in order: ``(channel, labels)``.
 
     ``steps`` holds :class:`AffineTransform` objects (about the center) and
     control grids (warped by their :func:`bspline_upsample` field). The
     whole list is one backward map, whose positions are built here, once,
-    and read by both readers: ``channel`` reads a channel's array
-    trilinearly into float32, ``labels`` a label array nearest-neighbor into
-    uint8, 0 beyond the grid. So ``sample.map(*warp(sample.shape, steps))``
-    differs from resampling step by step only by the interpolation that the
-    list skips in between.
+    slab by slab, and read by both readers: ``channel`` reads a channel's
+    array trilinearly into float32 (:func:`sample_channel`), ``labels`` a
+    label array nearest-neighbor into uint8 (:func:`sample_labels`). So
+    ``sample.map(*warp(sample.shape, steps))`` differs from resampling step
+    by step only by the interpolation that the list skips in between.
+
+    With ``slabs=True`` no whole position array is made: the positions are
+    set up here (matrices folded and inverted, splines fitted, control grids
+    checked), and the iterator over their ``(z, positions)`` z-slabs is
+    returned, for :func:`sample_channel` and :func:`sample_labels` to read
+    slab by slab. The values are the same either way.
     """
-    coords = _chain_coords(shape, steps)
-
-    def reader(order, dtype):
-        return lambda data: map_coordinates(
-            data, coords, output=dtype, order=order, mode="grid-constant", cval=0.0
-        )
-
-    return reader(1, np.float32), reader(0, np.uint8)
+    positions = _positions(shape, steps)
+    if slabs:
+        return positions
+    coords = np.empty((3, *shape))
+    for z, slab in positions:
+        coords[..., z : z + slab.shape[-1]] = slab
+    return partial(sample_channel, coords=coords), partial(sample_labels, coords=coords)

@@ -12,9 +12,11 @@ standard); in memory arrays are C-contiguous with ``data[i, j, k]`` at
 A ``.nii.gz`` file is written as one gzip member with mtime 0 and no
 filename field, whose deflate stream uses zlib's run-length strategy
 (``Z_RLE``); any gzip reader decodes it. Writes are deterministic
-byte-for-byte: the header and then the voxels, slab by slab along z, stream
-through one compressor whose output does not depend on the slab size.
-Files are written to a temp name and atomically renamed;
+byte-for-byte: :func:`volume_writer` opens the file, writes the header and
+then takes the voxels in runs of whole z-planes, as a caller produces them,
+through one compressor whose output does not depend on how the planes were
+split. :func:`write_volume` is that writer fed a whole array, so there is
+one deflate path. Files are written to a temp name and atomically renamed;
 :func:`atomic_group` renames several files together.
 
 Reads accept any gzip file, multi-member ones included, and never allocate
@@ -22,10 +24,8 @@ more voxels than the file can hold. They stream too: the header first, then
 z-planes inflated into one reused slab buffer. Each slab is checked voxel by
 voxel (non-finite values, or labels outside the raw alphabet), and its part
 of the requested box is copied into a C-ordered array in (x, z) tiles. The
-box is the whole grid by default; ``augment`` asks for its patch window, one
-file at a time, augmenting and writing each array before it reads the next,
-so it never holds a full-size array, nor more than one array of its patch
-as read. Every voxel is still decoded and checked,
+box is the whole grid by default; ``augment`` asks for its patch window, so
+it never holds a full-size array. Every voxel is still decoded and checked,
 the stream is read to its end (so a gzip CRC is checked), and an error
 names the first bad voxel in (x, y, z) order by its full-grid index.
 """
@@ -33,7 +33,6 @@ names the first bad voxel in (x, y, z) order by its full-grid index.
 import contextlib
 import contextvars
 import gzip
-import itertools
 import os
 import secrets
 import struct
@@ -42,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import RAW_LABELS, LabelMap, Volume, bad_voxel_error, first_bad_voxel
+from .volume import RAW_LABELS, LabelMap, Volume, bad_voxel_error, earlier_bad_voxel
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -169,21 +168,50 @@ def _slabs(data: np.ndarray, dtype: np.dtype):
         yield np.ascontiguousarray(planes[k : k + step], dtype=dtype)
 
 
-def write_volume(obj: Volume | LabelMap, path) -> None:
-    """Write a Volume (float32) or LabelMap (uint8) as single-file NIfTI-1."""
-    if isinstance(obj, Volume):
+@contextlib.contextmanager
+def volume_writer(path, like: Volume | LabelMap):
+    """Yield ``write(planes)``, which appends z-planes to the single-file
+    NIfTI-1 file at ``path`` of ``like``'s grid and spacing: float32 for a
+    Volume, uint8 for a LabelMap. ``planes`` holds the next (nx, ny, k)
+    planes in memory order, and they are compressed as they come.
+
+    The file is written atomically (see :func:`_atomic_file`) when the block
+    ends with every z-plane written; if it raises, or ends early, no file is
+    left."""
+    if isinstance(like, Volume):
         datatype, bitpix, dtype = DT_FLOAT32, 32, np.dtype("<f4")
-    elif isinstance(obj, LabelMap):
+    elif isinstance(like, LabelMap):
         datatype, bitpix, dtype = DT_UINT8, 8, np.dtype("u1")
     else:
-        raise TypeError(f"expected Volume or LabelMap, got {type(obj).__name__}")
-    header = _build_header(obj.data.shape, obj.spacing, datatype, bitpix) + b"\x00\x00\x00\x00"
+        raise TypeError(f"expected Volume or LabelMap, got {type(like).__name__}")
+    shape = like.shape
     deflate = zlib.compressobj(*_DEFLATE) if _is_gzip_path(path) else None
+    written = 0
     with _atomic_file(path) as f:
-        for chunk in itertools.chain([header], _slabs(obj.data, dtype)):
+
+        def put(chunk):
             f.write(deflate.compress(chunk) if deflate else chunk)
+
+        def write(planes: np.ndarray) -> None:
+            nonlocal written
+            if planes.shape[:2] != shape[:2] or written + planes.shape[2] > shape[2]:
+                raise ValueError(f"{path}: planes {planes.shape} do not fit grid {shape}")
+            for chunk in _slabs(planes, dtype):
+                put(chunk)
+            written += planes.shape[2]
+
+        put(_build_header(shape, like.spacing, datatype, bitpix) + b"\x00\x00\x00\x00")
+        yield write
+        if written != shape[2]:
+            raise ValueError(f"{path}: {written} of {shape[2]} z-planes written")
         if deflate:
             f.write(deflate.flush())
+
+
+def write_volume(obj: Volume | LabelMap, path) -> None:
+    """Write a Volume (float32) or LabelMap (uint8) as single-file NIfTI-1."""
+    with volume_writer(path, obj) as write:
+        write(obj.data)
 
 
 def _parse_header(blob: bytes, path="<bytes>") -> dict:
@@ -347,11 +375,7 @@ def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
                     values += inter
                 if not as_labels:
                     values = values.astype(np.float32, copy=False)
-            bad = first_bad_voxel(values.T, alphabet)
-            if bad is not None:
-                (i, j, k), value = bad
-                if first is None or (i, j, k + z) < first[0]:
-                    first = (i, j, k + z), value
+            first = earlier_bad_voxel(first, values.T, z, alphabet)
             lo, hi = max(z, z0), min(z + len(planes), z1)
             if lo < hi:  # copy the window's part to C order in (x, z) tiles
                 src = values[lo - z : hi - z, y0:y1, x0:x1]

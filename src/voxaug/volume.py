@@ -57,6 +57,20 @@ def first_bad_voxel(data: np.ndarray, alphabet: tuple[int, ...] | None = None):
     return index, data[index]
 
 
+def earlier_bad_voxel(first, slab: np.ndarray, z: int, alphabet: tuple[int, ...] | None = None):
+    """Of ``first``, an ``(index, value)`` pair or None, and the first bad
+    voxel of ``slab`` (see :func:`first_bad_voxel`), which holds the
+    z-planes of a grid from plane ``z`` on, the one earlier in (x, y, z)
+    order, indexed in that grid; None when neither is."""
+    bad = first_bad_voxel(slab, alphabet)
+    if bad is None:
+        return first
+    (i, j, k), value = bad
+    if first is None or (i, j, k + z) < first[0]:
+        return (i, j, k + z), value
+    return first
+
+
 def bad_voxel_error(index, value, alphabet=None, convention="raw") -> ValueError:
     """The error for a voxel that :func:`first_bad_voxel` found."""
     if alphabet is None:

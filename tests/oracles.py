@@ -12,9 +12,11 @@ keep their masks small (<= ~1000 surface voxels) and resampled grids tiny
 """
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 from scipy.spatial import cKDTree
 from scipy.stats import rankdata
 
+from voxaug.interp import AffineTransform, bspline_upsample
 from voxaug.rng import RandomStream
 from voxaug.volume import CHANNEL_NAMES, LabelMap, Sample, Volume, normalize_minmax
 
@@ -101,6 +103,60 @@ def oracle_affine(data, matrix, order):
             # out-of-range corners contribute pad value 0
         out[idx] = acc
     return out
+
+
+# The whole-grid sampling positions voxaug built before it built them in
+# z-slabs, kept as the reference the slabs must equal byte for byte.
+
+def _affine_coords(shape, matrix, coords=None):
+    """Sampling positions for output(x) = input(matrix^-1 (x - c) + c), with
+    x the grid, or the positions ``coords`` (3, *shape), which are consumed."""
+    inv = np.linalg.inv(matrix)
+    c = (np.asarray(shape, dtype=np.float64)[:, None] - 1.0) / 2.0
+    pts = np.indices(shape, dtype=np.float64) if coords is None else coords
+    pts = pts.reshape(3, -1)
+    pts -= c
+    coords = inv @ pts
+    coords += c
+    return coords.reshape(3, *shape)
+
+
+def _warp_coords(shape, field):
+    """Sampling positions x + field(x) on the grid, for a dense (*shape, 3)
+    field of voxel offsets."""
+    if not np.isfinite(field).all():
+        raise ValueError("non-finite displacement")
+    coords = np.indices(shape, dtype=np.float64)
+    coords += np.moveaxis(field, -1, 0)
+    return coords
+
+
+def _chain_coords(shape, steps):
+    """Sampling positions of ``steps`` applied one after another, built on
+    whole grids: runs of affine steps fold into one matrix before the
+    positions are touched, and an elastic step adds its field at the current
+    positions, read straight from the dense field while they are still the
+    grid and trilinearly (edge values held beyond the grid) otherwise."""
+    coords = None  # None: still the output grid itself
+    forward = None  # affine steps met since coords was last moved, composed
+    for step in reversed(steps):
+        if isinstance(step, AffineTransform):
+            forward = step.matrix if forward is None else forward @ step.matrix
+        elif coords is None and forward is None:
+            coords = _warp_coords(shape, bspline_upsample(step, shape))
+        else:
+            if forward is not None:
+                coords, forward = _affine_coords(shape, forward, coords), None
+            field = bspline_upsample(step, shape)
+            shift = [
+                map_coordinates(field[..., a], coords, order=1, mode="nearest") for a in range(3)
+            ]
+            del field
+            for axis, s in enumerate(shift):
+                coords[axis] += s
+    if forward is not None or coords is None:
+        coords = _affine_coords(shape, np.eye(3) if forward is None else forward, coords)
+    return coords
 
 
 def oracle_rank_models(records, normalize=False):

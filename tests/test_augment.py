@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_affine
+from oracles import _affine_coords, _warp_coords, oracle_affine
 from scipy import stats as scipy_stats
 from scipy.ndimage import map_coordinates
 
@@ -30,7 +30,7 @@ from voxaug.augment import (
     rotate_by,
     scale_by,
 )
-from voxaug.interp import AffineTransform, _affine_coords, _warp_coords, bspline_upsample
+from voxaug.interp import AffineTransform, bspline_upsample
 from voxaug.rng import RandomStream
 from voxaug.volume import LabelMap, Sample, Volume, extract_center_patch
 
@@ -369,8 +369,7 @@ def test_geometric_ops_build_coordinates_once(small_sample, monkeypatch):
         calls["sampled"].append(data)
         return map_coordinates(data, coords, **kwargs)
 
-    monkeypatch.setattr(interp, "_affine_coords", counting(interp._affine_coords))
-    monkeypatch.setattr(interp, "_warp_coords", counting(interp._warp_coords))
+    monkeypatch.setattr(interp, "_positions", counting(interp._positions))
     monkeypatch.setattr(interp, "map_coordinates", recording)
     grid = draw_elastic_grid(RandomStream(0, ("once",)), 2.0, 4)
     for op in (
@@ -648,8 +647,8 @@ def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeyp
     gives apply_pipeline's bytes and provenance. The positions are built at
     most once per subject, and not at all without a step that resamples."""
     built = []
-    chain_coords = interp._chain_coords
-    monkeypatch.setattr(interp, "_chain_coords", lambda *a: built.append(1) or chain_coords(*a))
+    positions = interp._positions
+    monkeypatch.setattr(interp, "_positions", lambda *a: built.append(1) or positions(*a))
     digest = hashlib.sha256()
     for pattern in range(32):
         kinds = {kind for bit, kind in enumerate(KINDS) if pattern >> bit & 1}

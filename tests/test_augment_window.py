@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from voxaug import nifti
+from voxaug import interp, nifti
 from voxaug.cli import main
 from voxaug.volume import make_phantom
 
@@ -256,6 +256,20 @@ def test_augment_bytes_are_pinned(cohort, tmp_path, capsys, monkeypatch, case, t
     if planes is not None:  # 33 planes: 33 slabs of 1, or 4 of 7 and one of 5
         monkeypatch.setattr(nifti, "_SLAB_PLANES", planes)
     pipeline, patch, digest = PINNED[case]
+    code, err = _augment(capsys, tmp_path, cohort, patch=patch, pipeline=pipeline)
+    assert code == 0, err
+    assert _digest(tmp_path / "out") == digest
+
+
+@pytest.mark.parametrize("planes", [1, 8, 5], ids=["1-plane", "8-planes", "ragged"])
+def test_resampled_bytes_do_not_depend_on_the_position_slab_size(cohort, tmp_path, capsys,
+                                                                 monkeypatch, planes):
+    """All five ops resample each subject z-slab by z-slab (17 planes: 17
+    slabs of 1, 2 of 8 and one of 1, or 3 of 5 and one of 2), straight into
+    the writers; the bytes are the pinned ones."""
+    monkeypatch.setenv("VOXAUG_THREADS", "2")
+    monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
+    pipeline, patch, digest = PINNED["all-five-ops"]
     code, err = _augment(capsys, tmp_path, cohort, patch=patch, pipeline=pipeline)
     assert code == 0, err
     assert _digest(tmp_path / "out") == digest

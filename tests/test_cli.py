@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
+import contextlib
 import gzip
 import hashlib
 import json
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import voxaug.cli
+from voxaug import interp
 from voxaug.augment import AugmentSpec
 from voxaug.cli import _thread_count, main
 from voxaug.config import PipelineConfig, save_config
@@ -272,10 +274,11 @@ def _write_unchecked(path, data):
 def test_fault_after_earlier_arrays_were_written_leaves_nothing_behind(
     tmp_path, capsys, monkeypatch, threads, suffix
 ):
-    """augment reads, augments and writes a subject's arrays one after
-    another, the label map last, so a bad voxel in its last channel or its
-    label map is met after three or four of its files went to temp files.
-    The subject still gets its one error line and leaves no file behind."""
+    """A bad voxel in a subject's last channel or its label map is met after
+    its other arrays were read. When the pipeline resamples, augment reads
+    and checks every window before any output opens, so no whole array goes
+    through write_volume. The subject still gets its one error line and
+    leaves no file behind."""
     subjects = tmp_path / "subjects"
     code, _, err = run(
         capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "24,22,20",
@@ -314,8 +317,7 @@ def test_fault_after_earlier_arrays_were_written_leaves_nothing_behind(
     code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(out))
     assert code == 1
     assert err == f"error: {path}: {message}\n"
-    before = ["_t1", "_t1ce", "_t2"] + (["_flair"] if suffix == "_seg" else [])
-    assert written == [f"phantom001{s}.nii.gz" for s in before]
+    assert written == []
     assert list(out.glob("tmp*.tmp")) == []
     left = sorted(p.name for p in out.iterdir())
     assert left == sorted(p.name for p in clean.iterdir() if not p.name.startswith("phantom001"))
@@ -352,6 +354,120 @@ def test_augment_holds_about_one_channel_in_and_one_out(tmp_path, capsys, monkey
     assert code == 0, err
     channel = 96**3 * 4
     assert peak <= 3 * channel, f"peak {peak / channel:.2f} channels"
+
+
+def test_resampling_augment_holds_its_windows_and_a_few_slabs(tmp_path, capsys, monkeypatch):
+    """One subject under all five ops, at a 96^3 patch and one thread, peaks
+    (tracemalloc) within its five read windows plus eight slabs' worth of
+    sampling positions (8 z-planes of 96^2, 1.7 MB each): the positions are
+    built, every array resampled and every output written one z-slab at a
+    time. It peaks at about windows + 6.4 slabs; building whole positions
+    and holding every output, as augment did before, took about 15.6."""
+    code, _, err = run(
+        capsys, "phantom", "--seed", "2", "--count", "1", "--shape", "100,100,100",
+        "--out", str(tmp_path / "in"),
+    )
+    assert code == 0, err
+    cfg = tmp_path / "cfg.json"
+    save_config(PipelineConfig(seed=3, pipeline=_ALL_FIVE, patch_shape=(96, 96, 96)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    argv = ["augment", "--config", str(cfg), "--in", str(tmp_path / "in")]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "warm"))
+    assert code == 0, err
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    windows = 4 * 96**3 * 4 + 96**3
+    slab = 3 * 96 * 96 * interp._SLAB_PLANES * 8
+    assert peak <= windows + 8 * slab, f"peak windows + {(peak - windows) / slab:.2f} slabs"
+
+
+def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monkeypatch):
+    """A resampled channel is checked slab by slab, and its error names the
+    first bad voxel in (x, y, z) order over the whole patch: here the NaN of
+    the later slab, whose x is smaller, by its patch index."""
+    code, _, err = run(
+        capsys, "phantom", "--seed", "5", "--count", "1", "--shape", "24,22,20",
+        "--out", str(tmp_path / "in"),
+    )
+    assert code == 0, err
+    cfg = tmp_path / "cfg.json"
+    save_config(PipelineConfig(seed=3, pipeline=_ALL_FIVE, patch_shape=(12, 10, 16)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    sample = interp.map_coordinates
+    channel_reads = []
+
+    def nan_in_two_slabs(data, coords, **kwargs):
+        out = sample(data, coords, **kwargs)
+        if kwargs.get("output") is np.float32:
+            channel_reads.append(len(channel_reads))
+            nan = {0: (7, 3, 2), 4: (2, 5, 1)}.get(channel_reads[-1])  # _t1 of slabs 0 and 1
+            if nan is not None:
+                out[nan] = np.nan
+        return out
+
+    monkeypatch.setattr(interp, "map_coordinates", nan_in_two_slabs)
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(tmp_path / "in"),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == "error: non-finite voxel at index (2, 5, 9)\n"
+    assert len(channel_reads) == 8  # 4 channels at each of two 8-plane slabs
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fault_in_a_streamed_write_leaves_nothing_behind(tmp_path, capsys, monkeypatch, threads):
+    """A write that fails after several slabs of every one of a subject's
+    files went to their temp files gives the subject one error line and
+    leaves none of its files, nor any temp file; the other subjects' files
+    are those of a clean run."""
+    code, _, err = run(
+        capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "24,22,20",
+        "--out", str(tmp_path / "in"),
+    )
+    assert code == 0, err
+    cfg = tmp_path / "cfg.json"
+    save_config(PipelineConfig(seed=3, pipeline=_ALL_FIVE, patch_shape=(12, 10, 16)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    monkeypatch.setattr(interp, "_SLAB_PLANES", 4)  # four slabs per file
+    argv = ["augment", "--config", str(cfg), "--in", str(tmp_path / "in")]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "clean"))
+    assert code == 0, err
+
+    volume_writer = voxaug.cli.volume_writer
+    lock, slabs = threading.Lock(), []
+
+    @contextlib.contextmanager
+    def failing(path, *args):
+        with volume_writer(path, *args) as write:
+            def counted(planes):
+                if path.name.startswith("phantom001"):
+                    with lock:
+                        slabs.append(path.name)
+                        if path.name.endswith("_seg.nii.gz") and slabs.count(path.name) == 3:
+                            raise OSError("disk full")
+                write(planes)
+            yield counted
+
+    monkeypatch.setattr(voxaug.cli, "volume_writer", failing)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err == "error: disk full\n"
+    suffixes = ("_t1", "_t1ce", "_t2", "_flair", "_seg")
+    assert sorted(set(slabs)) == sorted(f"phantom001{s}.nii.gz" for s in suffixes)
+    assert all(slabs.count(f"phantom001{s}.nii.gz") == 3 for s in suffixes)
+    assert list(out.glob("tmp*.tmp")) == []
+    left = sorted(p.name for p in out.iterdir())
+    clean = tmp_path / "clean"
+    assert left == sorted(p.name for p in clean.iterdir() if not p.name.startswith("phantom001"))
+    for name in left:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_augment_requires_input_dir(config_path, tmp_path, capsys):

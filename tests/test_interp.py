@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_affine
-from scipy.ndimage import gaussian_filter
+from oracles import _chain_coords, oracle_affine
+from scipy.ndimage import gaussian_filter, map_coordinates
 
 import voxaug as vx
 from voxaug import interp
@@ -248,3 +248,62 @@ def test_warp_non_finite_control_grid_rejected():
     bad[1, 2, 3, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite control displacement"):
         warp(s, [bad])
+
+
+# --- positions in z-slabs ---------------------------------------------------
+
+def _grid(seed, sigma=3.0):
+    return np.random.default_rng(seed).normal(0.0, sigma, (4, 4, 4, 3))
+
+
+_ROT = AffineTransform.rotation_xyz((12.0, -20.0, 7.0))
+_SCALE = AffineTransform.scaling((1.1, 0.9, 1.05))
+# each chain reaches a different branch of the position builder
+CHAINS = {
+    "affine": [AffineTransform.flip(1), _ROT, _SCALE],
+    "rotation": [_ROT],
+    "elastic-on-the-grid": [_grid(0)],
+    "elastic-after-an-affine": [_grid(1), _ROT],
+    "two-elastics": [_grid(2), _grid(3)],
+    "all-four": [AffineTransform.flip(0), _ROT, _SCALE, _grid(4)],
+}
+
+
+@pytest.mark.parametrize("planes", [1, 8, 7], ids=["1-plane", "8-planes", "ragged"])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_slab_positions_equal_the_whole_grid_oracle(monkeypatch, chain, planes):
+    """Positions built z-slab by z-slab are byte-equal to the whole-grid
+    positions of the oracle, at any slab size (20 planes: slabs of 1, of 8
+    with a ragged last one of 4, of 7 with one of 6); the whole ``warp``
+    readers give the bytes of resampling at the oracle's positions."""
+    monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
+    steps = CHAINS[chain]
+    shape = (24, 22, 20)
+    want = _chain_coords(shape, steps)
+    got = np.full_like(want, np.nan)
+    seen = []
+    for z, slab in interp.warp(shape, steps, slabs=True):
+        assert slab.shape == (3, 24, 22, min(planes, 20 - z))
+        got[..., z : z + slab.shape[-1]] = slab
+        seen.append(z)
+    assert seen == list(range(0, 20, planes))
+    assert got.tobytes() == want.tobytes()
+
+    s = vx.make_phantom(1, shape, subject_id="slabs")
+    out = warp(s, steps)
+    for ch, src in zip(out.channels, s.channels, strict=True):
+        ref = map_coordinates(src.data, want, output=np.float32, order=1, mode="grid-constant")
+        assert ch.data.tobytes() == ref.tobytes()
+    ref = map_coordinates(s.labels.data, want, output=np.uint8, order=0, mode="grid-constant")
+    assert out.labels.data.tobytes() == ref.tobytes()
+
+
+def test_slabs_are_set_up_before_the_first_slab():
+    """Every check of the steps runs when the slabs are asked for, before
+    the first slab is built."""
+    bad = _constant_grid((0.0, 0.0, 0.0))
+    bad[0, 1, 2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite control displacement"):
+        interp.warp((6, 6, 6), [_ROT, bad], slabs=True)
+    with pytest.raises(ValueError, match="control grid must be"):
+        interp.warp((6, 6, 6), [np.zeros((4, 4, 3))], slabs=True)

@@ -56,7 +56,9 @@ def test_traced_augment_writes_the_untraced_bytes_and_reads_every_metric(tmp_pat
     reads their arguments and results. A changed call shape (a write that no
     longer receives a Volume, a read that returns something else) would
     break that run or zero its metrics; here it fails before the benchmark
-    runs."""
+    runs. A pipeline that resamples streams its outputs slab by slab and
+    calls no whole-array write, so the write count is read on a flip +
+    brightness run, which writes each array whole."""
     from voxaug.cli import main
 
     tracing = _tracing()
@@ -64,28 +66,33 @@ def test_traced_augment_writes_the_untraced_bytes_and_reads_every_metric(tmp_pat
     cohort = tmp_path / "in"
     assert main(["phantom", "--seed", "0", "--count", "2", "--shape", "24,22,20",
                  "--out", str(cohort)]) == 0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 0, "patch_shape": [16, 16, 12], "pipeline": [
-        {"kind": "flip", "probability": 1.0},
-        {"kind": "rotation", "probability": 1.0, "max_deg": 15.0},
-        {"kind": "brightness", "probability": 1.0},
-    ]}))
+    flip = {"kind": "flip", "probability": 1.0}
+    rotation = {"kind": "rotation", "probability": 1.0, "max_deg": 15.0}
+    brightness = {"kind": "brightness", "probability": 1.0}
 
-    def augment(out):
+    def augment(out, *pipeline):
+        cfg = tmp_path / f"{out}.json"
+        cfg.write_text(json.dumps({"seed": 0, "patch_shape": [16, 16, 12],
+                                   "pipeline": list(pipeline)}))
         return main(["augment", "--config", str(cfg), "--in", str(cohort),
                      "--out", str(tmp_path / out)])
 
     def files(out):
         return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
 
-    assert augment("plain") == 0
+    assert augment("plain", flip, rotation, brightness) == 0
     with tracing.Tracer() as tracer:
-        code = augment("traced")
+        code = augment("traced", flip, rotation, brightness)
     assert code == 0
     assert files("traced") == files("plain")
     metrics = tracing.layer_metrics(tracer, threads=2)
     assert [m for m in tracing._SOURCES if metrics[m] is None] == []
     assert metrics["nifti.read_mb"] > 0
+    assert metrics["interp.coords_s"] > 0
+
+    with tracing.Tracer() as tracer:
+        code = augment("whole", flip, brightness)
+    assert code == 0
+    metrics = tracing.layer_metrics(tracer, threads=2)
     assert metrics["nifti.write_mb"] > 0
     assert metrics["nifti.write_calls"] == 10
-    assert metrics["interp.coords_s"] > 0

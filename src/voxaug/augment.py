@@ -25,15 +25,17 @@ A pipeline runs in two parts. :func:`draw_pipeline` decides per step whether
 it fires and draws and records every value, so re-running with the same
 stream reproduces the output bit for bit. :func:`plan_steps` turns the fired
 steps into an :class:`ArrayPlan`, one function for a channel's array and one
-for the label map's, which ``voxaug augment`` applies to each array of a
-subject as it reads it, or, when the plan resamples, to each array at each
-z-slab of its sampling positions, so no whole output is held.
-:func:`apply_steps` is that plan applied to a sample through
-:meth:`~voxaug.volume.Sample.map`, and :func:`apply_pipeline` is the draw
-followed by ``apply_steps``: the library and the command line run the same
-functions. Each core is its kind applied alone with ``apply_steps``. Feeding
-recorded parameters back into a single core reproduces a one-step pipeline;
-a longer one is replayed by passing the recorded ``(kind, params)`` pairs to
+for the label map's. When no step resamples, ``voxaug augment`` applies it
+to each array of a subject as it reads it, and :func:`apply_steps` through
+:meth:`~voxaug.volume.Sample.map`. When the plan resamples, both run the one
+slab loop, :func:`resample`: every array at one z-slab of the sampling
+positions before the next, the command line writing each output slab as it
+comes and ``apply_steps`` filling whole outputs, so neither holds a whole
+position array. :func:`apply_pipeline` is the draw followed by
+``apply_steps``: the library and the command line run the same functions.
+Each core is its kind applied alone with ``apply_steps``. Feeding recorded
+parameters back into a single core reproduces a one-step pipeline; a longer
+one is replayed by passing the recorded ``(kind, params)`` pairs to
 ``apply_steps``.
 
 A plan applies its geometric steps first and its intensity steps after
@@ -51,7 +53,7 @@ import hashlib
 import json
 import numbers
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +61,7 @@ import numpy as np
 from . import interp
 from .interp import AffineTransform
 from .rng import RandomStream
-from .volume import Sample, Shape3
+from .volume import LabelMap, Sample, Shape3, bad_voxel_error, earlier_bad_voxel
 
 # parameter menu accepted by the declarative layer (configs); the operator
 # functions themselves take any value in their documented domain
@@ -368,28 +370,30 @@ def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sa
 
 
 class ArrayPlan(NamedTuple):
-    """What fired steps do to the arrays of a subject. Without ``slabs``,
-    ``channel`` maps a channel's whole array and ``labels`` the label map's.
-    When the plan resamples, ``slabs`` iterates over the ``(z, positions)``
-    z-slabs of its sampling positions, and each function is called as
-    ``f(array, positions)`` for that slab of the output."""
+    """What fired steps do to the arrays of a subject: ``channel`` maps a
+    channel's array and ``labels`` the label map's. When the plan
+    resamples, ``slabs`` iterates over the ``(z, positions)`` z-slabs of its
+    sampling positions, and each function is called as
+    ``f(array, positions)`` for that slab of the output (see
+    :func:`resample`); otherwise ``slabs`` is None and each function maps a
+    whole array."""
 
     channel: Callable[..., np.ndarray]
     labels: Callable[..., np.ndarray]
     slabs: Iterator[tuple[int, np.ndarray]] | None = None
 
 
-def plan_steps(shape: Shape3, steps, slabs: bool = False) -> ArrayPlan:
+def plan_steps(shape: Shape3, steps) -> ArrayPlan:
     """The plan of fired steps, each a ``(kind, core params)`` pair, for the
     arrays of a ``shape`` grid: the geometric steps first, in order, as one
     resampling whose positions are set up here, once; then the intensity
     steps, in order, on each channel.
 
     A lone flip is an index reversal and builds no positions, and with no
-    geometric step an array is not moved. Otherwise the positions are built
-    whole, or, with ``slabs``, handed out in z-slabs (see
-    :func:`voxaug.interp.warp`); either way every check of the steps (the
-    matrices, the control grids) runs here, before any array is touched.
+    geometric step an array is not moved. Otherwise the positions are handed
+    out in z-slabs (see :func:`voxaug.interp.warp`), and every check of the
+    steps (the matrices, the control grids) runs here, before any array is
+    touched.
     """
     steps = list(steps)
     for kind, _ in steps:
@@ -403,11 +407,9 @@ def plan_steps(shape: Shape3, steps, slabs: bool = False) -> ArrayPlan:
     elif len(moves) == 1 and geometric[0][0] == "flip":
         axis = geometric[0][1]["axis"]
         move_channel = move_labels = lambda data: np.flip(data, axis)
-    elif slabs:
-        positions = interp.warp(shape, moves, slabs=True)
-        move_channel, move_labels = interp.sample_channel, interp.sample_labels
     else:
-        move_channel, move_labels = interp.warp(shape, moves)
+        positions = interp.warp(shape, moves)
+        move_channel, move_labels = interp.sample_channel, interp.sample_labels
     intensity = [(_OPS[kind].intensity, params) for kind, params in steps if _OPS[kind].intensity]
 
     def channel(data: np.ndarray, *coords) -> np.ndarray:
@@ -419,15 +421,52 @@ def plan_steps(shape: Shape3, steps, slabs: bool = False) -> ArrayPlan:
     return ArrayPlan(channel, move_labels, positions)
 
 
+def resample(plan: ArrayPlan, arrays) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The outputs of a plan that resamples, for a subject's ``arrays``
+    (each a :class:`~voxaug.volume.Volume` channel or a
+    :class:`~voxaug.volume.LabelMap`), one z-slab at a time: yields
+    ``(n, z, out)``, array ``n``'s output at the planes from ``z`` on, every
+    array at one slab before the next slab, so no whole position array is
+    held.
+
+    Each output slab is checked as the value types check a whole array:
+    finite channels, labels in the map's own alphabet. After the last slab
+    the first faulty array's first bad voxel in (x, y, z) order is raised,
+    as a whole-array check would name it.
+    """
+    alphabets = [array.alphabet if isinstance(array, LabelMap) else None for array in arrays]
+    first = [None] * len(arrays)
+    for z, coords in plan.slabs:
+        for n, (array, alphabet) in enumerate(zip(arrays, alphabets)):
+            out = (plan.channel if alphabet is None else plan.labels)(array.data, coords)
+            first[n] = earlier_bad_voxel(first[n], out, z, alphabet)
+            yield n, z, out
+    for array, alphabet, bad in zip(arrays, alphabets, first):
+        if bad is not None:
+            raise bad_voxel_error(*bad, alphabet, getattr(array, "convention", None))
+
+
 def apply_steps(sample: Sample, steps) -> Sample:
     """Apply fired steps, each a ``(kind, core params)`` pair, to every array
     of a sample with their :func:`plan_steps` plan. With no steps the sample
-    itself is returned."""
+    itself is returned. A plan that resamples streams through
+    :func:`resample` into the preallocated outputs, so only a few slabs of
+    positions are held beside the sample and its output."""
     steps = list(steps)
     if not steps:
         return sample
     plan = plan_steps(sample.shape, steps)
-    return sample.map(plan.channel, plan.labels)
+    if plan.slabs is None:
+        return sample.map(plan.channel, plan.labels)
+    arrays = [a for a in (*sample.channels, sample.labels) if a is not None]
+    outs = [np.empty(sample.shape, np.uint8 if isinstance(a, LabelMap) else np.float32)
+            for a in arrays]
+    for n, z, slab in resample(plan, arrays):
+        outs[n][..., z : z + slab.shape[-1]] = slab
+    # resample has checked every voxel, so the value types take the outputs as they are
+    made = [replace(array, data=out, checked=True) for array, out in zip(arrays, outs)]
+    labels = None if sample.labels is None else made.pop()
+    return replace(sample, channels=made, labels=labels)
 
 
 def draw_pipeline(

@@ -18,10 +18,12 @@ loops, as the plan says:
   per-array plan and writes the result, before the next array is read, so
   it holds about one array in and one out;
 * a step resamples: it reads every window, opens one writer per output
-  file, and then, one z-slab of sampling positions at a time, resamples
-  every array there, brightens the channel slabs, checks the output voxels
-  and writes each slab to its file. It holds the windows plus a few slabs,
-  never a whole position array or a whole output.
+  file, and feeds them from :func:`voxaug.augment.resample`, the slab loop
+  that ``apply_pipeline`` also runs: one z-slab of sampling positions at a
+  time, it resamples every array there, brightens the channel slabs and
+  checks the output voxels, and each slab is written to its file. It holds
+  the windows plus a few slabs, never a whole position array or a whole
+  output.
 
 All of a subject's files are written into one atomic group, so a fault met
 after earlier outputs were written (a bad voxel in a later file, a negative
@@ -39,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .augment import draw_pipeline, plan_steps
+from .augment import draw_pipeline, plan_steps, resample
 from .config import DEFAULT_LABEL_SUFFIX, load_config
 from .metrics import REGIONS, evaluate_sample
 from .nifti import (
@@ -55,7 +57,7 @@ from .nifti import (
 from .rng import RandomStream
 from .stats import rank_models, sign_flip_test
 from .tables import read_metrics, write_metrics, write_ranks
-from .volume import bad_voxel_error, center_box, check_grids, earlier_bad_voxel, make_phantom
+from .volume import center_box, check_grids, make_phantom
 # augment crops while reading and applies a per-array plan; these names stay
 # here, where the benchmark's tracer looks them up
 from .augment import apply_pipeline  # noqa: F401
@@ -115,27 +117,6 @@ def _subjects_with_suffix(directory: Path, suffix: str) -> list[str]:
     return sorted(ids)
 
 
-def _resample_in_slabs(slabs, windows) -> None:
-    """Resample every ``(array, apply, path)`` window at each ``(z,
-    positions)`` slab in turn, and stream each output slab into the file at
-    ``path``, so no whole output is held. Each slab is checked as the value
-    types check a whole array (finite channels, labels in the raw
-    alphabet), and a fault reports the array's first bad voxel in (x, y, z)
-    order once all slabs are seen, as a whole-array check would."""
-    with contextlib.ExitStack() as files:
-        writes = [files.enter_context(volume_writer(path, array)) for array, _, path in windows]
-        alphabets = [getattr(array, "alphabet", None) for array, _, _ in windows]
-        first = [None] * len(windows)
-        for z, coords in slabs:
-            for n, ((array, apply, _), write) in enumerate(zip(windows, writes)):
-                out = apply(array.data, coords)
-                first[n] = earlier_bad_voxel(first[n], out, z, alphabets[n])
-                write(out)
-        for bad, alphabet in zip(first, alphabets):
-            if bad is not None:
-                raise bad_voxel_error(*bad, alphabet)
-
-
 # subcommands -----------------------------------------------------------
 
 def _cmd_augment(args) -> int:
@@ -168,23 +149,24 @@ def _cmd_augment(args) -> int:
         steps, provenance = draw_pipeline(
             pipeline, RandomStream(cfg.seed, ("augment", subject)), subject
         )
-        plan = plan_steps(cfg.patch_shape, steps, slabs=True)
+        plan = plan_steps(cfg.patch_shape, steps)
         arrays = [(read_volume, p, plan.channel, s) for p, s in zip(paths, cfg.channel_suffixes)]
         if label_path is not None:
             arrays.append((read_labels, label_path, plan.labels, cfg.label_suffix))
+        outs = [out_dir / f"{subject}{suffix}.nii.gz" for *_, suffix in arrays]
         with atomic_group():  # the subject's files appear together or not at all
             if plan.slabs is None:  # one array at a time
-                for read, path, apply, suffix in arrays:
+                for (read, path, apply, _), out in zip(arrays, outs):
                     array = read(path, box=box)
                     array = replace(array, data=apply(array.data))  # drops the array as read
-                    write_volume(array, out_dir / f"{subject}{suffix}.nii.gz")
+                    write_volume(array, out)
                     del array  # before the next read
             else:  # every window, then every output z-slab by z-slab
-                windows = [
-                    (read(path, box=box), apply, out_dir / f"{subject}{suffix}.nii.gz")
-                    for read, path, apply, suffix in arrays
-                ]
-                _resample_in_slabs(plan.slabs, windows)
+                windows = [read(path, box=box) for read, path, _, _ in arrays]
+                with contextlib.ExitStack() as files:
+                    writes = [files.enter_context(volume_writer(o, w)) for o, w in zip(outs, windows)]
+                    for n, _, slab in resample(plan, windows):
+                        writes[n](slab)
             atomic_write_bytes(
                 out_dir / f"{subject}_provenance.json",
                 (provenance.to_json() + "\n").encode(),

@@ -1,6 +1,7 @@
-"""Geometric resampling: :func:`warp` builds the moved sampling positions of
-any list of affine and elastic steps once, and returns the readers that
-resample one array of a sample there, or the positions in z-slabs.
+"""Geometric resampling: :func:`warp` sets up the moved sampling positions
+of any list of affine and elastic steps once and hands them out in z-slabs,
+and :func:`sample_channel` and :func:`sample_labels` resample one array of a
+sample at one slab.
 
 Conventions:
 
@@ -18,14 +19,12 @@ Conventions:
   however many of its geometric steps fire, and a list of one step is that
   step's own resampling. Image channels are read trilinearly, the label map
   nearest-neighbor, so constituents stay co-registered and no label value
-  is invented. The readers take one array at a time, so a caller may read,
-  resample and write a subject's arrays one after another.
-* Positions are built in z-slabs of ``_SLAB_PLANES`` planes, each by the
-  same operations in the same order per voxel as a whole grid would be, so
-  the slab size never changes a value. ``warp(..., slabs=True)`` hands out
-  the slabs themselves: a caller that resamples every array of a subject at
-  one slab before the next, and writes each output slab as it goes, holds
-  no whole position array and no whole output.
+  is invented.
+* Positions exist only in z-slabs of ``_SLAB_PLANES`` planes, each built by
+  the same operations in the same order per voxel as a whole grid would be,
+  so the slab size never changes a value. A caller resamples every array
+  of a subject at one slab before the next
+  (:func:`voxaug.augment.resample`), so no whole position array is held.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
@@ -100,8 +99,9 @@ class AffineTransform:
 def map_coordinates(*args, **kwargs):
     """``scipy.ndimage.map_coordinates``, imported on first call.
 
-    :func:`warp` looks this name up on the module at every call, so
-    replacing the module attribute intercepts every sampling call."""
+    The readers and :func:`warp`'s slabs look this name up on the module
+    at every call, so replacing the module attribute intercepts every
+    sampling call."""
     from scipy.ndimage import map_coordinates
 
     return map_coordinates(*args, **kwargs)
@@ -166,20 +166,25 @@ def _by_field(coords: np.ndarray, field: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _positions(shape: Shape3, steps):
-    """Set up the sampling positions of ``steps`` applied one after another,
-    and return an iterator over their z-slabs: ``(z, positions)``, the
-    positions of planes z, z + 1, ... as a (3, nx, ny, k) array.
+def warp(shape: Shape3, steps):
+    """The sampling positions of geometric ``steps`` applied in order to a
+    ``shape`` grid, as an iterator over their z-slabs: ``(z, positions)``,
+    the positions of planes z, z + 1, ... as a (3, nx, ny, k) array, for
+    :func:`sample_channel` and :func:`sample_labels` to read.
 
-    Each step is an :class:`AffineTransform` or a control grid for
-    :func:`bspline_upsample`. Positions are composed backward from the
-    output grid, last step first. Runs of affine steps fold into one matrix,
-    inverted here. An elastic step met while the positions are still the
-    grid has its x and y spline passes fitted here, and its field evaluated
-    along z at each slab's planes only. One met after the positions have
-    moved is read trilinearly (edge values held beyond the grid) from its
-    dense field, built here. Every slab goes through the same operations in
-    the same order per voxel as whole-grid positions would.
+    ``steps`` holds :class:`AffineTransform` objects (about the center) and
+    control grids (warped by their :func:`bspline_upsample` field). The
+    whole list is one backward map, composed from the output grid, last
+    step first, and set up here, before the first slab: runs of affine
+    steps fold into one matrix, inverted here; an elastic step met while
+    the positions are still the grid has its x and y spline passes fitted
+    here, and its field evaluated along z at each slab's planes only; one
+    met after the positions have moved is read trilinearly (edge values
+    held beyond the grid) from its dense field, built here. So every check
+    of the steps raises at the call. Every slab goes through the same
+    operations in the same order per voxel as whole-grid positions would,
+    and resampling at them differs from resampling step by step only by the
+    interpolation that the list skips in between.
     """
     shape = tuple(int(n) for n in shape)
     center = (np.asarray(shape, dtype=np.float64)[:, None] - 1.0) / 2.0
@@ -228,31 +233,3 @@ def sample_labels(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """A label array read nearest-neighbor at ``coords`` into uint8, 0
     beyond the grid."""
     return map_coordinates(data, coords, output=np.uint8, order=0, mode="grid-constant", cval=0.0)
-
-
-def warp(shape: Shape3, steps, slabs: bool = False):
-    """The readers that resample an array of a ``shape`` grid once through
-    geometric steps applied in order: ``(channel, labels)``.
-
-    ``steps`` holds :class:`AffineTransform` objects (about the center) and
-    control grids (warped by their :func:`bspline_upsample` field). The
-    whole list is one backward map, whose positions are built here, once,
-    slab by slab, and read by both readers: ``channel`` reads a channel's
-    array trilinearly into float32 (:func:`sample_channel`), ``labels`` a
-    label array nearest-neighbor into uint8 (:func:`sample_labels`). So
-    ``sample.map(*warp(sample.shape, steps))`` differs from resampling step
-    by step only by the interpolation that the list skips in between.
-
-    With ``slabs=True`` no whole position array is made: the positions are
-    set up here (matrices folded and inverted, splines fitted, control grids
-    checked), and the iterator over their ``(z, positions)`` z-slabs is
-    returned, for :func:`sample_channel` and :func:`sample_labels` to read
-    slab by slab. The values are the same either way.
-    """
-    positions = _positions(shape, steps)
-    if slabs:
-        return positions
-    coords = np.empty((3, *shape))
-    for z, slab in positions:
-        coords[..., z : z + slab.shape[-1]] = slab
-    return partial(sample_channel, coords=coords), partial(sample_labels, coords=coords)

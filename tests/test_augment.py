@@ -1,4 +1,6 @@
 import hashlib
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,12 +29,19 @@ from voxaug.augment import (
     elastic_by,
     flip_axis,
     plan_steps,
+    resample,
     rotate_by,
     scale_by,
 )
 from voxaug.interp import AffineTransform, bspline_upsample
 from voxaug.rng import RandomStream
-from voxaug.volume import LabelMap, Sample, Volume, extract_center_patch
+from voxaug.volume import (
+    LabelMap,
+    Sample,
+    Volume,
+    extract_center_patch,
+    raw_to_canonical_labels,
+)
 
 
 def _assert_samples_equal(a, b):
@@ -356,7 +365,8 @@ def test_geometric_ops_byte_equal_to_per_constituent_float64_reference():
 
 def test_geometric_ops_build_coordinates_once(small_sample, monkeypatch):
     """Coordinates are built once per op whatever the channel count, and every
-    channel reaches map_coordinates as its own float32 array, not a copy."""
+    channel reaches map_coordinates as its own float32 array, not a copy, at
+    every z-slab of the positions."""
     calls = {"coords": 0, "sampled": []}
 
     def counting(fn):
@@ -369,7 +379,7 @@ def test_geometric_ops_build_coordinates_once(small_sample, monkeypatch):
         calls["sampled"].append(data)
         return map_coordinates(data, coords, **kwargs)
 
-    monkeypatch.setattr(interp, "_positions", counting(interp._positions))
+    monkeypatch.setattr(interp, "warp", counting(interp.warp))
     monkeypatch.setattr(interp, "map_coordinates", recording)
     grid = draw_elastic_grid(RandomStream(0, ("once",)), 2.0, 4)
     for op in (
@@ -381,8 +391,10 @@ def test_geometric_ops_build_coordinates_once(small_sample, monkeypatch):
         op(small_sample)
         assert calls["coords"] == 1
         inputs = [ch.data for ch in small_sample.channels] + [small_sample.labels.data]
-        assert len(calls["sampled"]) == len(inputs)
-        for got, want in zip(calls["sampled"], inputs):
+        slabs = -(-small_sample.shape[2] // interp._SLAB_PLANES)
+        assert slabs > 1
+        assert len(calls["sampled"]) == len(inputs) * slabs
+        for got, want in zip(calls["sampled"], inputs * slabs):
             assert got is want
 
 
@@ -545,26 +557,30 @@ def test_elastic_before_affine_reads_its_field_at_the_moved_positions(small_samp
 
 
 def test_pipeline_interpolates_once(small_sample, monkeypatch):
-    """All five ops firing read each constituent once and upsample one
-    field; flip + brightness resample nothing."""
+    """All five ops firing sample each voxel of each constituent once, slab
+    by slab, and upsample one field; flip + brightness resample nothing."""
     calls = {"map_coordinates": 0, "bspline_upsample": 0}
+    sampled = {}  # id of an input array -> output voxels read from it
+    map_coordinates, bspline = interp.map_coordinates, interp.bspline_upsample
 
-    def counting(name):
-        fn = getattr(interp, name)
+    def sampling(data, coords, **kwargs):
+        calls["map_coordinates"] += 1
+        sampled[id(data)] = sampled.get(id(data), 0) + coords[0].size
+        return map_coordinates(data, coords, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def upsampling(*args, **kwargs):
+        calls["bspline_upsample"] += 1
+        return bspline(*args, **kwargs)
 
-        monkeypatch.setattr(interp, name, wrapper)
-
-    counting("map_coordinates")
-    counting("bspline_upsample")
+    monkeypatch.setattr(interp, "map_coordinates", sampling)
+    monkeypatch.setattr(interp, "bspline_upsample", upsampling)
     pipe = _standard_pipeline()
     _, prov = apply_pipeline(small_sample, _only(pipe, KINDS), RandomStream(0, ("once",)))
     assert all(r.fired for r in prov.records)
     assert len(small_sample.channels) == 4
-    assert calls == {"map_coordinates": 5, "bspline_upsample": 1}
+    inputs = [ch.data for ch in small_sample.channels] + [small_sample.labels.data]
+    assert sampled == {id(a): a.size for a in inputs}
+    assert calls["bspline_upsample"] == 1
 
     calls.update(map_coordinates=0, bspline_upsample=0)
     out, prov = apply_pipeline(
@@ -574,6 +590,51 @@ def test_pipeline_interpolates_once(small_sample, monkeypatch):
     assert calls == {"map_coordinates": 0, "bspline_upsample": 0}
     axis = prov.records[0].params["axis"]
     np.testing.assert_array_equal(out.labels.data, np.flip(small_sample.labels.data, axis))
+
+
+def test_bad_output_label_is_named_in_the_maps_own_convention(monkeypatch):
+    """A label value outside a canonical map's alphabet, met in the second
+    z-slab of a resampling, is reported after the last slab in the canonical
+    convention, at its index in the whole grid, as a whole-array check of
+    the output would name it."""
+    s = vx.make_phantom(1, (16, 18, 20), subject_id="canonical")
+    s = replace(s, labels=raw_to_canonical_labels(s.labels))
+    original, label_slabs = interp.map_coordinates, []
+
+    def seven_in_the_second_label_slab(data, coords, **kwargs):
+        out = original(data, coords, **kwargs)
+        if kwargs.get("output") is np.uint8:
+            label_slabs.append(out.shape)
+            if len(label_slabs) == 2:
+                out[3, 5, 1] = 7
+        return out
+
+    monkeypatch.setattr(interp, "map_coordinates", seven_in_the_second_label_slab)
+    want = "label value 7 at voxel (3, 5, 9) not in canonical alphabet (0, 1, 2, 3)"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        rotate_by(s, (5.0, -8.0, 12.0))
+    assert label_slabs == [(16, 18, 8), (16, 18, 8), (16, 18, 4)]
+
+
+def test_apply_pipeline_holds_its_outputs_and_a_few_slabs():
+    """All five ops on a 96^3 phantom peak (tracemalloc) within the outputs
+    (four float32 channels and a uint8 label map) plus eight slabs' worth
+    of sampling positions (8 z-planes of 96^2, 1.7 MB each): about 27.9 MB.
+    Building whole positions (21 MB) took about 38.1 MB."""
+    pipe = _only(_standard_pipeline(), KINDS)
+    apply_pipeline(vx.make_phantom(0, (16, 16, 16)), pipe, RandomStream(0, ("warm",)))
+    s = vx.make_phantom(2, (96, 96, 96))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out, prov = apply_pipeline(s, pipe, RandomStream(3, ("bound",)))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(r.fired for r in prov.records)
+    outputs = 4 * 96**3 * 4 + 96**3
+    slab = 3 * 96 * 96 * interp._SLAB_PLANES * 8
+    assert peak <= outputs + 8 * slab, f"peak outputs + {(peak - outputs) / slab:.2f} slabs"
 
 
 def test_fired_geometric_steps_resample_through_one_warp_call(small_sample, monkeypatch):
@@ -644,11 +705,13 @@ ALL_PATTERNS_DIGEST = "da39163e646352cf520263aaf26134d2542fcf8a83f7d270d1090e92c
 def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeypatch):
     """For every set of the five kinds that fires, drawing once and then
     applying the plan to one array at a time, as ``voxaug augment`` does,
-    gives apply_pipeline's bytes and provenance. The positions are built at
-    most once per subject, and not at all without a step that resamples."""
+    gives apply_pipeline's bytes and provenance; a plan that resamples runs
+    through the slab loop, each array's slabs joined as they come. The
+    positions are built at most once per subject, and not at all without a
+    step that resamples."""
     built = []
-    positions = interp._positions
-    monkeypatch.setattr(interp, "_positions", lambda *a: built.append(1) or positions(*a))
+    warp = interp.warp
+    monkeypatch.setattr(interp, "warp", lambda *a: built.append(1) or warp(*a))
     digest = hashlib.sha256()
     for pattern in range(32):
         kinds = {kind for bit, kind in enumerate(KINDS) if pattern >> bit & 1}
@@ -659,8 +722,15 @@ def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeyp
         built.clear()
         steps, prov = draw_pipeline(pipe, RandomStream(6, key), small_sample.subject_id)
         plan = plan_steps(small_sample.shape, steps)
-        channels = [Volume(plan.channel(ch.data)).data for ch in small_sample.channels]
-        labels = LabelMap(plan.labels(small_sample.labels.data)).data
+        if plan.slabs is None:
+            channels = [Volume(plan.channel(ch.data)).data for ch in small_sample.channels]
+            labels = LabelMap(plan.labels(small_sample.labels.data)).data
+        else:
+            slabs = [[] for _ in range(len(small_sample.channels) + 1)]
+            for n, z, out in resample(plan, [*small_sample.channels, small_sample.labels]):
+                assert z == sum(slab.shape[-1] for slab in slabs[n])
+                slabs[n].append(out)
+            *channels, labels = [np.concatenate(pieces, axis=-1) for pieces in slabs]
         assert len(built) == (1 if kinds - {"flip", "brightness"} else 0), sorted(kinds)
 
         assert {r.kind for r in prov.records if r.fired} == kinds

@@ -108,10 +108,17 @@ def digest(s):
     arrays = [ch.data for ch in s.channels] + [s.labels.data]
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
+def warped(s, steps):
+    slabs = [positions for _, positions in interp.warp(s.shape, steps)]
+    return s.map(*(
+        lambda data, read=read: np.concatenate([read(data, p) for p in slabs], axis=-1)
+        for read in (interp.sample_channel, interp.sample_labels)
+    ))
+
 jobs = {
-    "warp": lambda: digest(sample.map(
-        *interp.warp(sample.shape, [interp.AffineTransform.rotation_xyz((12.0, -20.0, 7.0))])
-    )),
+    "warp": lambda: digest(
+        warped(sample, [interp.AffineTransform.rotation_xyz((12.0, -20.0, 7.0))])
+    ),
     "bspline_upsample": lambda: hashlib.sha256(
         interp.bspline_upsample(grid, sample.shape).tobytes()
     ).hexdigest(),

@@ -12,9 +12,16 @@ from voxaug.volume import LabelMap, Sample, Volume
 
 
 def warp(sample, steps):
-    """``sample`` resampled through ``steps``: the readers of
-    :func:`voxaug.interp.warp` applied to each of its arrays."""
-    return sample.map(*interp.warp(sample.shape, steps))
+    """``sample`` resampled through ``steps``: each of its arrays read by
+    :func:`voxaug.interp.sample_channel` or :func:`~voxaug.interp.sample_labels`
+    at every z-slab of :func:`voxaug.interp.warp`'s positions, the output
+    slabs joined."""
+    slabs = [positions for _, positions in interp.warp(sample.shape, steps)]
+
+    def by_slab(read):
+        return lambda data: np.concatenate([read(data, positions) for positions in slabs], axis=-1)
+
+    return sample.map(by_slab(interp.sample_channel), by_slab(interp.sample_labels))
 
 
 def _rand_volume(seed, shape=(12, 10, 14)):
@@ -274,15 +281,15 @@ CHAINS = {
 def test_slab_positions_equal_the_whole_grid_oracle(monkeypatch, chain, planes):
     """Positions built z-slab by z-slab are byte-equal to the whole-grid
     positions of the oracle, at any slab size (20 planes: slabs of 1, of 8
-    with a ragged last one of 4, of 7 with one of 6); the whole ``warp``
-    readers give the bytes of resampling at the oracle's positions."""
+    with a ragged last one of 4, of 7 with one of 6); reading each array
+    slab by slab gives the bytes of resampling at the oracle's positions."""
     monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
     steps = CHAINS[chain]
     shape = (24, 22, 20)
     want = _chain_coords(shape, steps)
     got = np.full_like(want, np.nan)
     seen = []
-    for z, slab in interp.warp(shape, steps, slabs=True):
+    for z, slab in interp.warp(shape, steps):
         assert slab.shape == (3, 24, 22, min(planes, 20 - z))
         got[..., z : z + slab.shape[-1]] = slab
         seen.append(z)
@@ -299,11 +306,11 @@ def test_slab_positions_equal_the_whole_grid_oracle(monkeypatch, chain, planes):
 
 
 def test_slabs_are_set_up_before_the_first_slab():
-    """Every check of the steps runs when the slabs are asked for, before
-    the first slab is built."""
+    """Every check of the steps runs when ``warp`` is called, before the
+    first slab is built."""
     bad = _constant_grid((0.0, 0.0, 0.0))
     bad[0, 1, 2, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite control displacement"):
-        interp.warp((6, 6, 6), [_ROT, bad], slabs=True)
+        interp.warp((6, 6, 6), [_ROT, bad])
     with pytest.raises(ValueError, match="control grid must be"):
-        interp.warp((6, 6, 6), [np.zeros((4, 4, 3))], slabs=True)
+        interp.warp((6, 6, 6), [np.zeros((4, 4, 3))])

@@ -9,8 +9,8 @@ runs every subject to the end; one failure is reported with its own message,
 several as ``error: k of n subjects failed: <msg>; <msg>`` in subject order.
 
 ``augment`` streams each subject. It checks every header's grid, draws the
-pipeline and sets up its plan (matrices folded and inverted, splines fitted,
-control grids checked) before any voxel is read, then takes one of two
+pipeline and sets up its plan (matrices folded and inverted, x and y spline
+passes run, control grids checked) before any voxel is read, then takes one of two
 loops, as the plan says:
 
 * no step resamples (no geometric step, or a lone flip): for each channel in

@@ -28,10 +28,10 @@ Conventions:
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
-Importing this module loads numpy only: ``scipy.ndimage`` loads on the first
-:func:`map_coordinates` call and ``scipy.interpolate`` on the first
-:func:`bspline_upsample` call, so a process that never resamples never pays
-for them.
+Importing this module loads numpy only, and ``scipy.ndimage`` loads on the
+first :func:`map_coordinates` call, so a process that never resamples never
+pays for it. Elastic fields are numpy code (:func:`bspline_upsample`), so
+``map_coordinates`` is the one scipy function voxaug calls.
 """
 
 import math
@@ -107,20 +107,90 @@ def map_coordinates(*args, **kwargs):
     return map_coordinates(*args, **kwargs)
 
 
+def _spline_weights(n: int, g: int) -> np.ndarray:
+    """The natural cubic spline through ``g`` knots spaced evenly over the
+    points 0 .. n - 1 of an axis, as a (g, n) array of weights: row j is
+    the spline through the j-th unit knot vector, so the spline through knot
+    values y is the sum over j, in order, of row j times y[j].
+
+    The knots' moments (second derivatives times h^2 / 6, h the knot
+    spacing) solve m[i-1] + 4 m[i] + m[i+1] = y[i-1] - 2 y[i] + y[i+1] at
+    the inner knots and are 0 at the ends. They are solved in Python floats,
+    by one forward and one backward sweep, and the weights built from them
+    by elementwise numpy operations, so no BLAS or LAPACK kernel is used. At
+    a knot a weight is exactly 1 or 0."""
+    ratios = []  # the forward sweep's pivots, the same for every unit vector
+    for _ in range(g - 2):
+        ratios.append(1.0 / (4.0 - (ratios[-1] if ratios else 0.0)))
+    moments = np.zeros((g, g))  # moments[i, j]: at knot i, of unit vector j
+    for j in range(g):
+        sweep = []
+        for i in range(1, g - 1):
+            rhs = (i - 1 == j) - 2.0 * (i == j) + (i + 1 == j)
+            sweep.append((rhs - (sweep[-1] if sweep else 0.0)) * ratios[i - 1])
+        m = 0.0
+        for i in range(g - 2, 0, -1):
+            m = sweep[i - 1] - ratios[i - 1] * m
+            moments[i, j] = m
+    s = np.arange(n, dtype=np.float64) * (g - 1) / (n - 1)  # in knot spacings
+    knot = np.minimum(s.astype(np.intp), g - 2)  # the knot interval's start
+    u = s - knot
+    v = 1.0 - u
+    weights = np.empty((g, n))
+    for j in range(g):
+        weights[j] = (v * (knot == j) + u * (knot + 1 == j)) + (
+            (v * v * v - v) * moments[knot, j] + (u * u * u - u) * moments[knot + 1, j]
+        )
+    return weights
+
+
+def _knot_sum(a, b, out: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
+    """``out`` = a[0] * b[0] + a[1] * b[1] + ..., summed in that order, each
+    product and each sum rounded on its own (broadcasting), the one
+    arithmetic of the spline passes; ``term`` is scratch of ``out``'s shape."""
+    np.multiply(a[0], b[0], out=out)
+    term = np.empty_like(out) if term is None else term
+    for a_j, b_j in zip(a[1:], b[1:]):
+        np.multiply(a_j, b_j, out=term)
+        out += term
+    return out
+
+
+def _add_along_z(grid: np.ndarray, weights: np.ndarray, coords: np.ndarray, z: int) -> None:
+    """Add the field at z-planes z, z + 1, ... to the positions ``coords``
+    (3, nx, ny, k) of those planes, one component at a time, from the
+    x/y-passed ``grid`` (3, G, nx, ny) and the z ``weights``; a component
+    with a non-finite value raises before it is added."""
+    planes = coords.shape[-1]
+    w = weights[:, z : z + planes, None, None]
+    shift, term = np.empty((2, planes, *grid.shape[2:]))
+    for position, component in zip(coords, grid):
+        _knot_sum(w, component, shift, term)
+        if not np.isfinite(shift).all():
+            raise ValueError("non-finite displacement")
+        position += np.moveaxis(shift, 0, -1)
+
+
 def bspline_upsample(coarse: np.ndarray, target_shape: Shape3, z_spline: bool = False):
     """Upsample a coarse control grid of 3-vectors to a dense field.
 
     Control points are spaced uniformly across the target extent including
     both boundaries (control g sits at g * (n - 1) / (G - 1) along an axis
     with G control points). Each displacement component is interpolated by
-    a separable cubic spline through the control values, so constants and
-    linear ramps in the control grid are reproduced exactly on the dense
-    grid (up to roundoff).
+    a separable natural cubic spline through the control values, so
+    constants and linear ramps in the control grid are reproduced on the
+    dense grid up to roundoff, control values exactly, and a zero grid
+    gives an exactly zero field. Each pass applies a :func:`_spline_weights`
+    matrix as elementwise multiply-adds over the knots, in order, so the
+    field's bytes depend on no BLAS kernel.
 
-    The passes run along x, then y, then z. With ``z_spline=True`` the z
-    pass is fitted but not evaluated: the spline is returned, and calling it
-    on z positions gives the dense field's (nx, ny, k, 3) planes there, the
-    same values as the whole field's.
+    The passes run along x, then y, then z. The result is the (*shape, 3)
+    field, a view of a component-first (3, *shape) array. With
+    ``z_spline=True`` the z pass is not run: only the x/y-passed grid (3,
+    G, nx, ny) and the z weights are kept, and the returned function, called
+    as ``f(coords, z)``, adds the field at planes z, z + 1, ... to those
+    planes' (3, nx, ny, k) positions in place, each component's sum the
+    same as the whole field's.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
     if coarse.ndim != 4 or coarse.shape[-1] != 3:
@@ -130,18 +200,21 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3, z_spline: bool = 
     if not np.isfinite(coarse).all():
         raise ValueError("non-finite control displacement")
     target_shape = tuple(int(n) for n in target_shape)
-    from scipy.interpolate import CubicSpline
-
-    field = coarse
-    for axis in range(3):
-        n = target_shape[axis]
-        g = field.shape[axis]
-        ctrl = np.linspace(0.0, n - 1.0, g)
-        spline = CubicSpline(ctrl, field, axis=axis, bc_type="natural")
-        if axis == 2 and z_spline:
-            return spline
-        field = spline(np.arange(n, dtype=np.float64))
-    return field
+    if any(n < 2 for n in target_shape):
+        raise ValueError(f"dense field needs >= 2 points per axis, got {target_shape}")
+    (_, gy, gz), (nx, ny, _) = coarse.shape[:3], target_shape
+    wx, wy, wz = map(_spline_weights, target_shape, coarse.shape[:3])
+    along_x = _knot_sum(coarse.transpose(0, 3, 2, 1)[..., None], wx, np.empty((3, gz, gy, nx)))
+    grid = _knot_sum(along_x.transpose(2, 0, 1, 3)[..., None], wy, np.empty((3, gz, nx, ny)))
+    if z_spline:
+        return partial(_add_along_z, grid, wz)
+    field = np.empty((3, *target_shape))
+    term = np.empty((4, *target_shape[1:]))
+    for component, out in zip(grid, field):
+        for x in range(0, nx, 4):  # 4 x-rows at a time stay in cache
+            rows = out[x : x + 4]
+            _knot_sum(component[:, x : x + 4, :, None], wz, rows, term[: len(rows)])
+    return np.moveaxis(field, 0, -1)
 
 
 # z-planes of sampling positions built, and resampled, at a time
@@ -177,18 +250,19 @@ def warp(shape: Shape3, steps):
     whole list is one backward map, composed from the output grid, last
     step first, and set up here, before the first slab: runs of affine
     steps fold into one matrix, inverted here; an elastic step met while
-    the positions are still the grid has its x and y spline passes fitted
-    here, and its field evaluated along z at each slab's planes only; one
-    met after the positions have moved is read trilinearly (edge values
-    held beyond the grid) from its dense field, built here. So every check
-    of the steps raises at the call. Every slab goes through the same
-    operations in the same order per voxel as whole-grid positions would,
-    and resampling at them differs from resampling step by step only by the
-    interpolation that the list skips in between.
+    the positions are still the grid has its x and y spline passes run
+    here, and its z pass at each slab's planes only, each component's sum
+    added straight to that slab's positions; one met after the positions
+    have moved is read trilinearly (edge values held beyond the grid) from
+    its dense field, built here. So every check of the steps raises at the
+    call. Every slab goes through the same operations in the same order per
+    voxel as whole-grid positions would, and resampling at them differs
+    from resampling step by step only by the interpolation that the list
+    skips in between.
     """
     shape = tuple(int(n) for n in shape)
     center = (np.asarray(shape, dtype=np.float64)[:, None] - 1.0) / 2.0
-    grid_field = None  # the spline of an elastic field added to the grid itself
+    grid_field = None  # the z pass of an elastic field added to the grid itself
     stages = []  # the updates applied to every slab's positions, in order
     forward = None  # affine steps met since the positions last moved, composed
     for step in reversed(steps):
@@ -200,8 +274,9 @@ def warp(shape: Shape3, steps):
             if forward is not None:
                 stages.append(partial(_by_affine, inv=np.linalg.inv(forward), center=center))
                 forward = None
+            # the component-first array that the field is a view of
             field = np.moveaxis(bspline_upsample(step, shape), -1, 0)
-            stages.append(partial(_by_field, field=np.ascontiguousarray(field)))
+            stages.append(partial(_by_field, field=field))
     if forward is not None or (grid_field is None and not stages):
         inv = np.linalg.inv(np.eye(3) if forward is None else forward)
         stages.append(partial(_by_affine, inv=inv, center=center))
@@ -212,10 +287,7 @@ def warp(shape: Shape3, steps):
             coords = np.indices((*shape[:2], planes), dtype=np.float64)
             coords[2] += z
             if grid_field is not None:
-                field = grid_field(np.arange(z, z + planes, dtype=np.float64))
-                if not np.isfinite(field).all():
-                    raise ValueError("non-finite displacement")
-                coords += np.moveaxis(field, -1, 0)
+                grid_field(coords, z)
             for update in stages:
                 coords = update(coords)
             yield z, coords

@@ -4,14 +4,15 @@ These deliberately avoid the library's own vectorized code paths (slice
 shifts, windowed distance search, scipy resampling): surfaces come from
 per-voxel neighbor lookups in a padded table, distances from dense all-pairs
 matrices or a ``scipy.spatial.cKDTree`` query, resampled values from an
-explicit per-voxel loop, ranks from ``scipy.stats.rankdata`` one cell at a
-time, and phantoms from full ``np.indices`` grids, so agreement is evidence
-rather than tautology. The all-pairs and per-voxel oracles are quadratic -
-keep their masks small (<= ~1000 surface voxels) and resampled grids tiny
-(<= ~2000 voxels).
+explicit per-voxel loop, elastic fields from ``scipy.interpolate.CubicSpline``,
+ranks from ``scipy.stats.rankdata`` one cell at a time, and phantoms from full
+``np.indices`` grids, so agreement is evidence rather than tautology. The
+all-pairs and per-voxel oracles are quadratic - keep their masks small
+(<= ~1000 surface voxels) and resampled grids tiny (<= ~2000 voxels).
 """
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.ndimage import map_coordinates
 from scipy.spatial import cKDTree
 from scipy.stats import rankdata
@@ -103,6 +104,18 @@ def oracle_affine(data, matrix, order):
             # out-of-range corners contribute pad value 0
         out[idx] = acc
     return out
+
+
+def oracle_spline_field(coarse, shape):
+    """The dense field of a (Gx, Gy, Gz, 3) control grid over ``shape``:
+    scipy's natural cubic spline through the control values, knots spaced
+    evenly from 0 to n - 1, fitted and evaluated along x, then y, then z."""
+    field = np.asarray(coarse, dtype=np.float64)
+    for axis, n in enumerate(shape):
+        knots = np.linspace(0.0, n - 1.0, field.shape[axis])
+        spline = CubicSpline(knots, field, axis=axis, bc_type="natural")
+        field = spline(np.arange(n, dtype=np.float64))
+    return field
 
 
 # The whole-grid sampling positions voxaug built before it built them in

@@ -637,6 +637,28 @@ def test_apply_pipeline_holds_its_outputs_and_a_few_slabs():
     assert peak <= outputs + 8 * slab, f"peak outputs + {(peak - outputs) / slab:.2f} slabs"
 
 
+def test_plan_steps_holds_the_xy_passed_grid_and_the_z_weights():
+    """A plan of all five ops at 128^3, its elastic step last with a 4^3
+    control grid, holds (tracemalloc) at most that step's x/y-passed grid
+    (3 x 4 x 128^2 float64, 1.5 MiB), its z weights (4 x 128 float64) and
+    0.1 MiB of small objects: about 1.6 MiB. A fitted z spline held 4.5 MiB
+    of coefficients."""
+    shape = (128, 128, 128)
+    steps, _ = draw_pipeline(_only(_standard_pipeline(), KINDS), RandomStream(5, ("plan",)), "p")
+    assert [kind for kind, _ in steps] == list(KINDS) and KINDS[-1] == "elastic"
+    plan_steps((16, 16, 16), steps)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        plan = plan_steps(shape, steps)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert plan.slabs is not None
+    bound = 3 * 4 * 128 * 128 * 8 + 4 * 128 * 8 + 0.1 * 2**20
+    assert held <= bound, f"plan holds {held / 2**20:.2f} MiB"
+
+
 def test_fired_geometric_steps_resample_through_one_warp_call(small_sample, monkeypatch):
     """However many geometric steps fire, the sample is resampled by exactly
     one call to voxaug.interp.warp, looked up on the module; a flip alone is

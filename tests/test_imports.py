@@ -76,6 +76,27 @@ def test_evaluate_loads_no_scipy(campaign):
     assert loaded == []
 
 
+def test_augment_with_an_elastic_step_loads_scipy_ndimage_alone(campaign):
+    """Elastic fields are numpy code: an ``augment`` run whose elastic step
+    fires loads exactly what ``import scipy.ndimage`` loads, so neither
+    ``scipy.interpolate`` nor ``scipy.spatial``."""
+    from voxaug.augment import AugmentSpec
+    from voxaug.config import PipelineConfig, save_config
+
+    config = campaign["root"] / "elastic.json"
+    specs = (AugmentSpec("rotation", probability=1.0, max_deg=15),
+             AugmentSpec("elastic", probability=1.0, sigma=2.0, grid_size=4))
+    save_config(PipelineConfig(seed=1, pipeline=specs, patch_shape=(16, 16, 16)), config)
+    out = campaign["root"] / "elastic"
+    loaded = _scipy_loaded_by_main(["augment", "--config", str(config), "--in",
+                                    str(campaign["subjects"]), "--out", str(out)])
+    assert "scipy.ndimage" in loaded
+    assert not {"scipy.interpolate", "scipy.spatial"} & set(loaded)
+    assert loaded == _scipy_loaded_after("import scipy.ndimage")
+    provenance = json.loads(next(out.glob("*.json")).read_text())
+    assert [r["kind"] for r in provenance["records"] if r["fired"]] == ["rotation", "elastic"]
+
+
 def test_hausdorff95_loads_no_scipy():
     statement = (
         "from voxaug import metrics\n"
@@ -87,11 +108,9 @@ def test_hausdorff95_loads_no_scipy():
 
 
 # --- concurrent first use ---------------------------------------------------------
-# Three threads make their first calls at the same moment: two of them load
-# scipy.ndimage and scipy.interpolate, and hausdorff95, which loads nothing,
-# runs beside them. Per-module import locks make this safe as long as the
-# imports form no cycle: scipy.interpolate imports scipy.spatial, and neither
-# scipy.spatial nor scipy.ndimage imports another.
+# Three threads make their first calls at the same moment: warp loads
+# scipy.ndimage, and bspline_upsample and hausdorff95, which load nothing, run
+# beside it and must give the bytes of a sequential run.
 
 _FIRST_USE = """
 import hashlib, json, sys, threading

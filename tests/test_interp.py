@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _chain_coords, oracle_affine
+from oracles import _chain_coords, oracle_affine, oracle_spline_field
 from scipy.ndimage import gaussian_filter, map_coordinates
 
 import voxaug as vx
@@ -215,6 +215,50 @@ def test_bad_control_grids_rejected():
     bad[0, 0, 0, 0] = np.inf
     with pytest.raises(ValueError):
         bspline_upsample(bad, (4, 4, 4))
+
+
+# control-grid sizes, and dense shapes with a 2-point axis and ragged z-slabs
+GRID_SIZES = list(range(2, 9))
+FIELD_SHAPES = [(11, 13, 9), (2, 9, 5), (7, 2, 2), (24, 22, 20)]
+
+
+@pytest.mark.parametrize("shape", FIELD_SHAPES, ids=str)
+@pytest.mark.parametrize("grid", [(g, g, g) for g in GRID_SIZES] + [(2, 5, 3)], ids=str)
+def test_field_equals_the_natural_cubic_spline_oracle(grid, shape):
+    coarse = np.random.default_rng(sum(grid)).normal(0.0, 3.0, (*grid, 3))
+    fld = bspline_upsample(coarse, shape)
+    assert fld.shape == (*shape, 3)
+    np.testing.assert_allclose(fld, oracle_spline_field(coarse, shape), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("g", GRID_SIZES)
+def test_zero_control_grid_gives_exactly_zero_field_and_the_grid_positions(g):
+    shape = (11, 13, 9)
+    assert not bspline_upsample(np.zeros((g, g, g, 3)), shape).any()
+    positions = np.concatenate(
+        [slab for _, slab in interp.warp(shape, [np.zeros((g, g, g, 3))])], axis=-1
+    )
+    assert positions.tobytes() == np.indices(shape, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("planes", [1, 3, 8], ids=["1-plane", "3-planes", "8-planes"])
+@pytest.mark.parametrize("shape", FIELD_SHAPES, ids=str)
+@pytest.mark.parametrize("g", [2, 4, 7])
+def test_z_slabs_of_warp_join_to_the_whole_field(monkeypatch, g, shape, planes):
+    """The z pass run slab by slab on the grid, as ``warp`` runs it, gives
+    the grid plus the whole field bit for bit, ragged last slabs included:
+    each component's full sum over the knots first, then the add."""
+    monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
+    coarse = np.random.default_rng(20 + g).normal(0.0, 3.0, (g, g, g, 3))
+    seen, joined = zip(*interp.warp(shape, [coarse]))
+    assert list(seen) == list(range(0, shape[2], planes))
+    want = np.indices(shape, dtype=np.float64) + np.moveaxis(bspline_upsample(coarse, shape), -1, 0)
+    assert np.concatenate(joined, axis=-1).tobytes() == want.tobytes()
+
+
+def test_field_too_short_an_axis_rejected():
+    with pytest.raises(ValueError, match="dense field needs >= 2 points per axis"):
+        bspline_upsample(np.zeros((4, 4, 4, 3)), (8, 1, 8))
 
 
 # --- warp: elastic steps ---------------------------------------------------

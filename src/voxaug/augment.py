@@ -25,14 +25,17 @@ A pipeline runs in two parts. :func:`draw_pipeline` decides per step whether
 it fires and draws and records every value, so re-running with the same
 stream reproduces the output bit for bit. :func:`plan_steps` turns the fired
 steps into an :class:`ArrayPlan`, one function for a channel's array and one
-for the label map's. When no step resamples, ``voxaug augment`` applies it
-to each array of a subject as it reads it, and :func:`apply_steps` through
-:meth:`~voxaug.volume.Sample.map`. When the plan resamples, both run the one
-slab loop, :func:`resample`: every array at one z-slab of the sampling
-positions before the next, the command line writing each output slab as it
-comes and ``apply_steps`` filling whole outputs, so neither holds a whole
-position array. :func:`apply_pipeline` is the draw followed by
-``apply_steps``: the library and the command line run the same functions.
+for the label map's. ``voxaug augment`` applies it to each array of a
+subject as it reads it, and drops the array before the next read: whole
+when no step resamples, and otherwise through the one slab loop,
+:func:`resample`, given that one array, writing each output slab as it
+comes. :func:`apply_steps` applies it to a whole sample: through
+:meth:`~voxaug.volume.Sample.map` when no step resamples, and otherwise
+through ``resample`` given every array, so each z-slab of sampling
+positions is built once for all of them and the output slabs fill whole
+outputs. Neither holds a whole position array. :func:`apply_pipeline` is
+the draw followed by ``apply_steps``: the library and the command line run
+the same functions.
 Each core is its kind applied alone with ``apply_steps``. Feeding recorded
 parameters back into a single core reproduces a one-step pipeline; a longer
 one is replayed by passing the recorded ``(kind, params)`` pairs to
@@ -372,15 +375,16 @@ def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sa
 class ArrayPlan(NamedTuple):
     """What fired steps do to the arrays of a subject: ``channel`` maps a
     channel's array and ``labels`` the label map's. When the plan
-    resamples, ``slabs`` iterates over the ``(z, positions)`` z-slabs of its
-    sampling positions, and each function is called as
+    resamples, ``slabs`` is the :class:`~voxaug.interp.SlabSource` of its
+    sampling positions, each pass over it building the ``(z, positions)``
+    z-slabs afresh from the set-up, and each function is called as
     ``f(array, positions)`` for that slab of the output (see
     :func:`resample`); otherwise ``slabs`` is None and each function maps a
     whole array."""
 
     channel: Callable[..., np.ndarray]
     labels: Callable[..., np.ndarray]
-    slabs: Iterator[tuple[int, np.ndarray]] | None = None
+    slabs: interp.SlabSource | None = None
 
 
 def plan_steps(shape: Shape3, steps) -> ArrayPlan:
@@ -427,7 +431,10 @@ def resample(plan: ArrayPlan, arrays) -> Iterator[tuple[int, int, np.ndarray]]:
     :class:`~voxaug.volume.LabelMap`), one z-slab at a time: yields
     ``(n, z, out)``, array ``n``'s output at the planes from ``z`` on, every
     array at one slab before the next slab, so no whole position array is
-    held.
+    held. Each call is one pass over the plan's slabs, so it builds the
+    positions once for the arrays it is given: once for a whole sample in
+    :func:`apply_steps`, once per array in ``voxaug augment``, which passes
+    one array at a time and so holds one window, not all of them.
 
     Each output slab is checked as the value types check a whole array:
     finite channels, labels in the map's own alphabet. After the last slab

@@ -10,31 +10,31 @@ several as ``error: k of n subjects failed: <msg>; <msg>`` in subject order.
 
 ``augment`` streams each subject. It checks every header's grid, draws the
 pipeline and sets up its plan (matrices folded and inverted, x and y spline
-passes run, control grids checked) before any voxel is read, then takes one of two
-loops, as the plan says:
+passes run, control grids checked) once, before any voxel is read. Then,
+for each channel in order and the label map last, it reads the patch
+window, writes that array's output and drops the window before the next
+read, so it holds one window at a time:
 
-* no step resamples (no geometric step, or a lone flip): for each channel in
-  order and the label map last, it reads the patch window, applies the
-  per-array plan and writes the result, before the next array is read, so
-  it holds about one array in and one out;
-* a step resamples: it reads every window, opens one writer per output
-  file, and feeds them from :func:`voxaug.augment.resample`, the slab loop
-  that ``apply_pipeline`` also runs: one z-slab of sampling positions at a
-  time, it resamples every array there, brightens the channel slabs and
-  checks the output voxels, and each slab is written to its file. It holds
-  the windows plus a few slabs, never a whole position array or a whole
-  output.
+* when no step resamples (no geometric step, or a lone flip), it applies
+  the per-array plan to the whole window and writes the result;
+* when a step resamples, it streams the output into the file's writer from
+  :func:`voxaug.augment.resample`, the slab loop that ``apply_pipeline``
+  also runs: one z-slab of sampling positions at a time, it resamples the
+  window there, brightens a channel's slab and checks the output voxels.
+  Only the position slabs are built again for each array, never the plan's
+  set-up, and no whole position array or whole output is held.
 
 All of a subject's files are written into one atomic group, so a fault met
 after earlier outputs were written (a bad voxel in a later file, a negative
 intensity under brightness, a failed write) still leaves none of them
 behind. A subject with one fault reports it as a whole-patch run did; a bad
-output voxel is named by its patch index, the first in (x, y, z) order. One
-with several faults reports the first met in the loop's order.
+output voxel is named by its patch index, the first in (x, y, z) order,
+once that array's last slab is done. One with several faults reports the
+first met in array order: a bad output voxel of ``_t1``, say, comes before
+a bad input voxel of ``_flair``, whose window is then never read.
 """
 
 import argparse
-import contextlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -153,20 +153,18 @@ def _cmd_augment(args) -> int:
         arrays = [(read_volume, p, plan.channel, s) for p, s in zip(paths, cfg.channel_suffixes)]
         if label_path is not None:
             arrays.append((read_labels, label_path, plan.labels, cfg.label_suffix))
-        outs = [out_dir / f"{subject}{suffix}.nii.gz" for *_, suffix in arrays]
         with atomic_group():  # the subject's files appear together or not at all
-            if plan.slabs is None:  # one array at a time
-                for (read, path, apply, _), out in zip(arrays, outs):
-                    array = read(path, box=box)
+            for read, path, apply, suffix in arrays:  # one array at a time
+                array = read(path, box=box)
+                out = out_dir / f"{subject}{suffix}.nii.gz"
+                if plan.slabs is None:  # whole
                     array = replace(array, data=apply(array.data))  # drops the array as read
                     write_volume(array, out)
-                    del array  # before the next read
-            else:  # every window, then every output z-slab by z-slab
-                windows = [read(path, box=box) for read, path, _, _ in arrays]
-                with contextlib.ExitStack() as files:
-                    writes = [files.enter_context(volume_writer(o, w)) for o, w in zip(outs, windows)]
-                    for n, _, slab in resample(plan, windows):
-                        writes[n](slab)
+                else:  # z-slab by z-slab, its positions rebuilt for this array
+                    with volume_writer(out, array) as write:
+                        for _, _, slab in resample(plan, [array]):
+                            write(slab)
+                del array  # before the next read
             atomic_write_bytes(
                 out_dir / f"{subject}_provenance.json",
                 (provenance.to_json() + "\n").encode(),

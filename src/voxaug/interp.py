@@ -22,9 +22,13 @@ Conventions:
   is invented.
 * Positions exist only in z-slabs of ``_SLAB_PLANES`` planes, each built by
   the same operations in the same order per voxel as a whole grid would be,
-  so the slab size never changes a value. A caller resamples every array
-  of a subject at one slab before the next
-  (:func:`voxaug.augment.resample`), so no whole position array is held.
+  so the slab size never changes a value. :func:`warp` returns them as a
+  :class:`SlabSource`, which builds the slabs afresh from the set-up on
+  each pass, so a caller may resample every array at one slab before the
+  next (``apply_steps``) or pass over the slabs once per array (``voxaug
+  augment``); either way no whole position array is held. Each slab's
+  positions are a new array, the caller's to keep; the buffers that a pass
+  reuses from slab to slab are never handed out.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
@@ -35,6 +39,7 @@ pays for it. Elastic fields are numpy code (:func:`bspline_upsample`), so
 """
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -156,14 +161,16 @@ def _knot_sum(a, b, out: np.ndarray, term: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _add_along_z(grid: np.ndarray, weights: np.ndarray, coords: np.ndarray, z: int) -> None:
+def _add_along_z(grid: np.ndarray, weights: np.ndarray, coords: np.ndarray, z: int,
+                 sums: np.ndarray) -> None:
     """Add the field at z-planes z, z + 1, ... to the positions ``coords``
     (3, nx, ny, k) of those planes, one component at a time, from the
     x/y-passed ``grid`` (3, G, nx, ny) and the z ``weights``; a component
-    with a non-finite value raises before it is added."""
+    with a non-finite value raises before it is added. ``sums`` is a (2,
+    >= k, nx, ny) scratch buffer."""
     planes = coords.shape[-1]
     w = weights[:, z : z + planes, None, None]
-    shift, term = np.empty((2, planes, *grid.shape[2:]))
+    shift, term = sums[:, :planes]
     for position, component in zip(coords, grid):
         _knot_sum(w, component, shift, term)
         if not np.isfinite(shift).all():
@@ -188,9 +195,10 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3, z_spline: bool = 
     field, a view of a component-first (3, *shape) array. With
     ``z_spline=True`` the z pass is not run: only the x/y-passed grid (3,
     G, nx, ny) and the z weights are kept, and the returned function, called
-    as ``f(coords, z)``, adds the field at planes z, z + 1, ... to those
-    planes' (3, nx, ny, k) positions in place, each component's sum the
-    same as the whole field's.
+    as ``f(coords, z, sums)``, adds the field at planes z, z + 1, ... to
+    those planes' (3, nx, ny, k) positions in place, each component's sum
+    the same as the whole field's, with ``sums`` a (2, >= k, nx, ny)
+    float64 scratch buffer that may be reused from call to call.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
     if coarse.ndim != 4 or coarse.shape[-1] != 3:
@@ -239,11 +247,28 @@ def _by_field(coords: np.ndarray, field: np.ndarray) -> np.ndarray:
     return coords
 
 
-def warp(shape: Shape3, steps):
+class SlabSource:
+    """The z-slabs of :func:`warp`'s positions, as an iterable that may be
+    passed over again: each pass calls ``start`` for a fresh iterator of
+    ``(z, positions)`` pairs, so only the slabs are rebuilt, never the
+    set-up."""
+
+    def __init__(self, start: Callable[[], Iterator[tuple[int, np.ndarray]]]):
+        self._start = start
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        return self._start()
+
+
+def warp(shape: Shape3, steps) -> SlabSource:
     """The sampling positions of geometric ``steps`` applied in order to a
-    ``shape`` grid, as an iterator over their z-slabs: ``(z, positions)``,
-    the positions of planes z, z + 1, ... as a (3, nx, ny, k) array, for
-    :func:`sample_channel` and :func:`sample_labels` to read.
+    ``shape`` grid, as a :class:`SlabSource` of their z-slabs:
+    ``(z, positions)``, the positions of planes z, z + 1, ... as a
+    (3, nx, ny, k) array, for :func:`sample_channel` and
+    :func:`sample_labels` to read. Each pass over it builds every slab
+    again, from the set-up done here, in buffers it allocates once per pass
+    (the grid's positions, when an affine stage moves them to a new array,
+    and the z pass's sums); each slab handed out is a new array.
 
     ``steps`` holds :class:`AffineTransform` objects (about the center) and
     control grids (warped by their :func:`bspline_upsample` field). The
@@ -282,17 +307,27 @@ def warp(shape: Shape3, steps):
         stages.append(partial(_by_affine, inv=inv, center=center))
 
     def slabs():
-        for z in range(0, shape[2], _SLAB_PLANES):
-            planes = min(_SLAB_PLANES, shape[2] - z)
-            coords = np.indices((*shape[:2], planes), dtype=np.float64)
-            coords[2] += z
+        step, (nx, ny, nz) = _SLAB_PLANES, shape
+        most = min(step, nz)
+        sums = None if grid_field is None else np.empty((2, most, nx, ny))
+        # one buffer for the grid's positions if an affine stage moves them
+        # into a new array, which is handed out; otherwise they are the slab
+        moved = any(update.func is _by_affine for update in stages)
+        grid = np.empty(3 * nx * ny * most) if moved else None
+        for z in range(0, nz, step):
+            planes = min(step, nz - z)
+            size = 3 * nx * ny * planes
+            coords = (np.empty(size) if grid is None else grid[:size]).reshape(3, nx, ny, planes)
+            coords[0] = np.arange(nx, dtype=np.float64)[:, None, None]
+            coords[1] = np.arange(ny, dtype=np.float64)[:, None]
+            coords[2] = np.arange(z, z + planes, dtype=np.float64)
             if grid_field is not None:
-                grid_field(coords, z)
+                grid_field(coords, z, sums)
             for update in stages:
                 coords = update(coords)
             yield z, coords
 
-    return slabs()
+    return SlabSource(slabs)
 
 
 def sample_channel(data: np.ndarray, coords: np.ndarray) -> np.ndarray:

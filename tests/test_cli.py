@@ -275,10 +275,10 @@ def test_fault_after_earlier_arrays_were_written_leaves_nothing_behind(
     tmp_path, capsys, monkeypatch, threads, suffix
 ):
     """A bad voxel in a subject's last channel or its label map is met after
-    its other arrays were read. When the pipeline resamples, augment reads
-    and checks every window before any output opens, so no whole array goes
-    through write_volume. The subject still gets its one error line and
-    leaves no file behind."""
+    its other arrays were read, resampled and streamed to their temp files.
+    A pipeline that resamples writes every array slab by slab through
+    volume_writer, so no whole array goes through write_volume. The subject
+    still gets its one error line and leaves no file behind."""
     subjects = tmp_path / "subjects"
     code, _, err = run(
         capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "24,22,20",
@@ -356,13 +356,16 @@ def test_augment_holds_about_one_channel_in_and_one_out(tmp_path, capsys, monkey
     assert peak <= 3 * channel, f"peak {peak / channel:.2f} channels"
 
 
-def test_resampling_augment_holds_its_windows_and_a_few_slabs(tmp_path, capsys, monkeypatch):
+def test_resampling_augment_holds_one_window_and_a_few_slabs(tmp_path, capsys, monkeypatch):
     """One subject under all five ops, at a 96^3 patch and one thread, peaks
-    (tracemalloc) within its five read windows plus eight slabs' worth of
-    sampling positions (8 z-planes of 96^2, 1.7 MB each): the positions are
-    built, every array resampled and every output written one z-slab at a
-    time. It peaks at about windows + 6.4 slabs; building whole positions
-    and holding every output, as augment did before, took about 15.6."""
+    (tracemalloc) within one read window (a channel's, 3.5 MB) plus eight
+    slabs' worth of sampling positions (8 z-planes of 96^2, 1.7 MB each):
+    each array is read, resampled and written one z-slab at a time, and
+    dropped before the next is read, only its positions rebuilt. It peaks
+    at about a window + 4.5 slabs. Holding all five windows, to resample
+    every array at one slab before the next, took about a window + 10.9
+    slabs (five windows + 6.4); building whole positions and holding every
+    output took five windows + 15.6."""
     code, _, err = run(
         capsys, "phantom", "--seed", "2", "--count", "1", "--shape", "100,100,100",
         "--out", str(tmp_path / "in"),
@@ -382,15 +385,16 @@ def test_resampling_augment_holds_its_windows_and_a_few_slabs(tmp_path, capsys, 
     finally:
         tracemalloc.stop()
     assert code == 0, err
-    windows = 4 * 96**3 * 4 + 96**3
+    window = 96**3 * 4
     slab = 3 * 96 * 96 * interp._SLAB_PLANES * 8
-    assert peak <= windows + 8 * slab, f"peak windows + {(peak - windows) / slab:.2f} slabs"
+    assert peak <= window + 8 * slab, f"peak window + {(peak - window) / slab:.2f} slabs"
 
 
 def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monkeypatch):
     """A resampled channel is checked slab by slab, and its error names the
     first bad voxel in (x, y, z) order over the whole patch: here the NaN of
-    the later slab, whose x is smaller, by its patch index."""
+    the later slab, whose x is smaller, by its patch index. It is raised
+    after the channel's last slab, before the next window is read."""
     code, _, err = run(
         capsys, "phantom", "--seed", "5", "--count", "1", "--shape", "24,22,20",
         "--out", str(tmp_path / "in"),
@@ -399,6 +403,14 @@ def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monk
     cfg = tmp_path / "cfg.json"
     save_config(PipelineConfig(seed=3, pipeline=_ALL_FIVE, patch_shape=(12, 10, 16)), cfg)
     monkeypatch.setenv("VOXAUG_THREADS", "1")
+    read_volume = voxaug.cli.read_volume
+    windows = []
+
+    def recording(path, **kwargs):
+        windows.append(path.name)
+        return read_volume(path, **kwargs)
+
+    monkeypatch.setattr(voxaug.cli, "read_volume", recording)
     sample = interp.map_coordinates
     channel_reads = []
 
@@ -406,7 +418,7 @@ def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monk
         out = sample(data, coords, **kwargs)
         if kwargs.get("output") is np.float32:
             channel_reads.append(len(channel_reads))
-            nan = {0: (7, 3, 2), 4: (2, 5, 1)}.get(channel_reads[-1])  # _t1 of slabs 0 and 1
+            nan = {0: (7, 3, 2), 1: (2, 5, 1)}.get(channel_reads[-1])  # _t1 of slabs 0 and 1
             if nan is not None:
                 out[nan] = np.nan
         return out
@@ -416,16 +428,94 @@ def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monk
                        "--out", str(tmp_path / "out"))
     assert code == 1
     assert err == "error: non-finite voxel at index (2, 5, 9)\n"
-    assert len(channel_reads) == 8  # 4 channels at each of two 8-plane slabs
+    assert len(channel_reads) == 2  # _t1 at each of its two 8-plane slabs
+    assert windows == ["phantom000_t1.nii.gz"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_augment_sets_up_once_and_rebuilds_only_the_slabs_per_array(tmp_path, capsys, monkeypatch):
+    """A subject's plan is set up by one interp.warp call (matrices folded
+    and inverted, x/y spline passes run, every step checked) before its
+    first window is read. Then each array in turn, the channels in order
+    and the label map last, is read and resampled through a fresh pass over
+    the slab source, so only the position slabs are rebuilt per array."""
+    code, _, err = run(
+        capsys, "phantom", "--seed", "5", "--count", "1", "--shape", "24,22,20",
+        "--out", str(tmp_path / "in"),
+    )
+    assert code == 0, err
+    cfg = tmp_path / "cfg.json"
+    save_config(PipelineConfig(seed=3, pipeline=_ALL_FIVE, patch_shape=(12, 10, 16)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    events = []
+    warp = interp.warp
+
+    def recorded_warp(shape, steps):
+        events.append("warp")
+        source = warp(shape, steps)
+        return interp.SlabSource(lambda: events.append("slabs") or iter(source))
+
+    monkeypatch.setattr(interp, "warp", recorded_warp)
+    for name in ("read_volume", "read_labels"):
+        read = getattr(voxaug.cli, name)
+        monkeypatch.setattr(voxaug.cli, name, lambda path, read=read, **kw: events.append(
+            path.name.removesuffix(".nii.gz")) or read(path, **kw))
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(tmp_path / "in"),
+                       "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    suffixes = ("_t1", "_t1ce", "_t2", "_flair", "_seg")
+    assert events == ["warp"] + [e for s in suffixes for e in (f"phantom000{s}", "slabs")]
+
+
+def test_several_faults_report_the_first_met_in_array_order(tmp_path, capsys, monkeypatch):
+    """A subject with several faults reports the first one met in array
+    order, the channels in order and the label map last: a bad output voxel
+    of _t1 comes before a bad input voxel of _flair, whose window is never
+    read. (When every window was read before any array was resampled, the
+    _flair voxel was reported.) The subject leaves no file behind."""
+    code, _, err = run(
+        capsys, "phantom", "--seed", "5", "--count", "1", "--shape", "24,22,20",
+        "--out", str(tmp_path / "in"),
+    )
+    assert code == 0, err
+    cfg = tmp_path / "cfg.json"
+    save_config(PipelineConfig(seed=3, pipeline=_ALL_FIVE, patch_shape=(12, 10, 8)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    flair = tmp_path / "in" / "phantom000_flair.nii.gz"
+    data = read_volume(flair).data.copy()
+    data[10, 9, 8] = np.nan  # inside the window x 6..17, y 6..15, z 6..13
+    _write_unchecked(flair, data)
+    read = voxaug.cli.read_volume
+    windows = []
+    monkeypatch.setattr(voxaug.cli, "read_volume",
+                        lambda path, **kw: windows.append(path.name) or read(path, **kw))
+    sample = interp.map_coordinates
+    channel_reads = []
+
+    def nan_in_t1(data, coords, **kwargs):
+        out = sample(data, coords, **kwargs)
+        if kwargs.get("output") is np.float32:
+            channel_reads.append(len(channel_reads))
+            if channel_reads == [0]:  # _t1's one 8-plane slab
+                out[3, 4, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(interp, "map_coordinates", nan_in_t1)
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(tmp_path / "in"),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == "error: non-finite voxel at index (3, 4, 5)\n"
+    assert windows == ["phantom000_t1.nii.gz"]
     assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_fault_in_a_streamed_write_leaves_nothing_behind(tmp_path, capsys, monkeypatch, threads):
-    """A write that fails after several slabs of every one of a subject's
-    files went to their temp files gives the subject one error line and
-    leaves none of its files, nor any temp file; the other subjects' files
-    are those of a clean run."""
+    """A write that fails at the third of the label map's four slabs, after
+    the subject's four channels went whole to their temp files, slab by
+    slab, gives the subject one error line and leaves none of its files,
+    nor any temp file; the other subjects' files are those of a clean
+    run."""
     code, _, err = run(
         capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "24,22,20",
         "--out", str(tmp_path / "in"),
@@ -460,8 +550,8 @@ def test_fault_in_a_streamed_write_leaves_nothing_behind(tmp_path, capsys, monke
     assert code == 1
     assert err == "error: disk full\n"
     suffixes = ("_t1", "_t1ce", "_t2", "_flair", "_seg")
-    assert sorted(set(slabs)) == sorted(f"phantom001{s}.nii.gz" for s in suffixes)
-    assert all(slabs.count(f"phantom001{s}.nii.gz") == 3 for s in suffixes)
+    # one array after another: every channel's four slabs, then the label map's first three
+    assert slabs == [f"phantom001{s}.nii.gz" for s in suffixes for _ in range(3 if s == "_seg" else 4)]
     assert list(out.glob("tmp*.tmp")) == []
     left = sorted(p.name for p in out.iterdir())
     clean = tmp_path / "clean"

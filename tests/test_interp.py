@@ -349,6 +349,21 @@ def test_slab_positions_equal_the_whole_grid_oracle(monkeypatch, chain, planes):
     assert out.labels.data.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_a_slab_source_passed_over_again_gives_the_same_new_slabs(monkeypatch, chain):
+    """``warp``'s slabs may be passed over again, as ``voxaug augment`` does
+    once per array, and every pass gives the same bytes. The buffers a pass
+    reuses from slab to slab are never handed out: every slab of every pass
+    is an array of its own, which the caller may keep."""
+    monkeypatch.setattr(interp, "_SLAB_PLANES", 7)
+    source = interp.warp((24, 22, 20), CHAINS[chain])
+    first, again = list(source), list(source)
+    assert [z for z, _ in first] == [z for z, _ in again] == [0, 7, 14]
+    assert [s.tobytes() for _, s in again] == [s.tobytes() for _, s in first]
+    slabs = [s for _, s in first + again]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(slabs) for b in slabs[:i])
+
+
 def test_slabs_are_set_up_before_the_first_slab():
     """Every check of the steps runs when ``warp`` is called, before the
     first slab is built."""

@@ -32,10 +32,10 @@ Conventions:
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
-Importing this module loads numpy only, and ``scipy.ndimage`` loads on the
-first :func:`map_coordinates` call, so a process that never resamples never
-pays for it. Elastic fields are numpy code (:func:`bspline_upsample`), so
-``map_coordinates`` is the one scipy function voxaug calls.
+This module is numpy code only, and so is voxaug: elastic fields come from
+:func:`bspline_upsample`, and :func:`map_coordinates` repeats the arithmetic
+of ``scipy.ndimage.map_coordinates``, so it gives scipy's bytes for the
+reads voxaug makes, with no scipy installed.
 """
 
 import math
@@ -101,15 +101,109 @@ class AffineTransform:
         return AffineTransform(np.linalg.inv(self.matrix))
 
 
-def map_coordinates(*args, **kwargs):
-    """``scipy.ndimage.map_coordinates``, imported on first call.
+# points read at a time: one chunk's temporaries stay near 2.5 MiB
+_CHUNK = 1 << 14
 
-    The readers and :func:`warp`'s slabs look this name up on the module
-    at every call, so replacing the module attribute intercepts every
-    sampling call."""
-    from scipy.ndimage import map_coordinates
+# (order, mode, input dtype, output dtype) of the reads voxaug makes:
+# channels, label maps, and a dense field's components in _by_field
+_FORMS = {
+    (1, "grid-constant", "float32", "float32"),
+    (0, "grid-constant", "uint8", "uint8"),
+    (1, "nearest", "float64", "float64"),
+}
 
-    return map_coordinates(*args, **kwargs)
+
+def _trilinear(flat: np.ndarray, axes, pts: np.ndarray, out: np.ndarray, clamp: bool) -> None:
+    """``out`` = the C-ordered ``flat`` array, of (length, stride) ``axes``,
+    read trilinearly at the (3, k) positions ``pts``, in ``scipy.ndimage``'s
+    arithmetic.
+
+    Per axis the corner below c is f = floor(c), with weights w0 = 1 - (c -
+    f) and w1 = 1 - w0 (not c - f). With ``clamp`` a corner index is held
+    to the grid, the weights still those of the unclamped position
+    ("nearest"); otherwise a corner beyond the grid adds 0
+    ("grid-constant"), here by a zero weight on an edge voxel, which equals
+    scipy's for finite voxels. The 8 terms ((v * wx) * wy) * wz are added in
+    float64 to +0.0, the x corner slowest and the z corner fastest."""
+    corners = []  # per axis: the two (flat offset, weight) corners
+    for c, (n, stride) in zip(pts, axes):
+        low = np.floor(c)
+        w0 = np.subtract(1.0, c - low)
+        w1 = np.subtract(1.0, w0)
+        i0 = np.clip(low, -2, n, out=low).astype(np.intp)
+        i1 = i0 + 1
+        for i, w in ((i0, w0), (i1, w1)):
+            if not clamp:
+                np.copyto(w, 0.0, where=i.view(np.uintp) >= n)
+            np.clip(i, 0, n - 1, out=i)
+            i *= stride
+        corners.append(((i0, w0), (i1, w1)))
+    (xs, ys, zs), k = corners, len(out)
+    total, term = np.zeros(k), np.empty(k)
+    xy, index, value = np.empty(k, np.intp), np.empty(k, np.intp), np.empty(k, flat.dtype)
+    for ix, wx in xs:
+        for iy, wy in ys:
+            np.add(ix, iy, out=xy)
+            for iz, wz in zs:
+                np.add(xy, iz, out=index)
+                # the indices are in range; "clip" only spares "raise"'s buffered out
+                np.take(flat, index, out=value, mode="clip")
+                np.multiply(value, wx, out=term)
+                term *= wy
+                term *= wz
+                total += term
+    out[...] = total
+
+
+def _nearest(flat: np.ndarray, axes, pts: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = the C-ordered ``flat`` array, of (length, stride) ``axes``,
+    read at the voxel floor(c + 0.5) per axis of the (3, k) positions
+    ``pts``, 0 beyond the grid, as ``scipy.ndimage`` reads order 0."""
+    index, outside = np.zeros(len(out), np.intp), np.zeros(len(out), bool)
+    for c, (n, stride) in zip(pts, axes):
+        i = np.floor(c + 0.5)
+        i = np.clip(i, -1, n, out=i).astype(np.intp)
+        outside |= i.view(np.uintp) >= n
+        np.clip(i, 0, n - 1, out=i)
+        i *= stride
+        index += i
+    np.take(flat, index, out=out, mode="clip")
+    out[outside] = 0
+
+
+def map_coordinates(input, coordinates, output=None, *, order: int, mode: str,
+                    cval: float = 0.0) -> np.ndarray:
+    """The 3-D ``input`` read at the (3, ...) ``coordinates``, with the bytes
+    of ``scipy.ndimage.map_coordinates`` for the reads voxaug makes:
+    float32 into float32 at order 1 and uint8 into uint8 at order 0, both
+    ``mode="grid-constant"`` with ``cval`` 0; float64 at order 1 with
+    ``mode="nearest"``. Any other form raises ValueError. The voxels are
+    finite, as :class:`~voxaug.volume.Volume` and the dense fields check.
+
+    Every value comes from single, individually rounded numpy operations
+    (see :func:`_trilinear`), in chunks of ``_CHUNK`` points, so a call
+    holds its output and a few MiB. The readers and :func:`warp`'s slabs
+    look this name up on the module at every call, so replacing the module
+    attribute intercepts every sampling call."""
+    data, pts = np.asarray(input), np.asarray(coordinates, dtype=np.float64)
+    dtype = data.dtype if output is None else np.dtype(output)
+    form = (order, mode, data.dtype.name, dtype.name)
+    if form not in _FORMS or (mode == "grid-constant" and cval != 0.0) or (
+        data.ndim != 3 or len(pts) != 3
+    ):
+        raise ValueError(f"unsupported sampling: {form}, cval {cval}, "
+                         f"input {data.shape}, coordinates {pts.shape}")
+    out = np.empty(pts.shape[1:], dtype)
+    flat, pts, dest = data.ravel(), pts.reshape(3, -1), out.reshape(-1)
+    _, ny, nz = data.shape
+    axes = tuple(zip(data.shape, (ny * nz, nz, 1)))
+    for start in range(0, dest.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        if order == 0:
+            _nearest(flat, axes, pts[:, chunk], dest[chunk])
+        else:
+            _trilinear(flat, axes, pts[:, chunk], dest[chunk], clamp=mode == "nearest")
+    return out
 
 
 def _spline_weights(n: int, g: int) -> np.ndarray:
@@ -226,7 +320,7 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3, z_spline: bool = 
 
 
 # z-planes of sampling positions built, and resampled, at a time
-_SLAB_PLANES = 8
+_SLAB_PLANES = 4
 
 
 def _by_affine(coords: np.ndarray, inv: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -593,27 +593,30 @@ def test_pipeline_interpolates_once(small_sample, monkeypatch):
 
 
 def test_bad_output_label_is_named_in_the_maps_own_convention(monkeypatch):
-    """A label value outside a canonical map's alphabet, met in the second
+    """A label value outside a canonical map's alphabet, met in a later
     z-slab of a resampling, is reported after the last slab in the canonical
     convention, at its index in the whole grid, as a whole-array check of
     the output would name it."""
     s = vx.make_phantom(1, (16, 18, 20), subject_id="canonical")
     s = replace(s, labels=raw_to_canonical_labels(s.labels))
     original, label_slabs = interp.map_coordinates, []
+    planes = interp._SLAB_PLANES
+    assert 9 >= planes  # the bad voxel's plane is past the first slab
 
-    def seven_in_the_second_label_slab(data, coords, **kwargs):
+    def seven_at_plane_nine(data, coords, **kwargs):
         out = original(data, coords, **kwargs)
         if kwargs.get("output") is np.uint8:
+            z = len(label_slabs) * planes
             label_slabs.append(out.shape)
-            if len(label_slabs) == 2:
-                out[3, 5, 1] = 7
+            if z <= 9 < z + out.shape[2]:
+                out[3, 5, 9 - z] = 7
         return out
 
-    monkeypatch.setattr(interp, "map_coordinates", seven_in_the_second_label_slab)
+    monkeypatch.setattr(interp, "map_coordinates", seven_at_plane_nine)
     want = "label value 7 at voxel (3, 5, 9) not in canonical alphabet (0, 1, 2, 3)"
     with pytest.raises(ValueError, match=re.escape(want)):
         rotate_by(s, (5.0, -8.0, 12.0))
-    assert label_slabs == [(16, 18, 8), (16, 18, 8), (16, 18, 4)]
+    assert label_slabs == [(16, 18, min(planes, 20 - z)) for z in range(0, 20, planes)]
 
 
 def test_apply_pipeline_holds_its_outputs_and_a_few_slabs():

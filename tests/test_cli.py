@@ -413,14 +413,17 @@ def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monk
     monkeypatch.setattr(voxaug.cli, "read_volume", recording)
     sample = interp.map_coordinates
     channel_reads = []
+    planes = interp._SLAB_PLANES
+    assert 2 // planes != 9 // planes  # the two NaNs lie in different slabs
 
     def nan_in_two_slabs(data, coords, **kwargs):
         out = sample(data, coords, **kwargs)
         if kwargs.get("output") is np.float32:
+            z = len(channel_reads) * planes
             channel_reads.append(len(channel_reads))
-            nan = {0: (7, 3, 2), 1: (2, 5, 1)}.get(channel_reads[-1])  # _t1 of slabs 0 and 1
-            if nan is not None:
-                out[nan] = np.nan
+            for x, y, nan_z in ((7, 3, 2), (2, 5, 9)):  # of _t1 in the patch
+                if z <= nan_z < z + out.shape[2]:
+                    out[x, y, nan_z - z] = np.nan
         return out
 
     monkeypatch.setattr(interp, "map_coordinates", nan_in_two_slabs)
@@ -428,7 +431,7 @@ def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monk
                        "--out", str(tmp_path / "out"))
     assert code == 1
     assert err == "error: non-finite voxel at index (2, 5, 9)\n"
-    assert len(channel_reads) == 2  # _t1 at each of its two 8-plane slabs
+    assert len(channel_reads) == -(-16 // planes)  # _t1 at each of its slabs
     assert windows == ["phantom000_t1.nii.gz"]
     assert list((tmp_path / "out").iterdir()) == []
 
@@ -491,13 +494,15 @@ def test_several_faults_report_the_first_met_in_array_order(tmp_path, capsys, mo
                         lambda path, **kw: windows.append(path.name) or read(path, **kw))
     sample = interp.map_coordinates
     channel_reads = []
+    planes = interp._SLAB_PLANES
 
     def nan_in_t1(data, coords, **kwargs):
         out = sample(data, coords, **kwargs)
         if kwargs.get("output") is np.float32:
+            z = len(channel_reads) * planes
             channel_reads.append(len(channel_reads))
-            if channel_reads == [0]:  # _t1's one 8-plane slab
-                out[3, 4, 5] = np.nan
+            if z <= 5 < z + out.shape[2]:  # _t1's slab holding plane 5
+                out[3, 4, 5 - z] = np.nan
         return out
 
     monkeypatch.setattr(interp, "map_coordinates", nan_in_t1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,3 +375,115 @@ def test_slabs_are_set_up_before_the_first_slab():
         interp.warp((6, 6, 6), [_ROT, bad])
     with pytest.raises(ValueError, match="control grid must be"):
         interp.warp((6, 6, 6), [np.zeros((4, 4, 3))])
+
+
+# --- map_coordinates: scipy's bytes without scipy ----------------------------
+# The sampler must give scipy.ndimage.map_coordinates' bytes for the three
+# forms voxaug reads, at any position: random ones, and those where floor,
+# rounding, the grid's edges or the cast to an index decide the result.
+
+FORMS = {
+    "channel": (np.float32, dict(output=np.float32, order=1, mode="grid-constant", cval=0.0)),
+    "labels": (np.uint8, dict(output=np.uint8, order=0, mode="grid-constant", cval=0.0)),
+    "field": (np.float64, dict(order=1, mode="nearest")),
+}
+
+
+def _adversarial_positions(rng, shape, per_axis):
+    """(3, per_axis) positions, half uniform over and around the grid, half
+    drawn from the edge cases of each axis and their 1-ulp neighbours."""
+    axes = []
+    for n in shape:
+        edges = np.array([-1.0, -0.5, 0.0, -0.0, 0.5, 0.49999999999999994, 1.0, n - 1.5,
+                          n - 1.0, n - 0.5, float(n), n + 0.5, -1.5, -2.0, 1e9, -1e9])
+        edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                                [5e-324, -5e-324, -1e-300]])
+        axes.append(np.where(rng.random(per_axis) < 0.5, rng.choice(edges, per_axis),
+                             rng.uniform(-3.0, n + 2.0, per_axis)))
+    return np.array(axes)
+
+
+def _form_data(rng, dtype, shape):
+    """Labels from a few values; otherwise signed data with +0.0 and -0.0
+    voxels."""
+    if dtype == np.uint8:
+        return rng.choice(np.array([0, 1, 2, 4, 255], np.uint8), size=shape)
+    data = rng.normal(0.0, 3.0, shape).astype(dtype)
+    data[rng.random(shape) < 0.2] = -0.0
+    data[rng.random(shape) < 0.1] = 0.0
+    return data
+
+
+@pytest.mark.parametrize("chunk", [interp._CHUNK, 37], ids=["default-chunk", "37-point-chunks"])
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("shape", [(1, 2, 3), (5, 1, 4), (7, 6, 5), (24, 22, 20)], ids=str)
+def test_map_coordinates_gives_scipys_bytes(monkeypatch, shape, form, chunk):
+    monkeypatch.setattr(interp, "_CHUNK", chunk)
+    dtype, kwargs = FORMS[form]
+    rng = np.random.default_rng([sum(shape), len(form), chunk])
+    data = _form_data(rng, dtype, shape)
+    coords = _adversarial_positions(rng, shape, 3 * 4 * 250).reshape(3, 3, 4, 250)
+    got = interp.map_coordinates(data, coords, **kwargs)
+    want = map_coordinates(data, coords, **kwargs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_elastic_between_affines_resamples_with_scipys_bytes(monkeypatch):
+    """An elastic step between two affine steps reads its dense field at
+    moved positions (``_by_field``): positions and every array read at them
+    are the bytes they are with scipy's sampler in place of voxaug's."""
+    steps = [_ROT, _grid(5, sigma=4.0), AffineTransform.scaling((0.8, 1.25, 1.0))]
+    s = vx.make_phantom(4, (24, 22, 20), subject_id="between")
+    # negative voxels, and -0.0 for every zero
+    s = s.map(lambda d: np.where(d == 0, np.float32(-0.0), np.where(d > d.mean(), -d, d)),
+              lambda d: d)
+
+    def run():
+        positions = np.concatenate([p for _, p in interp.warp(s.shape, steps)], axis=-1)
+        return positions, warp(s, steps)
+
+    positions, out = run()
+    monkeypatch.setattr(interp, "map_coordinates", map_coordinates)
+    want_positions, want = run()
+    assert positions.tobytes() == want_positions.tobytes()
+    for got, ref in zip((*out.channels, out.labels), (*want.channels, want.labels), strict=True):
+        assert got.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("data, kwargs", [
+    (np.float32, dict(output=np.float32, order=3, mode="grid-constant")),
+    (np.float32, dict(output=np.float32, order=1, mode="constant")),
+    (np.float32, dict(output=np.float32, order=1, mode="reflect")),
+    (np.float32, dict(output=np.float32, order=1, mode="grid-constant", cval=1.0)),
+    (np.float32, dict(output=np.float32, order=0, mode="grid-constant")),
+    (np.float64, dict(output=np.float32, order=1, mode="grid-constant")),
+    (np.uint8, dict(output=np.uint8, order=1, mode="grid-constant")),
+    (np.uint8, dict(output=np.float32, order=0, mode="grid-constant")),
+    (np.float64, dict(order=0, mode="nearest")),
+    (np.float32, dict(order=1, mode="nearest")),
+], ids=str)
+def test_map_coordinates_rejects_other_forms(data, kwargs):
+    with pytest.raises(ValueError, match="unsupported sampling"):
+        interp.map_coordinates(np.zeros((4, 4, 4), data), np.zeros((3, 2, 2, 2)), **kwargs)
+
+
+def test_a_channel_read_holds_its_output_and_a_few_mib():
+    """One channel read at a slab of 128^2 x 4 planes peaks (tracemalloc)
+    within its float32 output (0.25 MiB) plus 4 MiB: about 2.5 MiB in all,
+    in 16384-point chunks. Reading all 65536 points at once took about 9
+    MiB."""
+    rng = np.random.default_rng(7)
+    data = rng.normal(0.0, 1.0, (128, 128, 128)).astype(np.float32)
+    coords = np.indices((128, 128, 4), dtype=np.float64)
+    coords += rng.uniform(-0.6, 0.6, coords.shape)
+    kwargs = FORMS["channel"][1]
+    interp.map_coordinates(data, coords, **kwargs)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = interp.map_coordinates(data, coords, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -9,10 +9,11 @@ produces: NIfTI volumes, provenance JSON, metrics/ranks CSV.
 """
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
-from scipy.ndimage import grey_dilation
+import numpy as np
 
 from voxaug.augment import AugmentSpec
 from voxaug.cli import main as voxaug_main
@@ -27,6 +28,17 @@ FIVE_OPS = (
     AugmentSpec(kind="brightness"),
     AugmentSpec(kind="elastic", sigma=2.0),
 )
+
+
+def dilate(labels: np.ndarray) -> np.ndarray:
+    """Each voxel's maximum over its 3x3x3 neighbourhood, edge values held
+    beyond the grid (``scipy.ndimage.grey_dilation`` with ``size=(3, 3, 3)``)."""
+    padded = np.pad(labels, 1, mode="edge")
+    nx, ny, nz = labels.shape
+    out = labels.copy()
+    for i, j, k in itertools.product(range(3), repeat=3):
+        np.maximum(out, padded[i : i + nx, j : j + ny, k : k + nz], out=out)
+    return out
 
 
 def cli(*argv: str) -> None:
@@ -63,7 +75,7 @@ def main() -> None:
     dilated.mkdir(exist_ok=True)
     for seg in sorted(aug.glob("*_seg.nii.gz")):
         lab = read_labels(seg)
-        grown = grey_dilation(lab.data, size=(3, 3, 3))
+        grown = dilate(lab.data)
         write_volume(LabelMap(grown, spacing=lab.spacing, convention="raw"), dilated / seg.name)
 
     metrics = out / "metrics.csv"

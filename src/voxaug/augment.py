@@ -6,12 +6,13 @@ parameters, and a ``draw_*`` helper that draws those parameters from a
 :class:`~voxaug.rng.RandomStream`.
 
 One private table maps each kind to the spec parameters it reads, its
-draw, its core, the parameters it records in provenance and what it does to
-one array: for the four geometric kinds, the step it adds to a fused
+draw, the parameters it records in provenance and what it does to one
+array: for the four geometric kinds, the step it adds to a fused
 resampling; for brightness, its function of one channel.
 :class:`AugmentSpec` validation and serialisation, :data:`KINDS`,
-:func:`apply_spec` and :func:`plan_steps` all read that table.
-``apply_spec`` draws and applies one operator unconditionally.
+:func:`apply_spec`, :func:`draw_pipeline` and :func:`plan_steps` all read
+that table. ``apply_spec`` draws one operator's parameters and applies them
+unconditionally, as a one-step :func:`apply_steps`.
 
 Every spec field has one :class:`Rule` in :data:`SPEC_FIELDS`: what it must
 be, a test of its raw JSON value that coerces nothing, and its canonical
@@ -133,47 +134,40 @@ def from_json(cls, d, what: str, required: tuple[str, ...]) -> dict:
 class _Op(NamedTuple):
     """One augmentation kind: the spec parameters it reads, each checked by
     its :data:`SPEC_FIELDS` rule; how it draws its parameters from a stream;
-    how it applies them to a sample; what it records; and either, for a
-    geometric kind, the step its parameters add to
-    :func:`voxaug.interp.warp`, or, for an intensity kind, how it applies
-    them to one channel's array (the other one is None)."""
+    what it records; and either, for a geometric kind, the step its
+    parameters add to :func:`voxaug.interp.warp`, or, for an intensity
+    kind, how it applies them to one channel's array (the other one is
+    None)."""
 
     spec_fields: tuple[str, ...]
     draw: Callable[[RandomStream, "AugmentSpec"], dict]
-    apply: Callable[[Sample, dict], Sample]
     provenance: Callable[["AugmentSpec", dict], dict]
     geometry: Callable[[dict], AffineTransform | np.ndarray] | None = None
     intensity: Callable[[np.ndarray, dict], np.ndarray] | None = None
 
 
-# The cores are looked up by name when an op runs, not captured here, so
-# code that replaces them on this module (tracing, tests) sees every call.
 _OPS = {
     "flip": _Op(
         spec_fields=(),
         draw=lambda rng, spec: draw_flip_params(rng),
-        apply=lambda s, p: flip_axis(s, **p),
         provenance=lambda spec, p: p,
         geometry=lambda p: AffineTransform.flip(p["axis"]),
     ),
     "rotation": _Op(
         spec_fields=("max_deg",),
         draw=lambda rng, spec: draw_rotation_params(rng, spec.max_deg),
-        apply=lambda s, p: rotate_by(s, **p),
         provenance=lambda spec, p: {"angles_deg": list(p["angles_deg"])},
         geometry=lambda p: AffineTransform.rotation_xyz(p["angles_deg"]),
     ),
     "scale": _Op(
         spec_fields=("max_frac",),
         draw=lambda rng, spec: draw_scale_params(rng, spec.max_frac),
-        apply=lambda s, p: scale_by(s, **p),
         provenance=lambda spec, p: {"factors": list(p["factors"])},
         geometry=lambda p: AffineTransform.scaling(p["factors"]),
     ),
     "brightness": _Op(
         spec_fields=(),
         draw=lambda rng, spec: draw_brightness_params(rng),
-        apply=lambda s, p: brightness_by(s, **p),
         provenance=lambda spec, p: p,
         intensity=lambda a, p: _brighten(a, **p),
     ),
@@ -182,7 +176,6 @@ _OPS = {
         draw=lambda rng, spec: {
             "control_grid": draw_elastic_grid(rng, spec.sigma, spec.grid_size)
         },
-        apply=lambda s, p: elastic_by(s, **p),
         provenance=lambda spec, p: {
             "sigma": spec.sigma,
             "grid_size": spec.grid_size,
@@ -364,12 +357,13 @@ def _control_grid_sha256(grid: np.ndarray) -> str:
 
 
 def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sample, dict]:
-    """Draw the spec's parameters from ``rng`` and apply its operator
-    unconditionally; returns the output and the parameters as recorded in
-    provenance."""
+    """Draw the spec's parameters from ``rng`` and apply them
+    unconditionally, as the one step of :func:`apply_steps`, which is what
+    the kind's core does with them; returns the output and the parameters
+    as recorded in provenance."""
     op = _OPS[spec.kind]
     params = op.draw(rng, spec)
-    return op.apply(sample, params), op.provenance(spec, params)
+    return apply_steps(sample, [(spec.kind, params)]), op.provenance(spec, params)
 
 
 class ArrayPlan(NamedTuple):

@@ -35,7 +35,8 @@ Conventions:
 This module is numpy code only, and so is voxaug: elastic fields come from
 :func:`bspline_upsample`, and :func:`map_coordinates` repeats the arithmetic
 of ``scipy.ndimage.map_coordinates``, so it gives scipy's bytes for the
-reads voxaug makes, with no scipy installed.
+reads voxaug makes, with no scipy installed. It takes only ``order`` and
+``mode``: every read is into its input's dtype, and 0 beyond the grid.
 """
 
 import math
@@ -69,6 +70,8 @@ class AffineTransform:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError(f"affine matrix must be 3x3, got {m.shape}")
+        if not np.isfinite(m).all():  # a NaN determinant would pass the check below
+            raise ValueError("non-finite transform")
         if abs(np.linalg.det(m)) <= 1e-9:
             raise ValueError("non-invertible transform")
         object.__setattr__(self, "matrix", m)
@@ -104,13 +107,9 @@ class AffineTransform:
 # points read at a time: one chunk's temporaries stay near 2.5 MiB
 _CHUNK = 1 << 14
 
-# (order, mode, input dtype, output dtype) of the reads voxaug makes:
-# channels, label maps, and a dense field's components in _by_field
-_FORMS = {
-    (1, "grid-constant", "float32", "float32"),
-    (0, "grid-constant", "uint8", "uint8"),
-    (1, "nearest", "float64", "float64"),
-}
+# (order, mode, dtype) of the reads voxaug makes, each into its input's
+# dtype: channels, label maps, and a dense field's components in _by_field
+_FORMS = {(1, "grid-constant", "float32"), (0, "grid-constant", "uint8"), (1, "nearest", "float64")}
 
 
 def _trilinear(flat: np.ndarray, axes, pts: np.ndarray, out: np.ndarray, clamp: bool) -> None:
@@ -171,14 +170,14 @@ def _nearest(flat: np.ndarray, axes, pts: np.ndarray, out: np.ndarray) -> None:
     out[outside] = 0
 
 
-def map_coordinates(input, coordinates, output=None, *, order: int, mode: str,
-                    cval: float = 0.0) -> np.ndarray:
-    """The 3-D ``input`` read at the (3, ...) ``coordinates``, with the bytes
-    of ``scipy.ndimage.map_coordinates`` for the reads voxaug makes:
-    float32 into float32 at order 1 and uint8 into uint8 at order 0, both
-    ``mode="grid-constant"`` with ``cval`` 0; float64 at order 1 with
-    ``mode="nearest"``. Any other form raises ValueError. The voxels are
-    finite, as :class:`~voxaug.volume.Volume` and the dense fields check.
+def map_coordinates(input, coordinates, *, order: int, mode: str) -> np.ndarray:
+    """The 3-D ``input`` read at the (3, ...) ``coordinates`` into an array
+    of its dtype, with the bytes of ``scipy.ndimage.map_coordinates`` (its
+    default ``output`` and ``cval``) for the reads voxaug makes: float32 at
+    order 1 and uint8 at order 0, both ``mode="grid-constant"``, so 0
+    beyond the grid; float64 at order 1 with ``mode="nearest"``. Any other
+    form raises ValueError. The voxels are finite, as
+    :class:`~voxaug.volume.Volume` and the dense fields check.
 
     Every value comes from single, individually rounded numpy operations
     (see :func:`_trilinear`), in chunks of ``_CHUNK`` points, so a call
@@ -186,14 +185,11 @@ def map_coordinates(input, coordinates, output=None, *, order: int, mode: str,
     look this name up on the module at every call, so replacing the module
     attribute intercepts every sampling call."""
     data, pts = np.asarray(input), np.asarray(coordinates, dtype=np.float64)
-    dtype = data.dtype if output is None else np.dtype(output)
-    form = (order, mode, data.dtype.name, dtype.name)
-    if form not in _FORMS or (mode == "grid-constant" and cval != 0.0) or (
-        data.ndim != 3 or len(pts) != 3
-    ):
-        raise ValueError(f"unsupported sampling: {form}, cval {cval}, "
-                         f"input {data.shape}, coordinates {pts.shape}")
-    out = np.empty(pts.shape[1:], dtype)
+    form = (order, mode, data.dtype.name)
+    if form not in _FORMS or data.ndim != 3 or len(pts) != 3:
+        raise ValueError(f"unsupported sampling: {form}, input {data.shape}, "
+                         f"coordinates {pts.shape}")
+    out = np.empty(pts.shape[1:], data.dtype)
     flat, pts, dest = data.ravel(), pts.reshape(3, -1), out.reshape(-1)
     _, ny, nz = data.shape
     axes = tuple(zip(data.shape, (ny * nz, nz, 1)))
@@ -293,6 +289,9 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3, z_spline: bool = 
     those planes' (3, nx, ny, k) positions in place, each component's sum
     the same as the whole field's, with ``sums`` a (2, >= k, nx, ny)
     float64 scratch buffer that may be reused from call to call.
+
+    Finite control values can still sum past float64's range; either way,
+    a field value that is not finite raises ``non-finite displacement``.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
     if coarse.ndim != 4 or coarse.shape[-1] != 3:
@@ -316,6 +315,8 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3, z_spline: bool = 
         for x in range(0, nx, 4):  # 4 x-rows at a time stay in cache
             rows = out[x : x + 4]
             _knot_sum(component[:, x : x + 4, :, None], wz, rows, term[: len(rows)])
+            if not np.isfinite(rows).all():
+                raise ValueError("non-finite displacement")
     return np.moveaxis(field, 0, -1)
 
 
@@ -425,12 +426,12 @@ def warp(shape: Shape3, steps) -> SlabSource:
 
 
 def sample_channel(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """A channel's array read trilinearly at ``coords`` into float32, 0
-    beyond the grid."""
-    return map_coordinates(data, coords, output=np.float32, order=1, mode="grid-constant", cval=0.0)
+    """A channel's float32 array read trilinearly at ``coords``, 0 beyond
+    the grid."""
+    return map_coordinates(data, coords, order=1, mode="grid-constant")
 
 
 def sample_labels(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """A label array read nearest-neighbor at ``coords`` into uint8, 0
-    beyond the grid."""
-    return map_coordinates(data, coords, output=np.uint8, order=0, mode="grid-constant", cval=0.0)
+    """A uint8 label array read nearest-neighbor at ``coords``, 0 beyond
+    the grid."""
+    return map_coordinates(data, coords, order=0, mode="grid-constant")

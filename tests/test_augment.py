@@ -21,6 +21,7 @@ from voxaug.augment import (
     apply_spec,
     apply_steps,
     brightness_by,
+    draw_brightness_params,
     draw_elastic_grid,
     draw_flip_params,
     draw_pipeline,
@@ -400,17 +401,27 @@ def test_geometric_ops_build_coordinates_once(small_sample, monkeypatch):
 
 # --- apply_pipeline ---------------------------------------------------------------
 
-def test_apply_spec_calls_the_cores_through_the_module(tiny_sample, monkeypatch):
-    """Each kind reaches its core by name on voxaug.augment at call time, so a
-    core replaced on the module (as the benchmark's tracing does) sees the call."""
-    cores = ["flip_axis", "rotate_by", "scale_by", "brightness_by", "elastic_by"]
-    called = []
-    for name in cores:
-        monkeypatch.setattr(augment, name, lambda s, _n=name, **p: called.append(_n) or s)
-    for spec in _standard_pipeline().specs:
-        out, _ = apply_spec(tiny_sample, spec, RandomStream(0, (spec.kind,)))
-        assert out is tiny_sample
-    assert called == cores
+def test_apply_spec_is_the_public_draw_then_the_core(small_sample):
+    """For each kind, ``apply_spec`` gives the bytes of that kind's public
+    ``draw_*`` on an equal stream, its draw passed to the kind's core."""
+    draw_and_core = {
+        "flip": (lambda rng, spec: draw_flip_params(rng), flip_axis),
+        "rotation": (lambda rng, spec: draw_rotation_params(rng, spec.max_deg), rotate_by),
+        "scale": (lambda rng, spec: draw_scale_params(rng, spec.max_frac), scale_by),
+        "brightness": (lambda rng, spec: draw_brightness_params(rng), brightness_by),
+        "elastic": (
+            lambda rng, spec: {"control_grid": draw_elastic_grid(rng, spec.sigma, spec.grid_size)},
+            elastic_by,
+        ),
+    }
+    specs = _standard_pipeline().specs
+    assert sorted(spec.kind for spec in specs) == sorted(draw_and_core) == sorted(KINDS)
+    for spec in specs:
+        got, _ = apply_spec(small_sample, spec, RandomStream(4, (spec.kind,)))
+        draw, core = draw_and_core[spec.kind]
+        want = core(small_sample, **draw(RandomStream(4, (spec.kind,)), spec))
+        assert got is not small_sample
+        _assert_samples_bytes_equal(got, want)
 
 
 def _standard_pipeline():
@@ -605,7 +616,7 @@ def test_bad_output_label_is_named_in_the_maps_own_convention(monkeypatch):
 
     def seven_at_plane_nine(data, coords, **kwargs):
         out = original(data, coords, **kwargs)
-        if kwargs.get("output") is np.uint8:
+        if out.dtype == np.uint8:
             z = len(label_slabs) * planes
             label_slabs.append(out.shape)
             if z <= 9 < z + out.shape[2]:
@@ -622,8 +633,10 @@ def test_bad_output_label_is_named_in_the_maps_own_convention(monkeypatch):
 def test_apply_pipeline_holds_its_outputs_and_a_few_slabs():
     """All five ops on a 96^3 phantom peak (tracemalloc) within the outputs
     (four float32 channels and a uint8 label map) plus eight slabs' worth
-    of sampling positions (8 z-planes of 96^2, 1.7 MB each): about 27.9 MB.
-    Building whole positions (21 MB) took about 38.1 MB."""
+    of sampling positions (``interp._SLAB_PLANES`` z-planes of 96^2; at 4
+    planes 0.88 MB each, a bound of about 21.1 MiB). They peak at about the
+    outputs + 6.7 slabs. Building whole positions (21 MB) took about 38.1
+    MB."""
     pipe = _only(_standard_pipeline(), KINDS)
     apply_pipeline(vx.make_phantom(0, (16, 16, 16)), pipe, RandomStream(0, ("warm",)))
     s = vx.make_phantom(2, (96, 96, 96))

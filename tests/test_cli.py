@@ -359,13 +359,15 @@ def test_augment_holds_about_one_channel_in_and_one_out(tmp_path, capsys, monkey
 def test_resampling_augment_holds_one_window_and_a_few_slabs(tmp_path, capsys, monkeypatch):
     """One subject under all five ops, at a 96^3 patch and one thread, peaks
     (tracemalloc) within one read window (a channel's, 3.5 MB) plus eight
-    slabs' worth of sampling positions (8 z-planes of 96^2, 1.7 MB each):
-    each array is read, resampled and written one z-slab at a time, and
-    dropped before the next is read, only its positions rebuilt. It peaks
-    at about a window + 4.5 slabs. Holding all five windows, to resample
-    every array at one slab before the next, took about a window + 10.9
-    slabs (five windows + 6.4); building whole positions and holding every
-    output took five windows + 15.6."""
+    slabs' worth of sampling positions (``interp._SLAB_PLANES`` z-planes of
+    96^2; at 4 planes 0.88 MB each): each array is read, resampled and
+    written one z-slab at a time, and dropped before the next is read, only
+    its positions rebuilt. At 4-plane slabs it peaks at about a window +
+    7.1 slabs. With 8-plane slabs (1.7 MB each) it peaked at about a window
+    + 4.5 slabs; holding all five windows, to resample every array at one
+    slab before the next, took about a window + 10.9 slabs (five windows +
+    6.4); building whole positions and holding every output took five
+    windows + 15.6."""
     code, _, err = run(
         capsys, "phantom", "--seed", "2", "--count", "1", "--shape", "100,100,100",
         "--out", str(tmp_path / "in"),
@@ -418,7 +420,7 @@ def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monk
 
     def nan_in_two_slabs(data, coords, **kwargs):
         out = sample(data, coords, **kwargs)
-        if kwargs.get("output") is np.float32:
+        if out.dtype == np.float32:
             z = len(channel_reads) * planes
             channel_reads.append(len(channel_reads))
             for x, y, nan_z in ((7, 3, 2), (2, 5, 9)):  # of _t1 in the patch
@@ -498,7 +500,7 @@ def test_several_faults_report_the_first_met_in_array_order(tmp_path, capsys, mo
 
     def nan_in_t1(data, coords, **kwargs):
         out = sample(data, coords, **kwargs)
-        if kwargs.get("output") is np.float32:
+        if out.dtype == np.float32:
             z = len(channel_reads) * planes
             channel_reads.append(len(channel_reads))
             if z <= 5 < z + out.shape[2]:  # _t1's slab holding plane 5

@@ -33,11 +33,14 @@ def test_import_loads_no_scipy(module):
 
 
 def test_src_has_no_scipy_import():
+    """Nor does the README's demo script, which runs on a numpy-only install."""
     pattern = re.compile(
         r"^\s*(from|import)\s+scipy\b|(import_module|__import__)\(\s*['\"]scipy\b", re.M
     )
     package = Path(voxaug.__file__).resolve().parent
-    assert [p.name for p in sorted(package.rglob("*.py")) if pattern.search(p.read_text())] == []
+    demo = Path(__file__).resolve().parents[1] / "scripts" / "run_demo_pipeline.py"
+    files = [*sorted(package.rglob("*.py")), demo]
+    assert [p.name for p in files if pattern.search(p.read_text())] == []
 
 
 # --- subcommands ------------------------------------------------------------------

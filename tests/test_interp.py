@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ def test_identity_is_bitwise_identity():
 def test_singular_matrix_rejected():
     with pytest.raises(ValueError, match="non-invertible transform"):
         AffineTransform(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AffineTransform.rotation_xyz((np.nan, 0.0, 0.0)),
+    lambda: AffineTransform.scaling((np.inf, 1.0, 1.0)),
+    lambda: AffineTransform(np.full((3, 3), np.nan)),
+], ids=["nan-angle", "inf-factor", "nan-matrix"])
+def test_non_finite_transform_rejected(make):
+    """A non-finite matrix raises before its determinant is taken: a NaN
+    determinant would pass the invertibility check, with numpy warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite transform"):
+            make()
 
 
 def test_rotation_matrix_determinant_one():
@@ -303,6 +318,20 @@ def test_warp_non_finite_control_grid_rejected():
         warp(s, [bad])
 
 
+@pytest.mark.parametrize("after", [(), ((12.0, -20.0, 7.0),)], ids=["alone", "then-a-rotation"])
+def test_a_field_past_float64s_range_rejected(after):
+    """Finite control values of +-1.7e308 sum past float64's range in the
+    spline passes. Either way the field is used it raises: added plane by
+    plane to the grid's positions (an elastic step alone), or built whole
+    and read at moved positions (an elastic step, then a rotation)."""
+    s = _sample(_rand_volume(9, (16, 16, 16)))
+    huge = np.where(np.indices((4, 4, 4, 3)).sum(axis=0) % 2 == 0, 1.7e308, -1.7e308)
+    steps = [huge, *map(AffineTransform.rotation_xyz, after)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite displacement"):
+            warp(s, steps)
+
+
 # --- positions in z-slabs ---------------------------------------------------
 
 def _grid(seed, sigma=3.0):
@@ -383,8 +412,8 @@ def test_slabs_are_set_up_before_the_first_slab():
 # rounding, the grid's edges or the cast to an index decide the result.
 
 FORMS = {
-    "channel": (np.float32, dict(output=np.float32, order=1, mode="grid-constant", cval=0.0)),
-    "labels": (np.uint8, dict(output=np.uint8, order=0, mode="grid-constant", cval=0.0)),
+    "channel": (np.float32, dict(order=1, mode="grid-constant")),
+    "labels": (np.uint8, dict(order=0, mode="grid-constant")),
     "field": (np.float64, dict(order=1, mode="nearest")),
 }
 
@@ -452,19 +481,26 @@ def test_elastic_between_affines_resamples_with_scipys_bytes(monkeypatch):
 
 
 @pytest.mark.parametrize("data, kwargs", [
-    (np.float32, dict(output=np.float32, order=3, mode="grid-constant")),
-    (np.float32, dict(output=np.float32, order=1, mode="constant")),
-    (np.float32, dict(output=np.float32, order=1, mode="reflect")),
-    (np.float32, dict(output=np.float32, order=1, mode="grid-constant", cval=1.0)),
-    (np.float32, dict(output=np.float32, order=0, mode="grid-constant")),
-    (np.float64, dict(output=np.float32, order=1, mode="grid-constant")),
-    (np.uint8, dict(output=np.uint8, order=1, mode="grid-constant")),
-    (np.uint8, dict(output=np.float32, order=0, mode="grid-constant")),
+    (np.float32, dict(order=3, mode="grid-constant")),
+    (np.float32, dict(order=1, mode="constant")),
+    (np.float32, dict(order=1, mode="reflect")),
+    (np.float32, dict(order=0, mode="grid-constant")),
+    (np.float64, dict(order=1, mode="grid-constant")),
+    (np.uint8, dict(order=1, mode="grid-constant")),
     (np.float64, dict(order=0, mode="nearest")),
     (np.float32, dict(order=1, mode="nearest")),
+    (np.float32, dict(output=np.float32, order=1, mode="grid-constant")),
+    (np.float64, dict(output=np.float32, order=1, mode="grid-constant")),
+    (np.uint8, dict(output=np.float32, order=0, mode="grid-constant")),
+    (np.float32, dict(order=1, mode="grid-constant", cval=0.0)),
+    (np.float32, dict(order=1, mode="grid-constant", cval=1.0)),
 ], ids=str)
 def test_map_coordinates_rejects_other_forms(data, kwargs):
-    with pytest.raises(ValueError, match="unsupported sampling"):
+    """A form outside voxaug's three reads raises ValueError. The output has
+    the input's dtype and reads beyond the grid are 0, so ``output`` and
+    ``cval`` are not arguments: passing either raises TypeError."""
+    error = TypeError if {"output", "cval"} & kwargs.keys() else ValueError
+    with pytest.raises(error, match="unsupported sampling" if error is ValueError else None):
         interp.map_coordinates(np.zeros((4, 4, 4), data), np.zeros((3, 2, 2, 2)), **kwargs)
 
 

@@ -25,18 +25,17 @@ parameter's error carries its kind, as in ``rotation max_deg must be one of
 A pipeline runs in two parts. :func:`draw_pipeline` decides per step whether
 it fires and draws and records every value, so re-running with the same
 stream reproduces the output bit for bit. :func:`plan_steps` turns the fired
-steps into an :class:`ArrayPlan`, one function for a channel's array and one
-for the label map's. ``voxaug augment`` applies it to each array of a
-subject as it reads it, and drops the array before the next read: whole
-when no step resamples, and otherwise through the one slab loop,
-:func:`resample`, given that one array, writing each output slab as it
-comes. :func:`apply_steps` applies it to a whole sample: through
-:meth:`~voxaug.volume.Sample.map` when no step resamples, and otherwise
-through ``resample`` given every array, so each z-slab of sampling
-positions is built once for all of them and the output slabs fill whole
-outputs. Neither holds a whole position array. :func:`apply_pipeline` is
-the draw followed by ``apply_steps``: the library and the command line run
-the same functions.
+steps into an :class:`ArrayPlan`: one function for a channel's array and one
+for the label map's, and the z-slabs of the output at which they are
+called. :func:`resample` is the one array loop: it maps the arrays it is
+given one z-slab at a time and checks every output voxel. ``voxaug
+augment`` passes it one array of a subject at a time, as it reads it,
+writes each output slab as it comes, and drops the array before the next
+read. :func:`apply_steps` passes it a whole sample, so each z-slab of
+sampling positions is built once for all of its arrays, and the output
+slabs fill whole outputs. Neither holds a whole position array.
+:func:`apply_pipeline` is the draw followed by ``apply_steps``: the library
+and the command line run the same functions.
 Each core is its kind applied alone with ``apply_steps``. Feeding recorded
 parameters back into a single core reproduces a one-step pipeline; a longer
 one is replayed by passing the recorded ``(kind, params)`` pairs to
@@ -50,13 +49,13 @@ nearest-neighbor at the same positions, so constituents stay co-registered
 and the label alphabet is preserved. A lone rotation, scale or elastic step
 is the same ``warp`` with its one step, and a lone flip stays an index
 reversal. The brightness steps then run, in their order, on each channel's
-output (a whole array or one z-slab), in float64 slabs.
+output slab, in float64.
 """
 
 import hashlib
 import json
 import numbers
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -312,29 +311,15 @@ def brightness_by(sample: Sample, gain: float, gamma: float) -> Sample:
     return apply_steps(sample, [("brightness", {"gain": gain, "gamma": gamma})])
 
 
-_BRIGHTEN_SLAB = 1 << 17  # float64 values per slab, 1 MB
-
-
 def _brighten(data: np.ndarray, gain: float, gamma: float) -> np.ndarray:
-    """``gain * data**gamma`` of one channel's array, as float32.
-
-    It is computed in one reused float64 buffer of whole x-planes, about
-    1 MB, with the same operations in the same order per voxel as the
-    whole-array expression, so the bytes are the same and no whole-array
-    float64 temporary is made.
-    """
+    """``gain * data**gamma`` of one slab of a channel, computed in float64
+    and returned as float32."""
     if data.min() < 0:
         raise ValueError("brightness requires nonnegative intensities - normalize first")
-    out = np.empty(data.shape, np.float32)
-    step = max(1, _BRIGHTEN_SLAB // data[0].size)
-    buf = np.empty((min(step, len(data)), *data.shape[1:]))
-    for x in range(0, len(data), step):
-        slab = buf[: min(step, len(data) - x)]
-        slab[...] = data[x : x + step]
-        slab **= float(gamma)
-        slab *= float(gain)
-        out[x : x + step] = slab
-    return out
+    out = data.astype(np.float64)
+    out **= float(gamma)
+    out *= float(gain)
+    return out.astype(np.float32)
 
 
 # elastic deformation --------------------------------------------------
@@ -366,19 +351,24 @@ def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sa
     return apply_steps(sample, [(spec.kind, params)]), op.provenance(spec, params)
 
 
+# voxels per z-slab of a plan that does not resample: 8 planes at 128^2
+_SLAB = 1 << 17
+
+
 class ArrayPlan(NamedTuple):
     """What fired steps do to the arrays of a subject: ``channel`` maps a
-    channel's array and ``labels`` the label map's. When the plan
-    resamples, ``slabs`` is the :class:`~voxaug.interp.SlabSource` of its
-    sampling positions, each pass over it building the ``(z, positions)``
-    z-slabs afresh from the set-up, and each function is called as
-    ``f(array, positions)`` for that slab of the output (see
-    :func:`resample`); otherwise ``slabs`` is None and each function maps a
-    whole array."""
+    channel's array and ``labels`` the label map's, one z-slab of the output
+    at a time. ``slabs`` holds the ``(z, where)`` pairs of the output's
+    z-slabs, the planes from ``z`` on, and may be passed over again; each
+    function is called as ``f(array, where)`` for that slab (see
+    :func:`resample`). When the plan resamples, ``slabs`` is the
+    :class:`~voxaug.interp.SlabSource` of its sampling positions, each pass
+    building the slabs afresh from the set-up, and ``where`` is the slab's
+    positions; otherwise ``where`` is the slab's slice of z-planes."""
 
-    channel: Callable[..., np.ndarray]
-    labels: Callable[..., np.ndarray]
-    slabs: interp.SlabSource | None = None
+    channel: Callable[[np.ndarray, object], np.ndarray]
+    labels: Callable[[np.ndarray, object], np.ndarray]
+    slabs: Iterable[tuple[int, object]]
 
 
 def plan_steps(shape: Shape3, steps) -> ArrayPlan:
@@ -388,10 +378,11 @@ def plan_steps(shape: Shape3, steps) -> ArrayPlan:
     steps, in order, on each channel.
 
     A lone flip is an index reversal and builds no positions, and with no
-    geometric step an array is not moved. Otherwise the positions are handed
-    out in z-slabs (see :func:`voxaug.interp.warp`), and every check of the
-    steps (the matrices, the control grids) runs here, before any array is
-    touched.
+    geometric step an array is not moved; either way the output comes in
+    z-slabs of ``_SLAB`` voxels (at least one plane). Otherwise the positions
+    are handed out in z-slabs (see :func:`voxaug.interp.warp`), and every
+    check of the steps (the matrices, the control grids) runs here, before
+    any array is touched.
     """
     steps = list(steps)
     for kind, _ in steps:
@@ -399,36 +390,37 @@ def plan_steps(shape: Shape3, steps) -> ArrayPlan:
             raise ValueError(f"unknown augmentation kind {kind!r}")
     geometric = [(kind, params) for kind, params in steps if _OPS[kind].geometry is not None]
     moves = [_OPS[kind].geometry(params) for kind, params in geometric]  # checks the params
-    positions = None
-    if not moves:
-        move_channel = move_labels = lambda data: data
-    elif len(moves) == 1 and geometric[0][0] == "flip":
-        axis = geometric[0][1]["axis"]
-        move_channel = move_labels = lambda data: np.flip(data, axis)
-    else:
-        positions = interp.warp(shape, moves)
+    if len(moves) > 1 or moves and geometric[0][0] != "flip":
+        slabs = interp.warp(shape, moves)
         move_channel, move_labels = interp.sample_channel, interp.sample_labels
+    else:  # nothing moves, or the lone flip reverses its axis
+        axes = tuple(params["axis"] for _, params in geometric)
+        nx, ny, nz = shape
+        planes = max(1, _SLAB // (nx * ny))
+        slabs = [(z, slice(z, z + planes)) for z in range(0, nz, planes)]
+        move_channel = move_labels = lambda data, zs: np.flip(data, axes)[..., zs]
     intensity = [(_OPS[kind].intensity, params) for kind, params in steps if _OPS[kind].intensity]
 
-    def channel(data: np.ndarray, *coords) -> np.ndarray:
-        data = move_channel(data, *coords)
+    def channel(data: np.ndarray, where) -> np.ndarray:
+        data = move_channel(data, where)
         for apply, params in intensity:
             data = apply(data, params)
         return data
 
-    return ArrayPlan(channel, move_labels, positions)
+    return ArrayPlan(channel, move_labels, slabs)
 
 
 def resample(plan: ArrayPlan, arrays) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The outputs of a plan that resamples, for a subject's ``arrays``
-    (each a :class:`~voxaug.volume.Volume` channel or a
+    """The outputs of a plan for a subject's ``arrays`` (each a
+    :class:`~voxaug.volume.Volume` channel or a
     :class:`~voxaug.volume.LabelMap`), one z-slab at a time: yields
     ``(n, z, out)``, array ``n``'s output at the planes from ``z`` on, every
     array at one slab before the next slab, so no whole position array is
-    held. Each call is one pass over the plan's slabs, so it builds the
-    positions once for the arrays it is given: once for a whole sample in
-    :func:`apply_steps`, once per array in ``voxaug augment``, which passes
-    one array at a time and so holds one window, not all of them.
+    held. Each call is one pass over the plan's slabs, so a plan that
+    resamples builds its positions once for the arrays it is given: once
+    for a whole sample in :func:`apply_steps`, once per array in ``voxaug
+    augment``, which passes one array at a time and so holds one window,
+    not all of them. An output slab may be a view of its array.
 
     Each output slab is checked as the value types check a whole array:
     finite channels, labels in the map's own alphabet. After the last slab
@@ -437,9 +429,9 @@ def resample(plan: ArrayPlan, arrays) -> Iterator[tuple[int, int, np.ndarray]]:
     """
     alphabets = [array.alphabet if isinstance(array, LabelMap) else None for array in arrays]
     first = [None] * len(arrays)
-    for z, coords in plan.slabs:
+    for z, where in plan.slabs:
         for n, (array, alphabet) in enumerate(zip(arrays, alphabets)):
-            out = (plan.channel if alphabet is None else plan.labels)(array.data, coords)
+            out = (plan.channel if alphabet is None else plan.labels)(array.data, where)
             first[n] = earlier_bad_voxel(first[n], out, z, alphabet)
             yield n, z, out
     for array, alphabet, bad in zip(arrays, alphabets, first):
@@ -450,15 +442,13 @@ def resample(plan: ArrayPlan, arrays) -> Iterator[tuple[int, int, np.ndarray]]:
 def apply_steps(sample: Sample, steps) -> Sample:
     """Apply fired steps, each a ``(kind, core params)`` pair, to every array
     of a sample with their :func:`plan_steps` plan. With no steps the sample
-    itself is returned. A plan that resamples streams through
-    :func:`resample` into the preallocated outputs, so only a few slabs of
-    positions are held beside the sample and its output."""
+    itself is returned. The plan streams through :func:`resample` into the
+    preallocated outputs, so only a few slabs are held beside the sample and
+    its output."""
     steps = list(steps)
     if not steps:
         return sample
     plan = plan_steps(sample.shape, steps)
-    if plan.slabs is None:
-        return sample.map(plan.channel, plan.labels)
     arrays = [a for a in (*sample.channels, sample.labels) if a is not None]
     outs = [np.empty(sample.shape, np.uint8 if isinstance(a, LabelMap) else np.float32)
             for a in arrays]

@@ -12,17 +12,14 @@ several as ``error: k of n subjects failed: <msg>; <msg>`` in subject order.
 pipeline and sets up its plan (matrices folded and inverted, x and y spline
 passes run, control grids checked) once, before any voxel is read. Then,
 for each channel in order and the label map last, it reads the patch
-window, writes that array's output and drops the window before the next
-read, so it holds one window at a time:
-
-* when no step resamples (no geometric step, or a lone flip), it applies
-  the per-array plan to the whole window and writes the result;
-* when a step resamples, it streams the output into the file's writer from
-  :func:`voxaug.augment.resample`, the slab loop that ``apply_pipeline``
-  also runs: one z-slab of sampling positions at a time, it resamples the
-  window there, brightens a channel's slab and checks the output voxels.
-  Only the position slabs are built again for each array, never the plan's
-  set-up, and no whole position array or whole output is held.
+window and streams that array's output into the file's writer from
+:func:`voxaug.augment.resample`, the slab loop that ``apply_pipeline`` also
+runs: one z-slab at a time, it moves the window there (resampling it at
+that slab's sampling positions, reversing it along a lone flip's axis, or
+neither), brightens a channel's slab and checks the output voxels. It
+drops the window before the next read, so it holds one window at a time.
+Only the position slabs are built again for each array, never the plan's
+set-up, and no whole position array or whole output is held.
 
 All of a subject's files are written into one atomic group, so a fault met
 after earlier outputs were written (a bad voxel in a later file, a negative
@@ -38,7 +35,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 from .augment import draw_pipeline, plan_steps, resample
@@ -150,21 +146,17 @@ def _cmd_augment(args) -> int:
             pipeline, RandomStream(cfg.seed, ("augment", subject)), subject
         )
         plan = plan_steps(cfg.patch_shape, steps)
-        arrays = [(read_volume, p, plan.channel, s) for p, s in zip(paths, cfg.channel_suffixes)]
+        arrays = [(read_volume, p, s) for p, s in zip(paths, cfg.channel_suffixes)]
         if label_path is not None:
-            arrays.append((read_labels, label_path, plan.labels, cfg.label_suffix))
+            arrays.append((read_labels, label_path, cfg.label_suffix))
         with atomic_group():  # the subject's files appear together or not at all
-            for read, path, apply, suffix in arrays:  # one array at a time
+            for read, path, suffix in arrays:  # one array at a time
                 array = read(path, box=box)
-                out = out_dir / f"{subject}{suffix}.nii.gz"
-                if plan.slabs is None:  # whole
-                    array = replace(array, data=apply(array.data))  # drops the array as read
-                    write_volume(array, out)
-                else:  # z-slab by z-slab, its positions rebuilt for this array
-                    with volume_writer(out, array) as write:
-                        for _, _, slab in resample(plan, [array]):
-                            write(slab)
-                del array  # before the next read
+                # z-slab by z-slab, any positions rebuilt for this array
+                with volume_writer(out_dir / f"{subject}{suffix}.nii.gz", array) as write:
+                    for _, _, slab in resample(plan, [array]):
+                        write(slab)
+                del array, slab  # before the next read; a flip's slab is a view of the window
             atomic_write_bytes(
                 out_dir / f"{subject}_provenance.json",
                 (provenance.to_json() + "\n").encode(),

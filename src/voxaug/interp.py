@@ -27,8 +27,8 @@ Conventions:
   each pass, so a caller may resample every array at one slab before the
   next (``apply_steps``) or pass over the slabs once per array (``voxaug
   augment``); either way no whole position array is held. Each slab's
-  positions are a new array, the caller's to keep; the buffers that a pass
-  reuses from slab to slab are never handed out.
+  positions are a new array, the caller's to keep; the scratch buffer that
+  a pass reuses from slab to slab is never handed out.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
@@ -54,6 +54,8 @@ _QUADRANTS = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0
 
 
 def _cos_sin_deg(deg: float) -> tuple[float, float]:
+    if not math.isfinite(deg):  # math.cos(inf) would raise "math domain error"
+        raise ValueError("non-finite transform")
     exact = _QUADRANTS.get(deg % 360.0)
     if exact is not None:
         return exact
@@ -242,12 +244,15 @@ def _spline_weights(n: int, g: int) -> np.ndarray:
 def _knot_sum(a, b, out: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
     """``out`` = a[0] * b[0] + a[1] * b[1] + ..., summed in that order, each
     product and each sum rounded on its own (broadcasting), the one
-    arithmetic of the spline passes; ``term`` is scratch of ``out``'s shape."""
-    np.multiply(a[0], b[0], out=out)
+    arithmetic of the spline passes; ``term`` is scratch of ``out``'s shape.
+    A sum past float64's range gives inf or NaN without a warning: the
+    callers check the field for non-finite values and raise."""
     term = np.empty_like(out) if term is None else term
-    for a_j, b_j in zip(a[1:], b[1:]):
-        np.multiply(a_j, b_j, out=term)
-        out += term
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(a[0], b[0], out=out)
+        for a_j, b_j in zip(a[1:], b[1:]):
+            np.multiply(a_j, b_j, out=term)
+            out += term
     return out
 
 
@@ -361,9 +366,8 @@ def warp(shape: Shape3, steps) -> SlabSource:
     ``(z, positions)``, the positions of planes z, z + 1, ... as a
     (3, nx, ny, k) array, for :func:`sample_channel` and
     :func:`sample_labels` to read. Each pass over it builds every slab
-    again, from the set-up done here, in buffers it allocates once per pass
-    (the grid's positions, when an affine stage moves them to a new array,
-    and the z pass's sums); each slab handed out is a new array.
+    again, from the set-up done here, with the z pass's sums in a buffer it
+    allocates once per pass; each slab handed out is a new array.
 
     ``steps`` holds :class:`AffineTransform` objects (about the center) and
     control grids (warped by their :func:`bspline_upsample` field). The
@@ -403,16 +407,10 @@ def warp(shape: Shape3, steps) -> SlabSource:
 
     def slabs():
         step, (nx, ny, nz) = _SLAB_PLANES, shape
-        most = min(step, nz)
-        sums = None if grid_field is None else np.empty((2, most, nx, ny))
-        # one buffer for the grid's positions if an affine stage moves them
-        # into a new array, which is handed out; otherwise they are the slab
-        moved = any(update.func is _by_affine for update in stages)
-        grid = np.empty(3 * nx * ny * most) if moved else None
+        sums = None if grid_field is None else np.empty((2, min(step, nz), nx, ny))
         for z in range(0, nz, step):
             planes = min(step, nz - z)
-            size = 3 * nx * ny * planes
-            coords = (np.empty(size) if grid is None else grid[:size]).reshape(3, nx, ny, planes)
+            coords = np.empty((3, nx, ny, planes))
             coords[0] = np.arange(nx, dtype=np.float64)[:, None, None]
             coords[1] = np.arange(ny, dtype=np.float64)[:, None]
             coords[2] = np.arange(z, z + planes, dtype=np.float64)

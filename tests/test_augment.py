@@ -743,8 +743,8 @@ ALL_PATTERNS_DIGEST = "da39163e646352cf520263aaf26134d2542fcf8a83f7d270d1090e92c
 def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeypatch):
     """For every set of the five kinds that fires, drawing once and then
     applying the plan to one array at a time, as ``voxaug augment`` does,
-    gives apply_pipeline's bytes and provenance; a plan that resamples runs
-    through the slab loop, each array's slabs joined as they come. The
+    gives apply_pipeline's bytes and provenance; every plan runs through the
+    slab loop, each array's slabs joined as they come. The
     positions are built at most once per subject, and not at all without a
     step that resamples."""
     built = []
@@ -760,15 +760,11 @@ def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeyp
         built.clear()
         steps, prov = draw_pipeline(pipe, RandomStream(6, key), small_sample.subject_id)
         plan = plan_steps(small_sample.shape, steps)
-        if plan.slabs is None:
-            channels = [Volume(plan.channel(ch.data)).data for ch in small_sample.channels]
-            labels = LabelMap(plan.labels(small_sample.labels.data)).data
-        else:
-            slabs = [[] for _ in range(len(small_sample.channels) + 1)]
-            for n, z, out in resample(plan, [*small_sample.channels, small_sample.labels]):
-                assert z == sum(slab.shape[-1] for slab in slabs[n])
-                slabs[n].append(out)
-            *channels, labels = [np.concatenate(pieces, axis=-1) for pieces in slabs]
+        slabs = [[] for _ in range(len(small_sample.channels) + 1)]
+        for n, z, out in resample(plan, [*small_sample.channels, small_sample.labels]):
+            assert z == sum(slab.shape[-1] for slab in slabs[n])
+            slabs[n].append(out)
+        *channels, labels = [np.concatenate(pieces, axis=-1) for pieces in slabs]
         assert len(built) == (1 if kinds - {"flip", "brightness"} else 0), sorted(kinds)
 
         assert {r.kind for r in prov.records if r.fired} == kinds
@@ -783,12 +779,32 @@ def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeyp
 
 
 def test_brightness_slabs_give_the_whole_array_bytes(monkeypatch):
-    """Brightness runs in float64 slabs of whole x-planes; a ragged last slab
-    and a one-plane slab give the bytes of the whole-array expression."""
-    data = np.random.default_rng(3).random((7, 5, 6), dtype=np.float32)
-    s = Sample(channels=(Volume(data),), subject_id="slabs")
-    want = (1.17 * data.astype(np.float64) ** 0.93).astype(np.float32)
-    for planes in (1, 3, 7, 100):
-        monkeypatch.setattr(augment, "_BRIGHTEN_SLAB", planes * 5 * 6)
-        got = brightness_by(s, 1.17, 0.93).channels[0].data
-        assert got.tobytes() == want.tobytes(), planes
+    """A plan that does not resample maps its arrays in z-slabs of
+    ``_SLAB`` voxels. For brightness alone and a lone flip on each axis, a
+    one-plane slab, a ragged last slab and one slab deeper than the grid
+    give the bytes of the whole-array expression and of ``np.flip``,
+    through ``plan_steps`` and ``resample`` and through ``apply_steps``."""
+    rng = np.random.default_rng(3)
+    data = rng.random((7, 5, 9), dtype=np.float32)
+    labels = LabelMap(rng.choice(np.array([0, 1, 2, 4], np.uint8), data.shape))
+    s = Sample(channels=(Volume(data),), labels=labels, subject_id="slabs")
+    brightness = ("brightness", {"gain": 1.17, "gamma": 0.93})
+    cases = [([brightness], (1.17 * data.astype(np.float64) ** 0.93).astype(np.float32),
+              labels.data)]
+    cases += [([("flip", {"axis": axis})], np.flip(data, axis), np.flip(labels.data, axis))
+              for axis in range(3)]
+    for planes in (1, 2, 4, 100):
+        monkeypatch.setattr(augment, "_SLAB", planes * 7 * 5)
+        for steps, channel, label_map in cases:
+            plan = plan_steps(s.shape, steps)
+            assert [z for z, _ in plan.slabs] == list(range(0, 9, planes))
+            slabs = [[], []]
+            for n, z, out in resample(plan, [s.channels[0], s.labels]):
+                assert z == sum(slab.shape[-1] for slab in slabs[n])
+                slabs[n].append(out)
+            got = [np.concatenate(pieces, axis=-1) for pieces in slabs]
+            out = apply_steps(s, steps)
+            for array in (got[0], out.channels[0].data):
+                assert array.tobytes() == channel.tobytes(), (steps, planes)
+            for array in (got[1], out.labels.data):
+                assert array.tobytes() == label_map.tobytes(), (steps, planes)

@@ -229,18 +229,18 @@ def test_failed_subject_leaves_no_file(tmp_path, capsys, monkeypatch, threads):
     code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(clean))
     assert code == 0, err
 
-    write_volume = voxaug.cli.write_volume
+    volume_writer = voxaug.cli.volume_writer
     lock, calls = threading.Lock(), []
 
-    def third_write_fails(obj, path):
+    def third_write_fails(path, like):
         if path.name.startswith("phantom001"):
             with lock:
                 calls.append(path.name)
                 if len(calls) == 3:
                     raise OSError("disk full")
-        write_volume(obj, path)
+        return volume_writer(path, like)
 
-    monkeypatch.setattr(voxaug.cli, "write_volume", third_write_fails)
+    monkeypatch.setattr(voxaug.cli, "volume_writer", third_write_fails)
     out = tmp_path / "out"
     code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(out))
     assert code == 1
@@ -354,6 +354,40 @@ def test_augment_holds_about_one_channel_in_and_one_out(tmp_path, capsys, monkey
     assert code == 0, err
     channel = 96**3 * 4
     assert peak <= 3 * channel, f"peak {peak / channel:.2f} channels"
+
+
+@pytest.mark.parametrize("kinds", [(0,), (3,), (0, 3)], ids=["flip", "brightness", "both"])
+def test_augment_without_resampling_holds_one_window_and_a_few_slabs(
+    tmp_path, capsys, monkeypatch, kinds
+):
+    """One subject under flip, brightness, or both, at a 96^3 patch and one
+    thread, peaks (tracemalloc) within 1.85 channels: the read window plus
+    z-slabs of the output (``augment._SLAB`` voxels, 1 MB in float64 under
+    brightness) and of the write. It peaked at about 1.5-1.7 channels; an
+    augment that made each output whole before writing it peaked at 2.0
+    (flip) and 2.3 (with brightness)."""
+    code, _, err = run(
+        capsys, "phantom", "--seed", "2", "--count", "1", "--shape", "100,100,100",
+        "--out", str(tmp_path / "in"),
+    )
+    assert code == 0, err
+    cfg = tmp_path / "cfg.json"
+    pipeline = tuple(_ALL_FIVE[k] for k in kinds)
+    save_config(PipelineConfig(seed=3, pipeline=pipeline, patch_shape=(96, 96, 96)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    argv = ["augment", "--config", str(cfg), "--in", str(tmp_path / "in")]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "warm"))
+    assert code == 0, err
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    channel = 96**3 * 4
+    assert peak <= 1.85 * channel, f"peak {peak / channel:.2f} channels"
 
 
 def test_resampling_augment_holds_one_window_and_a_few_slabs(tmp_path, capsys, monkeypatch):

@@ -56,9 +56,10 @@ def test_singular_matrix_rejected():
 
 @pytest.mark.parametrize("make", [
     lambda: AffineTransform.rotation_xyz((np.nan, 0.0, 0.0)),
+    lambda: AffineTransform.rotation_xyz((np.inf, 0.0, 0.0)),
     lambda: AffineTransform.scaling((np.inf, 1.0, 1.0)),
     lambda: AffineTransform(np.full((3, 3), np.nan)),
-], ids=["nan-angle", "inf-factor", "nan-matrix"])
+], ids=["nan-angle", "inf-angle", "inf-factor", "nan-matrix"])
 def test_non_finite_transform_rejected(make):
     """A non-finite matrix raises before its determinant is taken: a NaN
     determinant would pass the invertibility check, with numpy warnings."""
@@ -330,6 +331,23 @@ def test_a_field_past_float64s_range_rejected(after):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite displacement"):
             warp(s, steps)
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid: list(interp.warp((16, 16, 16), [grid])),
+    lambda grid: list(interp.warp((16, 16, 16), [grid, AffineTransform.scaling((1.1, 1.0, 1.0))])),
+    lambda grid: bspline_upsample(grid, (16, 16, 16)),
+], ids=["warp-grid", "warp-dense-field", "bspline-upsample"])
+def test_a_field_past_float64s_range_raises_without_a_warning(make):
+    """A field that sums past float64's range raises ``non-finite
+    displacement`` and nothing else, with warnings as errors, on the grid
+    path of warp, its dense-field path and ``bspline_upsample``: a numpy
+    overflow warning would reach the caller first."""
+    huge = np.where(np.indices((4, 4, 4, 3)).sum(axis=0) % 2 == 0, 1.7e308, -1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite displacement"):
+            make(huge)
 
 
 # --- positions in z-slabs ---------------------------------------------------

@@ -24,16 +24,15 @@ parameter's error carries its kind, as in ``rotation max_deg must be one of
 
 A pipeline runs in two parts. :func:`draw_pipeline` decides per step whether
 it fires and draws and records every value, so re-running with the same
-stream reproduces the output bit for bit. :func:`plan_steps` turns the fired
-steps into an :class:`ArrayPlan`: one function for a channel's array and one
-for the label map's, and the z-slabs of the output at which they are
-called. :func:`resample` is the one array loop: it maps the arrays it is
-given one z-slab at a time and checks every output voxel. ``voxaug
-augment`` passes it one array of a subject at a time, as it reads it,
-writes each output slab as it comes, and drops the array before the next
-read. :func:`apply_steps` passes it a whole sample, so each z-slab of
-sampling positions is built once for all of its arrays, and the output
-slabs fill whole outputs. Neither holds a whole position array.
+stream reproduces the output bit for bit. :func:`plan_steps` sets up the
+fired steps and returns the plan, a function of the arrays: the one array
+loop, which maps the arrays it is given one z-slab at a time, a channel's
+and the label map's each by their own function, and checks every output
+voxel. ``voxaug augment`` calls it with one array of a subject at a time,
+as it reads it, writes each output slab as it comes, and drops the array
+before the next read. :func:`apply_steps` calls it with a whole sample, so
+each z-slab of sampling positions is built once for all of its arrays, and
+the output slabs fill whole outputs. Neither holds a whole position array.
 :func:`apply_pipeline` is the draw followed by ``apply_steps``: the library
 and the command line run the same functions.
 Each core is its kind applied alone with ``apply_steps``. Feeding recorded
@@ -55,7 +54,7 @@ output slab, in float64.
 import hashlib
 import json
 import numbers
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -355,23 +354,7 @@ def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sa
 _SLAB = 1 << 17
 
 
-class ArrayPlan(NamedTuple):
-    """What fired steps do to the arrays of a subject: ``channel`` maps a
-    channel's array and ``labels`` the label map's, one z-slab of the output
-    at a time. ``slabs`` holds the ``(z, where)`` pairs of the output's
-    z-slabs, the planes from ``z`` on, and may be passed over again; each
-    function is called as ``f(array, where)`` for that slab (see
-    :func:`resample`). When the plan resamples, ``slabs`` is the
-    :class:`~voxaug.interp.SlabSource` of its sampling positions, each pass
-    building the slabs afresh from the set-up, and ``where`` is the slab's
-    positions; otherwise ``where`` is the slab's slice of z-planes."""
-
-    channel: Callable[[np.ndarray, object], np.ndarray]
-    labels: Callable[[np.ndarray, object], np.ndarray]
-    slabs: Iterable[tuple[int, object]]
-
-
-def plan_steps(shape: Shape3, steps) -> ArrayPlan:
+def plan_steps(shape: Shape3, steps) -> Callable[[list], Iterator[tuple[int, int, np.ndarray]]]:
     """The plan of fired steps, each a ``(kind, core params)`` pair, for the
     arrays of a ``shape`` grid: the geometric steps first, in order, as one
     resampling whose positions are set up here, once; then the intensity
@@ -383,6 +366,22 @@ def plan_steps(shape: Shape3, steps) -> ArrayPlan:
     are handed out in z-slabs (see :func:`voxaug.interp.warp`), and every
     check of the steps (the matrices, the control grids) runs here, before
     any array is touched.
+
+    The plan is the array loop itself: ``plan(arrays)`` maps a subject's
+    ``arrays`` (each a :class:`~voxaug.volume.Volume` channel or a
+    :class:`~voxaug.volume.LabelMap`) one z-slab at a time and yields
+    ``(n, z, out)``, array ``n``'s output at the planes from ``z`` on, every
+    array at one slab before the next slab, so no whole position array is
+    held. Each call is one pass over the slabs and may be made again, so a
+    plan that resamples builds its positions once for the arrays it is
+    given: once for a whole sample in :func:`apply_steps`, once per array in
+    ``voxaug augment``, which passes one array at a time and so holds one
+    window, not all of them. An output slab may be a view of its array.
+
+    Each output slab is checked as the value types check a whole array:
+    finite channels, labels in the map's own alphabet. After the last slab
+    the first faulty array's first bad voxel in (x, y, z) order is raised,
+    as a whole-array check would name it.
     """
     steps = list(steps)
     for kind, _ in steps:
@@ -391,60 +390,40 @@ def plan_steps(shape: Shape3, steps) -> ArrayPlan:
     geometric = [(kind, params) for kind, params in steps if _OPS[kind].geometry is not None]
     moves = [_OPS[kind].geometry(params) for kind, params in geometric]  # checks the params
     if len(moves) > 1 or moves and geometric[0][0] != "flip":
-        slabs = interp.warp(shape, moves)
+        slabs = interp.warp(shape, moves)  # each call builds the (z, positions) slabs afresh
         move_channel, move_labels = interp.sample_channel, interp.sample_labels
     else:  # nothing moves, or the lone flip reverses its axis
         axes = tuple(params["axis"] for _, params in geometric)
         nx, ny, nz = shape
         planes = max(1, _SLAB // (nx * ny))
-        slabs = [(z, slice(z, z + planes)) for z in range(0, nz, planes)]
+        slabs = lambda: [(z, slice(z, z + planes)) for z in range(0, nz, planes)]
         move_channel = move_labels = lambda data, zs: np.flip(data, axes)[..., zs]
     intensity = [(_OPS[kind].intensity, params) for kind, params in steps if _OPS[kind].intensity]
 
-    def channel(data: np.ndarray, where) -> np.ndarray:
-        data = move_channel(data, where)
-        for apply, params in intensity:
-            data = apply(data, params)
-        return data
+    def plan(arrays) -> Iterator[tuple[int, int, np.ndarray]]:
+        alphabets = [array.alphabet if isinstance(array, LabelMap) else None for array in arrays]
+        first = [None] * len(arrays)
+        for z, where in slabs():
+            for n, (array, alphabet) in enumerate(zip(arrays, alphabets)):
+                out = (move_channel if alphabet is None else move_labels)(array.data, where)
+                if alphabet is None:  # a channel: the intensity steps follow the move
+                    for apply, params in intensity:
+                        out = apply(out, params)
+                first[n] = earlier_bad_voxel(first[n], out, z, alphabet)
+                yield n, z, out
+        for array, alphabet, bad in zip(arrays, alphabets, first):
+            if bad is not None:
+                raise bad_voxel_error(*bad, alphabet, getattr(array, "convention", None))
 
-    return ArrayPlan(channel, move_labels, slabs)
-
-
-def resample(plan: ArrayPlan, arrays) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The outputs of a plan for a subject's ``arrays`` (each a
-    :class:`~voxaug.volume.Volume` channel or a
-    :class:`~voxaug.volume.LabelMap`), one z-slab at a time: yields
-    ``(n, z, out)``, array ``n``'s output at the planes from ``z`` on, every
-    array at one slab before the next slab, so no whole position array is
-    held. Each call is one pass over the plan's slabs, so a plan that
-    resamples builds its positions once for the arrays it is given: once
-    for a whole sample in :func:`apply_steps`, once per array in ``voxaug
-    augment``, which passes one array at a time and so holds one window,
-    not all of them. An output slab may be a view of its array.
-
-    Each output slab is checked as the value types check a whole array:
-    finite channels, labels in the map's own alphabet. After the last slab
-    the first faulty array's first bad voxel in (x, y, z) order is raised,
-    as a whole-array check would name it.
-    """
-    alphabets = [array.alphabet if isinstance(array, LabelMap) else None for array in arrays]
-    first = [None] * len(arrays)
-    for z, where in plan.slabs:
-        for n, (array, alphabet) in enumerate(zip(arrays, alphabets)):
-            out = (plan.channel if alphabet is None else plan.labels)(array.data, where)
-            first[n] = earlier_bad_voxel(first[n], out, z, alphabet)
-            yield n, z, out
-    for array, alphabet, bad in zip(arrays, alphabets, first):
-        if bad is not None:
-            raise bad_voxel_error(*bad, alphabet, getattr(array, "convention", None))
+    return plan
 
 
 def apply_steps(sample: Sample, steps) -> Sample:
     """Apply fired steps, each a ``(kind, core params)`` pair, to every array
     of a sample with their :func:`plan_steps` plan. With no steps the sample
-    itself is returned. The plan streams through :func:`resample` into the
-    preallocated outputs, so only a few slabs are held beside the sample and
-    its output."""
+    itself is returned. The plan streams its slabs into the preallocated
+    outputs, so only a few slabs are held beside the sample and its
+    output."""
     steps = list(steps)
     if not steps:
         return sample
@@ -452,9 +431,9 @@ def apply_steps(sample: Sample, steps) -> Sample:
     arrays = [a for a in (*sample.channels, sample.labels) if a is not None]
     outs = [np.empty(sample.shape, np.uint8 if isinstance(a, LabelMap) else np.float32)
             for a in arrays]
-    for n, z, slab in resample(plan, arrays):
+    for n, z, slab in plan(arrays):
         outs[n][..., z : z + slab.shape[-1]] = slab
-    # resample has checked every voxel, so the value types take the outputs as they are
+    # the plan has checked every voxel, so the value types take the outputs as they are
     made = [replace(array, data=out, checked=True) for array, out in zip(arrays, outs)]
     labels = None if sample.labels is None else made.pop()
     return replace(sample, channels=made, labels=labels)

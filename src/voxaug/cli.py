@@ -12,14 +12,15 @@ several as ``error: k of n subjects failed: <msg>; <msg>`` in subject order.
 pipeline and sets up its plan (matrices folded and inverted, x and y spline
 passes run, control grids checked) once, before any voxel is read. Then,
 for each channel in order and the label map last, it reads the patch
-window and streams that array's output into the file's writer from
-:func:`voxaug.augment.resample`, the slab loop that ``apply_pipeline`` also
-runs: one z-slab at a time, it moves the window there (resampling it at
-that slab's sampling positions, reversing it along a lone flip's axis, or
-neither), brightens a channel's slab and checks the output voxels. It
-drops the window before the next read, so it holds one window at a time.
-Only the position slabs are built again for each array, never the plan's
-set-up, and no whole position array or whole output is held.
+window and streams that array's output into the file's writer from the
+plan, which is a function of the arrays: the slab loop that
+``apply_pipeline`` also runs, here called with that one array. One z-slab
+at a time, it moves the window there (resampling it at that slab's
+sampling positions, reversing it along a lone flip's axis, or neither),
+brightens a channel's slab and checks the output voxels. It drops the
+window before the next read, so it holds one window at a time. Only the
+position slabs are built again for each array, never the plan's set-up,
+and no whole position array or whole output is held.
 
 All of a subject's files are written into one atomic group, so a fault met
 after earlier outputs were written (a bad voxel in a later file, a negative
@@ -37,7 +38,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .augment import draw_pipeline, plan_steps, resample
+from .augment import draw_pipeline, plan_steps
 from .config import DEFAULT_LABEL_SUFFIX, load_config
 from .metrics import REGIONS, evaluate_sample
 from .nifti import (
@@ -154,7 +155,7 @@ def _cmd_augment(args) -> int:
                 array = read(path, box=box)
                 # z-slab by z-slab, any positions rebuilt for this array
                 with volume_writer(out_dir / f"{subject}{suffix}.nii.gz", array) as write:
-                    for _, _, slab in resample(plan, [array]):
+                    for _, _, slab in plan([array]):
                         write(slab)
                 del array, slab  # before the next read; a flip's slab is a view of the window
             atomic_write_bytes(

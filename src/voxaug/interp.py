@@ -22,13 +22,14 @@ Conventions:
   is invented.
 * Positions exist only in z-slabs of ``_SLAB_PLANES`` planes, each built by
   the same operations in the same order per voxel as a whole grid would be,
-  so the slab size never changes a value. :func:`warp` returns them as a
-  :class:`SlabSource`, which builds the slabs afresh from the set-up on
-  each pass, so a caller may resample every array at one slab before the
-  next (``apply_steps``) or pass over the slabs once per array (``voxaug
-  augment``); either way no whole position array is held. Each slab's
-  positions are a new array, the caller's to keep; the scratch buffer that
-  a pass reuses from slab to slab is never handed out.
+  so the slab size never changes a value. :func:`warp` does the set-up and
+  returns a function that starts a pass over the slabs, building them
+  afresh from the set-up on each call, so a caller may resample every
+  array at one slab before the next (``apply_steps``) or pass over the
+  slabs once per array (``voxaug augment``); either way no whole position
+  array is held. Each slab's positions are a new array, the caller's to
+  keep; the scratch buffer that a pass reuses from slab to slab is never
+  handed out.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
@@ -97,9 +98,10 @@ class AffineTransform:
 
     @classmethod
     def flip(cls, axis: int) -> "AffineTransform":
-        """Mirror about the center along one axis, so x -> n - 1 - x exactly."""
-        if axis not in (0, 1, 2):
-            raise ValueError(f"flip axis must be 0, 1 or 2, got {axis}")
+        """Mirror about the center along one axis, so x -> n - 1 - x exactly.
+        The axis is an integer 0, 1 or 2; 1.0 and True are not axes."""
+        if type(axis) is bool or not isinstance(axis, (int, np.integer)) or axis not in (0, 1, 2):
+            raise ValueError(f"flip axis must be 0, 1 or 2, got {axis!r}")
         return cls(np.diag([-1.0 if a == axis else 1.0 for a in range(3)]))
 
     def inverse(self) -> "AffineTransform":
@@ -347,27 +349,14 @@ def _by_field(coords: np.ndarray, field: np.ndarray) -> np.ndarray:
     return coords
 
 
-class SlabSource:
-    """The z-slabs of :func:`warp`'s positions, as an iterable that may be
-    passed over again: each pass calls ``start`` for a fresh iterator of
-    ``(z, positions)`` pairs, so only the slabs are rebuilt, never the
-    set-up."""
-
-    def __init__(self, start: Callable[[], Iterator[tuple[int, np.ndarray]]]):
-        self._start = start
-
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        return self._start()
-
-
-def warp(shape: Shape3, steps) -> SlabSource:
+def warp(shape: Shape3, steps) -> Callable[[], Iterator[tuple[int, np.ndarray]]]:
     """The sampling positions of geometric ``steps`` applied in order to a
-    ``shape`` grid, as a :class:`SlabSource` of their z-slabs:
-    ``(z, positions)``, the positions of planes z, z + 1, ... as a
-    (3, nx, ny, k) array, for :func:`sample_channel` and
-    :func:`sample_labels` to read. Each pass over it builds every slab
-    again, from the set-up done here, with the z pass's sums in a buffer it
-    allocates once per pass; each slab handed out is a new array.
+    ``shape`` grid, in z-slabs: the returned function starts a pass, an
+    iterator of ``(z, positions)``, the positions of planes z, z + 1, ... as
+    a (3, nx, ny, k) array, for :func:`sample_channel` and
+    :func:`sample_labels` to read. Each call builds every slab again, from
+    the set-up done here, with the z pass's sums in a buffer it allocates
+    once per pass; each slab handed out is a new array.
 
     ``steps`` holds :class:`AffineTransform` objects (about the center) and
     control grids (warped by their :func:`bspline_upsample` field). The
@@ -420,7 +409,7 @@ def warp(shape: Shape3, steps) -> SlabSource:
                 coords = update(coords)
             yield z, coords
 
-    return SlabSource(slabs)
+    return slabs
 
 
 def sample_channel(data: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .augment import whole
 from .metrics import REGIONS, MetricRecord
 from .rng import RandomStream
 
@@ -39,13 +40,19 @@ class RankEntry:
     rank_score: float
 
 
+def _test_count(m) -> int:
+    """The number of tests ``m`` as an int: a whole number >= 1 (4 or 4.0),
+    not a bool."""
+    if not (whole(m) and m >= 1):
+        raise ValueError(f"m must be a whole number >= 1, got {m!r}")
+    return int(m)
+
+
 def bonferroni(p_raw: float, m: int) -> float:
     """min(1, m * p_raw)."""
     if not 0.0 < p_raw <= 1.0:
         raise ValueError(f"p_raw must be in (0, 1], got {p_raw}")
-    if int(m) < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return min(1.0, int(m) * p_raw)
+    return min(1.0, _test_count(m) * p_raw)
 
 
 def _as_differences(d) -> np.ndarray:
@@ -74,6 +81,7 @@ def sign_flip_test(
     identical left-to-right order, so the identity vector ties itself exactly
     even in float arithmetic.
     """
+    m = _test_count(bonferroni_m)  # before any flip is drawn
     arr = _as_differences(d)
     n = arr.size
 
@@ -112,10 +120,10 @@ def sign_flip_test(
     return TestResult(
         observed_stat=observed / n,
         p_raw=p_raw,
-        p_adjusted=bonferroni(p_raw, bonferroni_m),
+        p_adjusted=bonferroni(p_raw, m),
         n_flips=n_flips,
         seed=seed,
-        m=int(bonferroni_m),
+        m=m,
     )
 
 

@@ -30,7 +30,6 @@ from voxaug.augment import (
     elastic_by,
     flip_axis,
     plan_steps,
-    resample,
     rotate_by,
     scale_by,
 )
@@ -136,6 +135,17 @@ def test_flip_axis_frequencies():
 def test_flip_bad_axis():
     with pytest.raises(ValueError):
         flip_axis(vx.make_phantom(0, (16, 16, 16)), 3)
+
+
+@pytest.mark.parametrize("axis", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("after", [[], [("scale", {"factors": (1.1, 1.0, 1.0)})]],
+                         ids=["alone", "before-scale"])
+def test_flip_axis_is_an_integer_on_every_path(small_sample, axis, after):
+    """A flip's axis is the integer 0, 1 or 2, whether the flip is a lone
+    index reversal or one step of a resampling: 1.0 and True are refused
+    with the same error on both paths."""
+    with pytest.raises(ValueError, match="flip axis must be 0, 1 or 2"):
+        apply_steps(small_sample, [("flip", {"axis": axis}), *after])
 
 
 def test_flip_random_wrapper_matches_core(small_sample):
@@ -670,7 +680,7 @@ def test_plan_steps_holds_the_xy_passed_grid_and_the_z_weights():
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert plan.slabs is not None
+    assert callable(plan)
     bound = 3 * 4 * 128 * 128 * 8 + 4 * 128 * 8 + 0.1 * 2**20
     assert held <= bound, f"plan holds {held / 2**20:.2f} MiB"
 
@@ -761,7 +771,7 @@ def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeyp
         steps, prov = draw_pipeline(pipe, RandomStream(6, key), small_sample.subject_id)
         plan = plan_steps(small_sample.shape, steps)
         slabs = [[] for _ in range(len(small_sample.channels) + 1)]
-        for n, z, out in resample(plan, [*small_sample.channels, small_sample.labels]):
+        for n, z, out in plan([*small_sample.channels, small_sample.labels]):
             assert z == sum(slab.shape[-1] for slab in slabs[n])
             slabs[n].append(out)
         *channels, labels = [np.concatenate(pieces, axis=-1) for pieces in slabs]
@@ -783,7 +793,7 @@ def test_brightness_slabs_give_the_whole_array_bytes(monkeypatch):
     ``_SLAB`` voxels. For brightness alone and a lone flip on each axis, a
     one-plane slab, a ragged last slab and one slab deeper than the grid
     give the bytes of the whole-array expression and of ``np.flip``,
-    through ``plan_steps`` and ``resample`` and through ``apply_steps``."""
+    through a ``plan_steps`` plan and through ``apply_steps``."""
     rng = np.random.default_rng(3)
     data = rng.random((7, 5, 9), dtype=np.float32)
     labels = LabelMap(rng.choice(np.array([0, 1, 2, 4], np.uint8), data.shape))
@@ -797,9 +807,9 @@ def test_brightness_slabs_give_the_whole_array_bytes(monkeypatch):
         monkeypatch.setattr(augment, "_SLAB", planes * 7 * 5)
         for steps, channel, label_map in cases:
             plan = plan_steps(s.shape, steps)
-            assert [z for z, _ in plan.slabs] == list(range(0, 9, planes))
+            assert [z for _, z, _ in plan([s.labels])] == list(range(0, 9, planes))
             slabs = [[], []]
-            for n, z, out in resample(plan, [s.channels[0], s.labels]):
+            for n, z, out in plan([s.channels[0], s.labels]):
                 assert z == sum(slab.shape[-1] for slab in slabs[n])
                 slabs[n].append(out)
             got = [np.concatenate(pieces, axis=-1) for pieces in slabs]

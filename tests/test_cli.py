@@ -491,8 +491,8 @@ def test_augment_sets_up_once_and_rebuilds_only_the_slabs_per_array(tmp_path, ca
 
     def recorded_warp(shape, steps):
         events.append("warp")
-        source = warp(shape, steps)
-        return interp.SlabSource(lambda: events.append("slabs") or iter(source))
+        slabs = warp(shape, steps)
+        return lambda: events.append("slabs") or slabs()
 
     monkeypatch.setattr(interp, "warp", recorded_warp)
     for name in ("read_volume", "read_labels"):

@@ -133,7 +133,7 @@ def digest(s):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 def warped(s, steps):
-    slabs = [positions for _, positions in interp.warp(s.shape, steps)]
+    slabs = [positions for _, positions in interp.warp(s.shape, steps)()]
     return s.map(*(
         lambda data, read=read: np.concatenate([read(data, p) for p in slabs], axis=-1)
         for read in (interp.sample_channel, interp.sample_labels)

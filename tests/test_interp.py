@@ -19,7 +19,7 @@ def warp(sample, steps):
     :func:`voxaug.interp.sample_channel` or :func:`~voxaug.interp.sample_labels`
     at every z-slab of :func:`voxaug.interp.warp`'s positions, the output
     slabs joined."""
-    slabs = [positions for _, positions in interp.warp(sample.shape, steps)]
+    slabs = [positions for _, positions in interp.warp(sample.shape, steps)()]
 
     def by_slab(read):
         return lambda data: np.concatenate([read(data, positions) for positions in slabs], axis=-1)
@@ -254,7 +254,7 @@ def test_zero_control_grid_gives_exactly_zero_field_and_the_grid_positions(g):
     shape = (11, 13, 9)
     assert not bspline_upsample(np.zeros((g, g, g, 3)), shape).any()
     positions = np.concatenate(
-        [slab for _, slab in interp.warp(shape, [np.zeros((g, g, g, 3))])], axis=-1
+        [slab for _, slab in interp.warp(shape, [np.zeros((g, g, g, 3))])()], axis=-1
     )
     assert positions.tobytes() == np.indices(shape, dtype=np.float64).tobytes()
 
@@ -268,7 +268,7 @@ def test_z_slabs_of_warp_join_to_the_whole_field(monkeypatch, g, shape, planes):
     each component's full sum over the knots first, then the add."""
     monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
     coarse = np.random.default_rng(20 + g).normal(0.0, 3.0, (g, g, g, 3))
-    seen, joined = zip(*interp.warp(shape, [coarse]))
+    seen, joined = zip(*interp.warp(shape, [coarse])())
     assert list(seen) == list(range(0, shape[2], planes))
     want = np.indices(shape, dtype=np.float64) + np.moveaxis(bspline_upsample(coarse, shape), -1, 0)
     assert np.concatenate(joined, axis=-1).tobytes() == want.tobytes()
@@ -334,8 +334,8 @@ def test_a_field_past_float64s_range_rejected(after):
 
 
 @pytest.mark.parametrize("make", [
-    lambda grid: list(interp.warp((16, 16, 16), [grid])),
-    lambda grid: list(interp.warp((16, 16, 16), [grid, AffineTransform.scaling((1.1, 1.0, 1.0))])),
+    lambda grid: list(interp.warp((16, 16, 16), [grid])()),
+    lambda grid: list(interp.warp((16, 16, 16), [grid, AffineTransform.scaling((1.1, 1.0, 1.0))])()),
     lambda grid: bspline_upsample(grid, (16, 16, 16)),
 ], ids=["warp-grid", "warp-dense-field", "bspline-upsample"])
 def test_a_field_past_float64s_range_raises_without_a_warning(make):
@@ -382,7 +382,7 @@ def test_slab_positions_equal_the_whole_grid_oracle(monkeypatch, chain, planes):
     want = _chain_coords(shape, steps)
     got = np.full_like(want, np.nan)
     seen = []
-    for z, slab in interp.warp(shape, steps):
+    for z, slab in interp.warp(shape, steps)():
         assert slab.shape == (3, 24, 22, min(planes, 20 - z))
         got[..., z : z + slab.shape[-1]] = slab
         seen.append(z)
@@ -406,7 +406,7 @@ def test_a_slab_source_passed_over_again_gives_the_same_new_slabs(monkeypatch, c
     is an array of its own, which the caller may keep."""
     monkeypatch.setattr(interp, "_SLAB_PLANES", 7)
     source = interp.warp((24, 22, 20), CHAINS[chain])
-    first, again = list(source), list(source)
+    first, again = list(source()), list(source())
     assert [z for z, _ in first] == [z for z, _ in again] == [0, 7, 14]
     assert [s.tobytes() for _, s in again] == [s.tobytes() for _, s in first]
     slabs = [s for _, s in first + again]
@@ -487,7 +487,7 @@ def test_elastic_between_affines_resamples_with_scipys_bytes(monkeypatch):
               lambda d: d)
 
     def run():
-        positions = np.concatenate([p for _, p in interp.warp(s.shape, steps)], axis=-1)
+        positions = np.concatenate([p for _, p in interp.warp(s.shape, steps)()], axis=-1)
         return positions, warp(s, steps)
 
     positions, out = run()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import voxaug
 from oracles import oracle_rank_models
 from voxaug.metrics import MetricRecord
+from voxaug.rng import RandomStream
 from voxaug.stats import (
     bonferroni,
     rank_models,
@@ -43,6 +44,24 @@ def test_bonferroni_domain():
         bonferroni(1.5, 2)
     with pytest.raises(ValueError):
         bonferroni(0.1, 0)
+
+
+def test_bonferroni_m_is_a_whole_number_checked_before_any_flip(monkeypatch):
+    """The number of tests is a whole number >= 1, not a bool, and
+    sign_flip_test checks it before it draws a flip: no substream is taken,
+    even when 2,000,000 flips are asked for."""
+    chunks = []
+    substream = RandomStream.substream
+    monkeypatch.setattr(RandomStream, "substream",
+                        lambda self, *t: chunks.append(t) or substream(self, *t))
+    for m in (0, 2.5, True, -1):
+        with pytest.raises(ValueError, match="m must be a whole number >= 1"):
+            sign_flip_test([1.0, 2.0, -0.5], n_flips=2_000_000, bonferroni_m=m)
+        with pytest.raises(ValueError, match="m must be a whole number >= 1"):
+            bonferroni(0.1, m)
+    assert chunks == []
+    assert bonferroni(0.1, 4.0) == bonferroni(0.1, np.int64(4)) == bonferroni(0.1, 4)
+    assert sign_flip_test([1.0, 2.0], n_flips=10, bonferroni_m=4.0).m == 4
 
 
 # --- exact test ----------------------------------------------------------------

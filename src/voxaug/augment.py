@@ -350,22 +350,18 @@ def apply_spec(sample: Sample, spec: AugmentSpec, rng: RandomStream) -> tuple[Sa
     return apply_steps(sample, [(spec.kind, params)]), op.provenance(spec, params)
 
 
-# voxels per z-slab of a plan that does not resample: 8 planes at 128^2
-_SLAB = 1 << 17
-
-
 def plan_steps(shape: Shape3, steps) -> Callable[[list], Iterator[tuple[int, int, np.ndarray]]]:
     """The plan of fired steps, each a ``(kind, core params)`` pair, for the
     arrays of a ``shape`` grid: the geometric steps first, in order, as one
     resampling whose positions are set up here, once; then the intensity
     steps, in order, on each channel.
 
-    A lone flip is an index reversal and builds no positions, and with no
-    geometric step an array is not moved; either way the output comes in
-    z-slabs of ``_SLAB`` voxels (at least one plane). Otherwise the positions
-    are handed out in z-slabs (see :func:`voxaug.interp.warp`), and every
-    check of the steps (the matrices, the control grids) runs here, before
-    any array is touched.
+    Every plan streams in z-slabs of ``interp._SLAB_PLANES`` planes. A lone
+    flip is an index reversal and builds no positions, and with no geometric
+    step an array is not moved. Otherwise the positions are handed out in
+    z-slabs (see :func:`voxaug.interp.warp`), and every check of the steps
+    (the matrices, the control grids) runs here, before any array is
+    touched.
 
     The plan is the array loop itself: ``plan(arrays)`` maps a subject's
     ``arrays`` (each a :class:`~voxaug.volume.Volume` channel or a
@@ -394,9 +390,8 @@ def plan_steps(shape: Shape3, steps) -> Callable[[list], Iterator[tuple[int, int
         move_channel, move_labels = interp.sample_channel, interp.sample_labels
     else:  # nothing moves, or the lone flip reverses its axis
         axes = tuple(params["axis"] for _, params in geometric)
-        nx, ny, nz = shape
-        planes = max(1, _SLAB // (nx * ny))
-        slabs = lambda: [(z, slice(z, z + planes)) for z in range(0, nz, planes)]
+        planes = interp._SLAB_PLANES
+        slabs = lambda: [(z, slice(z, z + planes)) for z in range(0, shape[2], planes)]
         move_channel = move_labels = lambda data, zs: np.flip(data, axes)[..., zs]
     intensity = [(_OPS[kind].intensity, params) for kind, params in steps if _OPS[kind].intensity]
 

@@ -28,8 +28,7 @@ Conventions:
   array at one slab before the next (``apply_steps``) or pass over the
   slabs once per array (``voxaug augment``); either way no whole position
   array is held. Each slab's positions are a new array, the caller's to
-  keep; the scratch buffer that a pass reuses from slab to slab is never
-  handed out.
+  keep.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
@@ -52,6 +51,14 @@ from .volume import Shape3
 
 # exact (cos, sin) at quadrant angles so axis-aligned rotations are lossless
 _QUADRANTS = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0, -1.0)}
+
+
+def _floats(values, what: str) -> list[float]:
+    """``values`` as floats; a bool is not a number here."""
+    values = list(values)
+    if any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise ValueError(f"{what} must be numbers, got {values!r}")
+    return [float(v) for v in values]
 
 
 def _cos_sin_deg(deg: float) -> tuple[float, float]:
@@ -86,7 +93,7 @@ class AffineTransform:
     @classmethod
     def rotation_xyz(cls, angles_deg) -> "AffineTransform":
         """Compose elementary rotations in fixed order Rx . Ry . Rz."""
-        (cx, sx), (cy, sy), (cz, sz) = (_cos_sin_deg(float(a)) for a in angles_deg)
+        (cx, sx), (cy, sy), (cz, sz) = map(_cos_sin_deg, _floats(angles_deg, "rotation angles"))
         rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
         ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
         rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
@@ -94,7 +101,7 @@ class AffineTransform:
 
     @classmethod
     def scaling(cls, factors) -> "AffineTransform":
-        return cls(np.diag([float(f) for f in factors]))
+        return cls(np.diag(_floats(factors, "scale factors")))
 
     @classmethod
     def flip(cls, axis: int) -> "AffineTransform":
@@ -243,13 +250,13 @@ def _spline_weights(n: int, g: int) -> np.ndarray:
     return weights
 
 
-def _knot_sum(a, b, out: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
+def _knot_sum(a, b, out: np.ndarray) -> np.ndarray:
     """``out`` = a[0] * b[0] + a[1] * b[1] + ..., summed in that order, each
     product and each sum rounded on its own (broadcasting), the one
-    arithmetic of the spline passes; ``term`` is scratch of ``out``'s shape.
-    A sum past float64's range gives inf or NaN without a warning: the
-    callers check the field for non-finite values and raise."""
-    term = np.empty_like(out) if term is None else term
+    arithmetic of the spline passes. A sum past float64's range gives inf or
+    NaN without a warning: the callers check the field for non-finite
+    values and raise."""
+    term = np.empty_like(out)
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(a[0], b[0], out=out)
         for a_j, b_j in zip(a[1:], b[1:]):
@@ -258,48 +265,26 @@ def _knot_sum(a, b, out: np.ndarray, term: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _add_along_z(grid: np.ndarray, weights: np.ndarray, coords: np.ndarray, z: int,
-                 sums: np.ndarray) -> None:
+def _add_along_z(grid: np.ndarray, weights: np.ndarray, coords: np.ndarray, z: int) -> None:
     """Add the field at z-planes z, z + 1, ... to the positions ``coords``
     (3, nx, ny, k) of those planes, one component at a time, from the
     x/y-passed ``grid`` (3, G, nx, ny) and the z ``weights``; a component
-    with a non-finite value raises before it is added. ``sums`` is a (2,
-    >= k, nx, ny) scratch buffer."""
+    with a non-finite value raises before it is added."""
     planes = coords.shape[-1]
     w = weights[:, z : z + planes, None, None]
-    shift, term = sums[:, :planes]
+    shift = np.empty((planes, *coords.shape[1:3]))
     for position, component in zip(coords, grid):
-        _knot_sum(w, component, shift, term)
+        _knot_sum(w, component, shift)
         if not np.isfinite(shift).all():
             raise ValueError("non-finite displacement")
         position += np.moveaxis(shift, 0, -1)
 
 
-def bspline_upsample(coarse: np.ndarray, target_shape: Shape3, z_spline: bool = False):
-    """Upsample a coarse control grid of 3-vectors to a dense field.
-
-    Control points are spaced uniformly across the target extent including
-    both boundaries (control g sits at g * (n - 1) / (G - 1) along an axis
-    with G control points). Each displacement component is interpolated by
-    a separable natural cubic spline through the control values, so
-    constants and linear ramps in the control grid are reproduced on the
-    dense grid up to roundoff, control values exactly, and a zero grid
-    gives an exactly zero field. Each pass applies a :func:`_spline_weights`
-    matrix as elementwise multiply-adds over the knots, in order, so the
-    field's bytes depend on no BLAS kernel.
-
-    The passes run along x, then y, then z. The result is the (*shape, 3)
-    field, a view of a component-first (3, *shape) array. With
-    ``z_spline=True`` the z pass is not run: only the x/y-passed grid (3,
-    G, nx, ny) and the z weights are kept, and the returned function, called
-    as ``f(coords, z, sums)``, adds the field at planes z, z + 1, ... to
-    those planes' (3, nx, ny, k) positions in place, each component's sum
-    the same as the whole field's, with ``sums`` a (2, >= k, nx, ny)
-    float64 scratch buffer that may be reused from call to call.
-
-    Finite control values can still sum past float64's range; either way,
-    a field value that is not finite raises ``non-finite displacement``.
-    """
+def _spline_adder(coarse: np.ndarray, target_shape: Shape3):
+    """The control grid ``coarse`` checked and its x and y spline passes run
+    for a ``target_shape`` field: returns ``f(coords, z)``, which adds the
+    field at planes z, z + 1, ... to those planes' (3, nx, ny, k) positions
+    in place, each component's sum the same whatever the planes."""
     coarse = np.asarray(coarse, dtype=np.float64)
     if coarse.ndim != 4 or coarse.shape[-1] != 3:
         raise ValueError(f"control grid must be (G, G, G, 3), got {coarse.shape}")
@@ -314,21 +299,39 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3, z_spline: bool = 
     wx, wy, wz = map(_spline_weights, target_shape, coarse.shape[:3])
     along_x = _knot_sum(coarse.transpose(0, 3, 2, 1)[..., None], wx, np.empty((3, gz, gy, nx)))
     grid = _knot_sum(along_x.transpose(2, 0, 1, 3)[..., None], wy, np.empty((3, gz, nx, ny)))
-    if z_spline:
-        return partial(_add_along_z, grid, wz)
-    field = np.empty((3, *target_shape))
-    term = np.empty((4, *target_shape[1:]))
-    for component, out in zip(grid, field):
-        for x in range(0, nx, 4):  # 4 x-rows at a time stay in cache
-            rows = out[x : x + 4]
-            _knot_sum(component[:, x : x + 4, :, None], wz, rows, term[: len(rows)])
-            if not np.isfinite(rows).all():
-                raise ValueError("non-finite displacement")
-    return np.moveaxis(field, 0, -1)
+    return partial(_add_along_z, grid, wz)
 
 
 # z-planes of sampling positions built, and resampled, at a time
 _SLAB_PLANES = 4
+
+
+def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> np.ndarray:
+    """Upsample a coarse control grid of 3-vectors to a dense field.
+
+    Control points are spaced uniformly across the target extent including
+    both boundaries (control g sits at g * (n - 1) / (G - 1) along an axis
+    with G control points). Each displacement component is interpolated by
+    a separable natural cubic spline through the control values, so
+    constants and linear ramps in the control grid are reproduced on the
+    dense grid up to roundoff, control values exactly, and a zero grid
+    gives an exactly zero field. Each pass applies a :func:`_spline_weights`
+    matrix as elementwise multiply-adds over the knots, in order, so the
+    field's bytes depend on no BLAS kernel.
+
+    The passes run along x, then y, then z; the z pass is :func:`warp`'s
+    own, added to a zero field in z-slabs of ``_SLAB_PLANES`` planes. The
+    result is the (*shape, 3) field, a view of a component-first (3,
+    *shape) array.
+
+    Finite control values can still sum past float64's range; either way,
+    a field value that is not finite raises ``non-finite displacement``.
+    """
+    add = _spline_adder(coarse, target_shape)
+    field = np.zeros((3, *(int(n) for n in target_shape)))
+    for z in range(0, field.shape[-1], _SLAB_PLANES):
+        add(field[..., z : z + _SLAB_PLANES], z)
+    return np.moveaxis(field, 0, -1)
 
 
 def _by_affine(coords: np.ndarray, inv: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -355,8 +358,7 @@ def warp(shape: Shape3, steps) -> Callable[[], Iterator[tuple[int, np.ndarray]]]
     iterator of ``(z, positions)``, the positions of planes z, z + 1, ... as
     a (3, nx, ny, k) array, for :func:`sample_channel` and
     :func:`sample_labels` to read. Each call builds every slab again, from
-    the set-up done here, with the z pass's sums in a buffer it allocates
-    once per pass; each slab handed out is a new array.
+    the set-up done here; each slab handed out is a new array.
 
     ``steps`` holds :class:`AffineTransform` objects (about the center) and
     control grids (warped by their :func:`bspline_upsample` field). The
@@ -382,7 +384,7 @@ def warp(shape: Shape3, steps) -> Callable[[], Iterator[tuple[int, np.ndarray]]]
         if isinstance(step, AffineTransform):
             forward = step.matrix if forward is None else forward @ step.matrix
         elif grid_field is None and not stages and forward is None:
-            grid_field = bspline_upsample(step, shape, z_spline=True)
+            grid_field = _spline_adder(step, shape)
         else:
             if forward is not None:
                 stages.append(partial(_by_affine, inv=np.linalg.inv(forward), center=center))
@@ -396,7 +398,6 @@ def warp(shape: Shape3, steps) -> Callable[[], Iterator[tuple[int, np.ndarray]]]
 
     def slabs():
         step, (nx, ny, nz) = _SLAB_PLANES, shape
-        sums = None if grid_field is None else np.empty((2, min(step, nz), nx, ny))
         for z in range(0, nz, step):
             planes = min(step, nz - z)
             coords = np.empty((3, nx, ny, planes))
@@ -404,7 +405,7 @@ def warp(shape: Shape3, steps) -> Callable[[], Iterator[tuple[int, np.ndarray]]]
             coords[1] = np.arange(ny, dtype=np.float64)[:, None]
             coords[2] = np.arange(z, z + planes, dtype=np.float64)
             if grid_field is not None:
-                grid_field(coords, z, sums)
+                grid_field(coords, z)
             for update in stages:
                 coords = update(coords)
             yield z, coords

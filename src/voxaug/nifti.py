@@ -173,7 +173,9 @@ def volume_writer(path, like: Volume | LabelMap):
     """Yield ``write(planes)``, which appends z-planes to the single-file
     NIfTI-1 file at ``path`` of ``like``'s grid and spacing: float32 for a
     Volume, uint8 for a LabelMap. ``planes`` holds the next (nx, ny, k)
-    planes in memory order, and they are compressed as they come.
+    planes in memory order, and they are compressed as they come. A label
+    file holds raw BraTS labels, as :func:`read_labels` reads them, so a
+    canonical LabelMap is refused before any file is opened.
 
     The file is written atomically (see :func:`_atomic_file`) when the block
     ends with every z-plane written; if it raises, or ends early, no file is
@@ -181,6 +183,9 @@ def volume_writer(path, like: Volume | LabelMap):
     if isinstance(like, Volume):
         datatype, bitpix, dtype = DT_FLOAT32, 32, np.dtype("<f4")
     elif isinstance(like, LabelMap):
+        if like.convention != "raw":
+            raise ValueError(f"{path}: a {like.convention} label map is not written; "
+                             "convert it with canonical_to_raw_labels first")
         datatype, bitpix, dtype = DT_UINT8, 8, np.dtype("u1")
     else:
         raise TypeError(f"expected Volume or LabelMap, got {type(like).__name__}")

@@ -40,19 +40,19 @@ class RankEntry:
     rank_score: float
 
 
-def _test_count(m) -> int:
-    """The number of tests ``m`` as an int: a whole number >= 1 (4 or 4.0),
-    not a bool."""
-    if not (whole(m) and m >= 1):
-        raise ValueError(f"m must be a whole number >= 1, got {m!r}")
-    return int(m)
+def _test_count(value, name: str) -> int:
+    """A count ``value`` (of tests, of flips) as an int: a whole number >= 1
+    (4 or 4.0), not a bool; any other raises naming it ``name``."""
+    if not (whole(value) and value >= 1):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 def bonferroni(p_raw: float, m: int) -> float:
     """min(1, m * p_raw)."""
     if not 0.0 < p_raw <= 1.0:
         raise ValueError(f"p_raw must be in (0, 1], got {p_raw}")
-    return min(1.0, _test_count(m) * p_raw)
+    return min(1.0, _test_count(m, "m") * p_raw)
 
 
 def _as_differences(d) -> np.ndarray:
@@ -75,20 +75,23 @@ def sign_flip_test(
 
     With ``exhaustive=True`` all 2**n sign vectors are enumerated instead of
     sampled (requires n <= 20 and, if given, n_flips == 2**n; the result has
-    ``seed=None``). The enumeration doubles an array of signed partial sums
-    once per difference, so after step i it holds every sum over d[:i+1].
-    Entry 0 is the all-positive path, i.e. the observed sum accumulated in the
-    identical left-to-right order, so the identity vector ties itself exactly
-    even in float arithmetic.
+    ``seed=None``). ``n_flips`` and ``bonferroni_m`` are whole numbers >= 1,
+    not bools, checked before any flip is drawn. The enumeration doubles an
+    array of signed partial sums once per difference, so after step i it
+    holds every sum over d[:i+1]. Entry 0 is the all-positive path, i.e. the
+    observed sum accumulated in the identical left-to-right order, so the
+    identity vector ties itself exactly even in float arithmetic.
     """
-    m = _test_count(bonferroni_m)  # before any flip is drawn
+    m = _test_count(bonferroni_m, "m")
+    if n_flips is not None or not exhaustive:
+        n_flips = _test_count(n_flips, "n_flips")
     arr = _as_differences(d)
     n = arr.size
 
     if exhaustive:
         if n > 20:
             raise ValueError("exact mode limited to n <= 20")
-        if n_flips is not None and int(n_flips) != 2**n:
+        if n_flips is not None and n_flips != 2**n:
             raise ValueError(
                 f"exhaustive mode over n={n} differences uses {2**n} flips, got n_flips={n_flips}"
             )
@@ -99,9 +102,6 @@ def sign_flip_test(
         count = int(np.sum(sums >= observed))
         n_flips, seed = sums.size, None
     else:
-        n_flips = int(n_flips)
-        if n_flips < 1:
-            raise ValueError(f"n_flips must be >= 1, got {n_flips}")
         observed = float(np.sum(arr))
         # the identity vector is draw 0 and trivially ties the observed sum
         count = 1

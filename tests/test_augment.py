@@ -582,7 +582,7 @@ def test_pipeline_interpolates_once(small_sample, monkeypatch):
     by slab, and upsample one field; flip + brightness resample nothing."""
     calls = {"map_coordinates": 0, "bspline_upsample": 0}
     sampled = {}  # id of an input array -> output voxels read from it
-    map_coordinates, bspline = interp.map_coordinates, interp.bspline_upsample
+    map_coordinates, bspline = interp.map_coordinates, interp._spline_adder
 
     def sampling(data, coords, **kwargs):
         calls["map_coordinates"] += 1
@@ -594,7 +594,7 @@ def test_pipeline_interpolates_once(small_sample, monkeypatch):
         return bspline(*args, **kwargs)
 
     monkeypatch.setattr(interp, "map_coordinates", sampling)
-    monkeypatch.setattr(interp, "bspline_upsample", upsampling)
+    monkeypatch.setattr(interp, "_spline_adder", upsampling)
     pipe = _standard_pipeline()
     _, prov = apply_pipeline(small_sample, _only(pipe, KINDS), RandomStream(0, ("once",)))
     assert all(r.fired for r in prov.records)
@@ -790,7 +790,7 @@ def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeyp
 
 def test_brightness_slabs_give_the_whole_array_bytes(monkeypatch):
     """A plan that does not resample maps its arrays in z-slabs of
-    ``_SLAB`` voxels. For brightness alone and a lone flip on each axis, a
+    ``interp._SLAB_PLANES`` planes. For brightness alone and a lone flip on each axis, a
     one-plane slab, a ragged last slab and one slab deeper than the grid
     give the bytes of the whole-array expression and of ``np.flip``,
     through a ``plan_steps`` plan and through ``apply_steps``."""
@@ -804,7 +804,7 @@ def test_brightness_slabs_give_the_whole_array_bytes(monkeypatch):
     cases += [([("flip", {"axis": axis})], np.flip(data, axis), np.flip(labels.data, axis))
               for axis in range(3)]
     for planes in (1, 2, 4, 100):
-        monkeypatch.setattr(augment, "_SLAB", planes * 7 * 5)
+        monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
         for steps, channel, label_map in cases:
             plan = plan_steps(s.shape, steps)
             assert [z for _, z, _ in plan([s.labels])] == list(range(0, 9, planes))

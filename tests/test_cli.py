@@ -362,8 +362,8 @@ def test_augment_without_resampling_holds_one_window_and_a_few_slabs(
 ):
     """One subject under flip, brightness, or both, at a 96^3 patch and one
     thread, peaks (tracemalloc) within 1.85 channels: the read window plus
-    z-slabs of the output (``augment._SLAB`` voxels, 1 MB in float64 under
-    brightness) and of the write. It peaked at about 1.5-1.7 channels; an
+    z-slabs of the output (``interp._SLAB_PLANES`` z-planes, 0.3 MB in
+    float64 under brightness) and of the write. It peaked at about 1.5-1.7 channels; an
     augment that made each output whole before writing it peaked at 2.0
     (flip) and 2.3 (with brightness)."""
     code, _, err = run(

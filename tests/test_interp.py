@@ -69,6 +69,19 @@ def test_non_finite_transform_rejected(make):
             make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: AffineTransform.scaling((True, 2.0, 1.0)),
+    lambda: AffineTransform.scaling(np.array([1, 0, 1], bool)),
+    lambda: AffineTransform.rotation_xyz((True, 0.0, 0.0)),
+    lambda: AffineTransform.rotation_xyz((0.0, 0.0, np.True_)),
+], ids=["bool-factor", "bool-array-factors", "bool-angle", "numpy-bool-angle"])
+def test_bool_factor_or_angle_rejected(make):
+    """A bool is not a scale factor or an angle, as it is not a flip axis:
+    True would otherwise scale by 1 or rotate by 1 degree."""
+    with pytest.raises(ValueError, match="must be numbers"):
+        make()
+
+
 def test_rotation_matrix_determinant_one():
     t = AffineTransform.rotation_xyz((13.0, -7.0, 41.0))
     assert np.linalg.det(t.matrix) == pytest.approx(1.0, abs=1e-12)

@@ -347,6 +347,18 @@ def test_write_rejects_plain_arrays(tmp_path):
         write_volume(np.zeros((2, 2, 2)), tmp_path / "x.nii")
 
 
+@pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
+def test_canonical_label_map_is_refused_and_no_file_is_left(tmp_path, ext):
+    """A label file holds raw BraTS labels: a canonical map (class 3 for
+    enhancing tumor) would be read back as an unknown raw label, so it is
+    refused in one line that names the conversion, and nothing is written."""
+    labels = LabelMap(np.array([[[0, 1], [2, 3]]], np.uint8), convention="canonical")
+    with pytest.raises(ValueError, match="canonical_to_raw_labels") as caught:
+        write_volume(labels, tmp_path / f"seg{ext}")
+    assert "\n" not in str(caught.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nonpositive_pixdim_rejected(tmp_path):
     blob = _fabricate(spacing=(1.0, 0.0, 1.0), payload=b"\x00" * 96)
     path = _write(tmp_path, "p.nii", blob)

@@ -64,6 +64,28 @@ def test_bonferroni_m_is_a_whole_number_checked_before_any_flip(monkeypatch):
     assert sign_flip_test([1.0, 2.0], n_flips=10, bonferroni_m=4.0).m == 4
 
 
+def test_n_flips_is_a_whole_number_checked_before_any_flip(monkeypatch):
+    """The number of flips is a whole number >= 1, not a bool, on the
+    sampled and the exhaustive path alike, and is checked before any flip is
+    drawn: 2.5 does not run 2 flips, True does not run 1, and 4.7 does not
+    pass as the 4 sign vectors of two differences."""
+    chunks = []
+    substream = RandomStream.substream
+    monkeypatch.setattr(RandomStream, "substream",
+                        lambda self, *t: chunks.append(t) or substream(self, *t))
+    for n_flips in (2.5, True, 0, -3, "10"):
+        with pytest.raises(ValueError, match="n_flips must be a whole number >= 1"):
+            sign_flip_test([1.0, 2.0, -0.5], n_flips=n_flips)
+    for n_flips in (4.7, True, 0):
+        with pytest.raises(ValueError, match="n_flips must be a whole number >= 1"):
+            sign_flip_test([1.0, 2.0], n_flips=n_flips, exhaustive=True)
+    with pytest.raises(ValueError, match="n_flips must be a whole number >= 1"):
+        sign_flip_test([1.0, 2.0], n_flips=None)
+    assert chunks == []
+    assert sign_flip_test([1.0, 2.0], n_flips=4.0, exhaustive=True).n_flips == 4
+    assert sign_flip_test([1.0, 2.0], n_flips=np.int64(10)).n_flips == 10
+
+
 # --- exact test ----------------------------------------------------------------
 
 def test_exact_single_positive_difference():

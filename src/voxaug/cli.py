@@ -30,6 +30,14 @@ output voxel is named by its patch index, the first in (x, y, z) order,
 once that array's last slab is done. One with several faults reports the
 first met in array order: a bad output voxel of ``_t1``, say, comes before
 a bad input voxel of ``_flair``, whose window is then never read.
+
+``phantom`` checks ``--shape`` (16 to NIfTI-1's 32767 voxels per axis)
+before it builds anything. Each subject's arrays come from
+``volume.phantom_arrays``, which builds them a few z-planes at a time in
+NIfTI voxel order, so every file is written from a view with no
+transposing copy, in the bytes ``make_phantom`` and ``write_volume`` give.
+It holds one subject's four channels and labels (17 bytes per voxel, 152
+MB at 240x240x155) per thread, and no full-grid temporary.
 """
 
 import argparse
@@ -42,6 +50,7 @@ from .augment import draw_pipeline, plan_steps
 from .config import DEFAULT_LABEL_SUFFIX, load_config
 from .metrics import REGIONS, evaluate_sample
 from .nifti import (
+    MAX_DIM,
     NIFTI_EXTS,
     atomic_group,
     atomic_write_bytes,
@@ -54,11 +63,12 @@ from .nifti import (
 from .rng import RandomStream
 from .stats import rank_models, sign_flip_test
 from .tables import read_metrics, write_metrics, write_ranks
-from .volume import center_box, check_grids, make_phantom
-# augment crops while reading and applies a per-array plan; these names stay
-# here, where the benchmark's tracer looks them up
+from .volume import CHANNEL_NAMES, LabelMap, Volume, center_box, check_grids, phantom_arrays
+# augment crops while reading and applies a per-array plan, and phantom
+# writes phantom_arrays; these names stay here, where the benchmark's tracer
+# looks them up
 from .augment import apply_pipeline  # noqa: F401
-from .volume import extract_center_patch  # noqa: F401
+from .volume import extract_center_patch, make_phantom  # noqa: F401
 
 
 def _thread_count() -> int:
@@ -257,8 +267,8 @@ def _cmd_phantom(args) -> int:
         shape = tuple(int(v) for v in args.shape.split(","))
     except ValueError:
         raise ValueError(f"--shape must be X,Y,Z integers, got {args.shape!r}") from None
-    if len(shape) != 3 or any(v < 16 for v in shape):
-        raise ValueError(f"--shape must be three integers >= 16, got {args.shape!r}")
+    if len(shape) != 3 or any(not 16 <= v <= MAX_DIM for v in shape):
+        raise ValueError(f"--shape must be three integers >= 16 and <= {MAX_DIM}, got {args.shape!r}")
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     out_dir = Path(args.out)
@@ -267,12 +277,11 @@ def _cmd_phantom(args) -> int:
 
     def one(index: int) -> None:
         subject = f"phantom{index:03d}"
-        sample = make_phantom(
-            batch.substream(index).derived_seed(), shape=shape, subject_id=subject
-        )
-        for ch in sample.channels:
-            write_volume(ch, out_dir / f"{subject}_{ch.name}.nii.gz")
-        write_volume(sample.labels, out_dir / f"{subject}{DEFAULT_LABEL_SUFFIX}.nii.gz")
+        channels, labels = phantom_arrays(batch.substream(index).derived_seed(), shape)
+        # each array is laid out [z, y, x], so its .T is the grid in disk order
+        for name, array in zip(CHANNEL_NAMES, channels):
+            write_volume(Volume(array.T, name=name, checked=True), out_dir / f"{subject}_{name}.nii.gz")
+        write_volume(LabelMap(labels.T, checked=True), out_dir / f"{subject}{DEFAULT_LABEL_SUFFIX}.nii.gz")
 
     _map_subjects(one, list(range(args.count)))
     print(f"wrote {args.count} phantom subjects -> {out_dir}")

@@ -6,8 +6,12 @@ written as float32 (datatype 16), label maps as uint8 (datatype 2). Voxel
 spacing travels in pixdim[1..3].
 
 On disk the x index varies fastest (Fortran voxel order, as in the NIfTI
-standard); in memory arrays are C-contiguous with ``data[i, j, k]`` at
-(x=i, y=j, z=k), so both directions transpose slabs of whole z-planes.
+standard); in memory arrays are indexed ``data[i, j, k]`` at (x=i, y=j,
+z=k) and are C-contiguous, so both directions transpose slabs of whole
+z-planes. A write takes either memory order: the ``.T`` of an array laid
+out ``[z, y, x]`` is already in disk order and is compressed without a
+copy. Each axis is at most ``MAX_DIM`` voxels, as NIfTI-1 stores it in an
+int16.
 
 A ``.nii.gz`` file is written as one gzip member with mtime 0 and no
 filename field, whose deflate stream uses zlib's run-length strategy
@@ -48,6 +52,8 @@ VOX_OFFSET = 352
 MAGIC_OFFSET = 344
 MAGIC = b"n+1\x00"
 NIFTI_EXTS = (".nii.gz", ".nii")
+
+MAX_DIM = 32767  # voxels per axis: the header's dim[1..3] are int16
 
 DT_UINT8 = 2
 DT_INT16 = 4
@@ -161,7 +167,8 @@ def atomic_write_bytes(path, payload: bytes) -> None:
 
 def _slabs(data: np.ndarray, dtype: np.dtype):
     """``data`` in on-disk (Fortran) voxel order as C-contiguous ``dtype``
-    slabs of whole z-planes, about ``_CHUNK`` bytes each."""
+    slabs of whole z-planes, about ``_CHUNK`` bytes each: views of
+    Fortran-ordered ``dtype`` data, transposed copies of C-ordered data."""
     planes = data.T  # planes[z] is the (y, x) plane, x fastest in C order
     step = max(1, _CHUNK // (planes[0].size * dtype.itemsize))
     for k in range(0, len(planes), step):
@@ -175,7 +182,8 @@ def volume_writer(path, like: Volume | LabelMap):
     Volume, uint8 for a LabelMap. ``planes`` holds the next (nx, ny, k)
     planes in memory order, and they are compressed as they come. A label
     file holds raw BraTS labels, as :func:`read_labels` reads them, so a
-    canonical LabelMap is refused before any file is opened.
+    canonical LabelMap is refused before any file is opened, as is a grid
+    with an axis above ``MAX_DIM``.
 
     The file is written atomically (see :func:`_atomic_file`) when the block
     ends with every z-plane written; if it raises, or ends early, no file is
@@ -190,6 +198,8 @@ def volume_writer(path, like: Volume | LabelMap):
     else:
         raise TypeError(f"expected Volume or LabelMap, got {type(like).__name__}")
     shape = like.shape
+    if max(shape) > MAX_DIM:
+        raise ValueError(f"{path}: grid {shape} has an axis above NIfTI-1's limit of {MAX_DIM}")
     deflate = zlib.compressobj(*_DEFLATE) if _is_gzip_path(path) else None
     written = 0
     with _atomic_file(path) as f:

@@ -3,7 +3,11 @@
 Axis convention used everywhere in this package: arrays are indexed
 ``data[i, j, k]`` for the voxel at x=i, y=j, z=k. The first array axis is x.
 On disk (NIfTI) x is the fastest-varying index; serialization handles the
-reordering, in memory arrays are C-contiguous.
+reordering, in memory arrays are C-contiguous. The one exception is
+:func:`phantom_arrays`, which builds a phantom a few z-planes at a time
+straight into NIfTI voxel order, indexed ``[z, y, x]``: ``voxaug phantom``
+writes those arrays with no transposing copy, and :func:`make_phantom`
+copies each to C order.
 
 Image intensities are stored as float32 (the on-disk image datatype, so file
 round-trips are bit-exact); label maps as uint8. All objects are treated as
@@ -98,8 +102,12 @@ class Volume:
     """Dense 3D scalar grid with per-axis spacing in mm.
 
     ``checked=True`` is for a maker that has already checked every voxel and
-    laid ``data`` out C-contiguous float32, as the NIfTI reader does; the
-    data is then neither checked nor copied again.
+    made ``data`` float32; the data is then neither checked nor copied
+    again, so its memory order stays as it is. Every maker lays it out
+    C-contiguous, as the NIfTI reader does, except ``voxaug phantom``: it
+    wraps the ``.T`` of a NIfTI-ordered array only to hand it to
+    ``write_volume``, which takes either order. Resampling would copy a
+    Fortran-ordered array on every slab.
     """
 
     data: np.ndarray
@@ -144,7 +152,7 @@ class LabelMap:
 
     ``convention`` is "raw" for the acquisition alphabet {0, 1, 2, 4} or
     "canonical" for contiguous class ids {0, 1, 2, 3}. ``checked=True`` is as
-    for :class:`Volume`, with C-contiguous uint8 data.
+    for :class:`Volume`, with uint8 data.
     """
 
     data: np.ndarray
@@ -305,56 +313,65 @@ def canonical_to_raw_labels(labels: LabelMap) -> LabelMap:
     return LabelMap(lut[labels.data], spacing=labels.spacing, convention="raw")
 
 
-def make_phantom(seed: int, shape: Shape3 = (64, 64, 64), subject_id: str = "") -> Sample:
-    """Build a deterministic synthetic test subject.
+_PHANTOM_SLAB = 1 << 15  # voxels per slab of phantom_arrays, at least one z-plane
+
+
+def _integer(v) -> bool:  # an int or numpy integer; a bool or 64.0 is not one here
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def phantom_arrays(seed: int, shape: Shape3) -> tuple[list[np.ndarray], np.ndarray]:
+    """The arrays of the synthetic subject that :func:`make_phantom` builds:
+    its four float32 channels and its raw uint8 labels, each C-contiguous
+    and indexed ``[z, y, x]``, the NIfTI voxel order, so ``array.T`` is the
+    ``(nx, ny, nz)`` grid and a writer copies none of it.
 
     Four channels hold a smooth "brain" ellipsoid with channel-dependent
     intensity plus low-frequency texture; three nested "tumor" shells carry
     raw labels 4 (inner), 1 (middle), 2 (outer) on a zero background. The
     tumor center and texture depend on the seed only; intensities are
-    min-max normalized to [0, 1].
+    min-max normalized to [0, 1]. ``shape`` is ``(nx, ny, nz)``: three
+    integers >= 16, not bools and not floats such as 64.0.
 
     Every term is separable per axis: the envelope and the tumor distance
     are sums of one squared term per axis, and each texture wave a product
     of one cosine per axis. So each axis's term is computed once on a 1-D
-    coordinate vector, and broadcasting combines the three into the grid
-    with the same operations in the same order per voxel,
-    ``((0 + t0) + t1) + t2`` and ``((1 * c0) * c1) * c2``, as on full
-    ``np.indices`` grids; the result is the same byte for byte. The terms
-    that the four channels share are computed once: multiplying by the
+    coordinate vector, the x and y terms are combined once into a plane,
+    and the z term is added to it a slab of whole z-planes (about
+    ``_PHANTOM_SLAB`` voxels) at a time. Each voxel gets the operations of
+    full ``np.indices`` grids in the same order, ``(t0 + t1) + t2`` and
+    ``(c0 * c1) * c2`` (less the exact ``0 +`` and ``1.0 *`` that start
+    them), and each channel slab is cast to float32 into its output. The
+    terms the channels share are computed once per slab: multiplying by the
     0.0/1.0 of ``brain > 0`` is exact, so ``gain * (falloff * inside)``
-    equals ``(gain * falloff) * inside``.
+    equals ``(gain * falloff) * inside``. Each output is then normalized in
+    place by the float32 ``- lo`` and ``/ (hi - lo)`` of
+    :func:`normalize_minmax`, so the bytes are those of full grids.
     """
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 3 or any(s < 16 for s in shape):
-        raise ValueError(f"phantom shape must be >= 16 per axis, got {shape}")
+    if len(shape) != 3 or not all(_integer(s) for s in shape) or min(shape) < 16:
+        raise ValueError(f"phantom shape must be 3 integers >= 16, got {tuple(shape)}")
+    nx, ny, nz = shape = tuple(int(s) for s in shape)
     stream = RandomStream(seed, ("phantom",))
 
-    # one float64 coordinate vector per axis, shaped to broadcast along it
-    grids = [
-        np.arange(n, dtype=np.float64).reshape([n if a == axis else 1 for a in range(3)])
-        for axis, n in enumerate(shape)
-    ]
+    # one float64 coordinate vector per axis, shaped to broadcast along its
+    # axis of the [z, y, x] grid
+    grids = [np.arange(n, dtype=np.float64).reshape([n if a == 2 - axis else 1 for a in range(3)])
+             for axis, n in enumerate(shape)]
     center = [(n - 1) / 2.0 for n in shape]
     half = [n / 2.0 for n in shape]
 
     # smooth brain envelope: 1 at center, 0 at the ellipsoid boundary
     axes = stream.uniform(0.80, 0.90, 3)
-    brain = sum(((g - c) / (a * h)) ** 2 for g, c, a, h in zip(grids, center, axes, half))
-    np.subtract(1.0, brain, out=brain)
-    np.clip(brain, 0.0, None, out=brain)
+    bx, by, brain_z = [((g - c) / (a * h)) ** 2 for g, c, a, h in zip(grids, center, axes, half)]
+    brain_xy = bx + by
 
     # low-frequency texture: a few random cosine waves, smooth by construction
-    texture = np.zeros(shape)
-    wave = np.empty(shape)
+    waves = []
     for _ in range(3):
         freq = stream.uniform(0.5, 1.5, 3)
         phase = stream.uniform(0.0, 2 * np.pi, 3)
-        c0, c1, c2 = (np.cos(np.pi * f * g / n + p) for g, n, f, p in zip(grids, shape, freq, phase))
-        np.multiply((1.0 * c0) * c1, c2, out=wave)
-        wave *= stream.uniform(0.05, 0.12)
-        texture += wave
-    del wave
+        cx, cy, cz = (np.cos(np.pi * f * g / n + p) for g, n, f, p in zip(grids, shape, freq, phase))
+        waves.append((cx * cy, cz, stream.uniform(0.05, 0.12)))
 
     # nested tumor shells, fully inside the brain envelope
     m = float(min(shape))
@@ -363,40 +380,48 @@ def make_phantom(seed: int, shape: Shape3 = (64, 64, 64), subject_id: str = "") 
     r_outer = 3.0 * r_inner
     t_center = [c + stream.uniform(-0.28, 0.28) * h * 0.5 for c, h in zip(center, half)]
     squash = stream.uniform(0.9, 1.1, 3)
-    dist = sum(((g - tc) / s) ** 2 for g, tc, s in zip(grids, t_center, squash))
-    np.sqrt(dist, out=dist)
+    dx, dy, dist_z = [((g - tc) / s) ** 2 for g, tc, s in zip(grids, t_center, squash)]
+    dist_xy = dx + dy
 
-    labels = np.zeros(shape, dtype=np.uint8)
-    labels[dist < r_outer] = 2
-    labels[dist < r_middle] = 1
-    labels[dist < r_inner] = 4
-
-    # the terms every channel shares: 0.5 * texture * brain, and the tumor
-    # falloff exp(-(dist / r_outer)**2) inside the brain
-    shared = texture
-    shared *= 0.5
-    shared *= brain
-    falloff = dist
-    falloff /= r_outer
-    np.square(falloff, out=falloff)
-    np.negative(falloff, out=falloff)
-    np.exp(falloff, out=falloff)
-    falloff *= brain > 0
-
+    channels = [np.empty((nz, ny, nx), np.float32) for _ in CHANNEL_NAMES]
+    labels = np.zeros((nz, ny, nx), np.uint8)
     base = (0.55, 0.85, 0.70, 0.95)
     tumor_gain = (0.35, 0.60, 0.45, 0.25)
-    intensity, bump = np.empty(shape), np.empty(shape)
-    channels = []
-    for name, b, tg in zip(CHANNEL_NAMES, base, tumor_gain):
-        np.multiply(b, brain, out=intensity)
-        intensity += shared
-        np.multiply(tg, falloff, out=bump)
-        intensity += bump
-        channels.append(normalize_minmax(Volume(intensity, name=name)))
+    depth = max(1, _PHANTOM_SLAB // (nx * ny))
+    for z in range(0, nz, depth):
+        zs = slice(z, z + depth)
+        brain = np.clip(1.0 - (brain_xy + brain_z[zs]), 0.0, None)
+        texture = np.zeros_like(brain)
+        for xy, cz, amplitude in waves:
+            texture += xy * cz[zs] * amplitude
+        dist = np.sqrt(dist_xy + dist_z[zs])
+        slab = labels[zs]
+        slab[dist < r_outer] = 2
+        slab[dist < r_middle] = 1
+        slab[dist < r_inner] = 4
+        # the terms every channel shares: 0.5 * texture * brain, and the
+        # tumor falloff exp(-(dist / r_outer)**2) inside the brain
+        shared = texture * 0.5 * brain
+        falloff = np.exp(-((dist / r_outer) ** 2)) * (brain > 0)
+        for out, b, tg in zip(channels, base, tumor_gain):
+            out[zs] = b * brain + shared + tg * falloff
 
-    sid = subject_id or f"phantom-{int(seed)}"
-    return Sample(
-        channels=tuple(channels),
-        labels=LabelMap(labels, convention="raw"),
-        subject_id=sid,
+    for out in channels:
+        lo, hi = float(out.min()), float(out.max())
+        out -= lo
+        out /= (hi - lo) or 1.0  # a constant channel is all zeros once lo is taken
+    return channels, labels
+
+
+def make_phantom(seed: int, shape: Shape3 = (64, 64, 64), subject_id: str = "") -> Sample:
+    """Build a deterministic synthetic test subject: the arrays of
+    :func:`phantom_arrays`, each copied to this package's x-first C order,
+    one at a time, its NIfTI-ordered array dropped before the next copy.
+    """
+    channels, labels = phantom_arrays(seed, shape)
+    volumes = tuple(
+        Volume(np.ascontiguousarray(channels.pop(0).T), name=name, checked=True)
+        for name in CHANNEL_NAMES
     )
+    labels = LabelMap(np.ascontiguousarray(labels.T), convention="raw", checked=True)
+    return Sample(channels=volumes, labels=labels, subject_id=subject_id or f"phantom-{int(seed)}")

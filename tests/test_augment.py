@@ -645,7 +645,7 @@ def test_apply_pipeline_holds_its_outputs_and_a_few_slabs():
     (four float32 channels and a uint8 label map) plus eight slabs' worth
     of sampling positions (``interp._SLAB_PLANES`` z-planes of 96^2; at 4
     planes 0.88 MB each, a bound of about 21.1 MiB). They peak at about the
-    outputs + 6.7 slabs. Building whole positions (21 MB) took about 38.1
+    outputs + 5.04 slabs. Building whole positions (21 MB) took about 38.1
     MB."""
     pipe = _only(_standard_pipeline(), KINDS)
     apply_pipeline(vx.make_phantom(0, (16, 16, 16)), pipe, RandomStream(0, ("warm",)))

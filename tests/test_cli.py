@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 import voxaug.cli
-from voxaug import interp
+from voxaug import interp, volume
 from voxaug.augment import AugmentSpec
 from voxaug.cli import _thread_count, main
 from voxaug.config import PipelineConfig, save_config
 from voxaug.nifti import _build_header, read_volume, write_volume
+from voxaug.rng import RandomStream
 from voxaug.tables import read_metrics
-from voxaug.volume import LabelMap
+from voxaug.volume import LabelMap, make_phantom
 
 
 def run(capsys, *argv):
@@ -92,6 +93,68 @@ def test_phantom_rejects_small_shape(tmp_path, capsys):
     code, _, err = run(capsys, "phantom", "--seed", "1", "--shape", "8,8,8", "--out", str(tmp_path / "x"))
     assert code == 1
     assert err.startswith("error:") and ">= 16" in err
+
+
+def test_phantom_rejects_a_shape_above_the_nifti_limit_before_building(tmp_path, capsys):
+    """NIfTI-1 stores each axis length in an int16: a longer axis is refused
+    up front, in one line that names the limit, not after the subject is
+    built."""
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "phantom", "--seed", "1", "--shape", "32768,16,16", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: --shape") and "<= 32767" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# 16^3 and 17x23x29 are one slab each; 64x64x20 is three slabs of 8, 8 and 4
+# z-planes; a 200x180 plane is more than a slab's voxels, so each slab is one
+_PHANTOM_SHAPES = [(16, 16, 16), (17, 23, 29), (64, 64, 20), (200, 180, 17)]
+
+
+def test_phantom_shapes_cover_partial_and_single_plane_slabs():
+    assert 20 % (volume._PHANTOM_SLAB // (64 * 64)) != 0
+    assert 200 * 180 > volume._PHANTOM_SLAB
+
+
+@pytest.mark.parametrize("shape", _PHANTOM_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_phantom_files_are_write_volume_of_make_phantom(tmp_path, capsys, shape):
+    """``voxaug phantom`` writes its subjects from NIfTI-ordered arrays with
+    no transposing copy; its files are byte for byte those that
+    ``write_volume`` writes from ``make_phantom``'s x-first arrays."""
+    out = tmp_path / "cli"
+    code, _, err = run(capsys, "phantom", "--seed", "4", "--count", "2",
+                       "--shape", ",".join(map(str, shape)), "--out", str(out))
+    assert code == 0, err
+    batch = RandomStream(4, ("phantom-batch",))
+    for index in range(2):
+        subject = f"phantom{index:03d}"
+        sample = make_phantom(batch.substream(index).derived_seed(), shape, subject)
+        arrays = [(f"_{ch.name}", ch) for ch in sample.channels] + [("_seg", sample.labels)]
+        for suffix, array in arrays:
+            path = tmp_path / f"{subject}{suffix}.nii.gz"
+            write_volume(array, path)
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_phantom_holds_one_subject_in_nifti_order(tmp_path, capsys, monkeypatch):
+    """One 96x96x64 subject on one thread peaks (tracemalloc) within 28 B per
+    voxel: its four float32 channels and labels (17 B/voxel), slab
+    temporaries and a write's deflate output. It peaks at about 21; built
+    on full float64 grids and transposed to write, it peaked at 65.1."""
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    argv = ["phantom", "--seed", "2", "--count", "1", "--shape", "96,96,64"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "warm"))
+    assert code == 0, err
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    voxels = 96 * 96 * 64
+    assert peak / voxels <= 28.0, f"{peak / voxels:.1f} B/voxel"
 
 
 def test_phantom_rejects_malformed_shape(tmp_path, capsys):
@@ -397,7 +460,7 @@ def test_resampling_augment_holds_one_window_and_a_few_slabs(tmp_path, capsys, m
     96^2; at 4 planes 0.88 MB each): each array is read, resampled and
     written one z-slab at a time, and dropped before the next is read, only
     its positions rebuilt. At 4-plane slabs it peaks at about a window +
-    7.1 slabs. With 8-plane slabs (1.7 MB each) it peaked at about a window
+    5.43 slabs. With 8-plane slabs (1.7 MB each) it peaked at about a window
     + 4.5 slabs; holding all five windows, to resample every array at one
     slab before the next, took about a window + 10.9 slabs (five windows +
     6.4); building whole positions and holding every output took five

@@ -347,6 +347,24 @@ def test_write_rejects_plain_arrays(tmp_path):
         write_volume(np.zeros((2, 2, 2)), tmp_path / "x.nii")
 
 
+@pytest.mark.parametrize("make", [Volume, LabelMap], ids=["volume", "labels"])
+@pytest.mark.parametrize("shape", [(32768, 1, 1), (1, 1, 40000)])
+def test_axis_above_the_int16_dim_limit_is_refused_before_a_file_is_opened(tmp_path, make, shape):
+    """NIfTI-1 stores each axis length in an int16, so a longer axis cannot
+    be written: it is refused in one line that names the limit, and no file
+    (not even a temp file) is left."""
+    with pytest.raises(ValueError, match="limit of 32767") as caught:
+        write_volume(make(np.zeros(shape, np.uint8)), tmp_path / "big.nii.gz")
+    assert "\n" not in str(caught.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_axis_at_the_int16_dim_limit_round_trips(tmp_path):
+    data = np.arange(32767, dtype=np.float32).reshape(32767, 1, 1)
+    write_volume(Volume(data), tmp_path / "long.nii.gz")
+    np.testing.assert_array_equal(read_volume(tmp_path / "long.nii.gz").data, data)
+
+
 @pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
 def test_canonical_label_map_is_refused_and_no_file_is_left(tmp_path, ext):
     """A label file holds raw BraTS labels: a canonical map (class 3 for

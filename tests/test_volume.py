@@ -19,6 +19,7 @@ from voxaug.volume import (
     extract_center_patch,
     make_phantom,
     normalize_minmax,
+    phantom_arrays,
     raw_to_canonical_labels,
 )
 
@@ -295,8 +296,57 @@ def test_make_phantom_peak_memory_per_voxel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # five float64 grids, the labels and the float32 channels: about 65 B/voxel
+    # the generator's float32 channels and labels in NIfTI order (17 B/voxel),
+    # one C-ordered copy at a time and slab temporaries: about 21 B/voxel;
+    # five full float64 grids, the labels and the channels took about 65
     assert peak / np.prod(shape) <= 80.0
+
+
+def test_make_phantom_holds_its_arrays_and_one_copy():
+    """Built a few z-planes at a time, a 96x96x64 phantom peaks (tracemalloc)
+    within 40 B/voxel: the generator's float32 channels and labels (17
+    B/voxel), the C-ordered copies made one at a time as their NIfTI-ordered
+    arrays are dropped, and slab temporaries. It peaks at about 21; full
+    float64 grids took 65."""
+    shape = (96, 96, 64)
+    make_phantom(3, (16, 16, 16))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sample = make_phantom(3, shape)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert sample.shape == shape
+    assert peak / np.prod(shape) <= 40.0, f"{peak / np.prod(shape):.1f} B/voxel"
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (17, 23, 29), (200, 180, 17)])
+def test_phantom_arrays_are_make_phantom_in_nifti_voxel_order(shape):
+    channels, labels = phantom_arrays(7, shape)
+    sample = make_phantom(7, shape)
+    for array, ch in zip(channels, sample.channels):
+        assert array.dtype == np.float32 and array.flags.c_contiguous
+        assert array.T.tobytes() == ch.data.tobytes() and ch.data.flags.c_contiguous
+    assert labels.dtype == np.uint8 and labels.flags.c_contiguous
+    assert labels.T.tobytes() == sample.labels.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(16.0, 16, 16), (16, 16.9, 16), (16, 16, np.float64(16)), ("16", 16, 16), (True, 16, 16),
+     (16, 16), (16, 16, 16, 16)],
+)
+def test_make_phantom_takes_three_integer_shape_entries(shape):
+    """A shape entry is a Python or numpy integer: 16.9 is not truncated to
+    16, "16" is not parsed, and True is not 1."""
+    with pytest.raises(ValueError, match="phantom shape must be 3 integers"):
+        make_phantom(0, shape)
+
+
+def test_make_phantom_takes_numpy_integer_shape_entries():
+    s = make_phantom(0, (np.int64(16), np.int32(17), 18))
+    assert s.shape == (16, 17, 18)
 
 
 def test_make_phantom_full_alphabet_and_range():

@@ -9,25 +9,40 @@ bit-for-bit from a single seed.
 
 The package namespace holds the documented library API; everything else is
 imported from its submodule (``voxaug.augment``, ``voxaug.metrics``, ...).
+The namespace is lazy (PEP 562): ``import voxaug`` loads no submodule and no
+numpy, and each name imports its submodule on first use, so a command that
+needs one module loads only what that module imports.
 """
 
-from .augment import AugmentPipeline, AugmentSpec, ProvenanceRecord, apply_pipeline
-from .metrics import MetricRecord, evaluate_sample
-from .rng import RandomStream
-from .volume import LabelMap, Sample, Volume, make_phantom
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AugmentPipeline",
-    "AugmentSpec",
-    "LabelMap",
-    "MetricRecord",
-    "ProvenanceRecord",
-    "RandomStream",
-    "Sample",
-    "Volume",
-    "apply_pipeline",
-    "evaluate_sample",
-    "make_phantom",
-]
+# each documented name -> the submodule that defines it
+_API = {
+    "AugmentPipeline": "augment",
+    "AugmentSpec": "augment",
+    "LabelMap": "volume",
+    "MetricRecord": "common",
+    "ProvenanceRecord": "augment",
+    "RandomStream": "rng",
+    "Sample": "volume",
+    "Volume": "volume",
+    "apply_pipeline": "augment",
+    "evaluate_sample": "metrics",
+    "make_phantom": "volume",
+}
+
+__all__ = sorted(_API)
+
+
+def __getattr__(name):
+    if name not in _API:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_API[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -53,7 +53,6 @@ output slab, in float64.
 
 import hashlib
 import json
-import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
@@ -61,6 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import interp
+from .common import Rule, _real, whole
 from .interp import AffineTransform
 from .rng import RandomStream
 from .volume import LabelMap, Sample, Shape3, bad_voxel_error, earlier_bad_voxel
@@ -71,25 +71,6 @@ ROTATION_MAX_DEG = (15.0, 30.0, 60.0, 90.0)
 SCALE_MAX_FRAC = (0.10, 0.20)
 ELASTIC_SIGMAS = (2.0, 5.0, 8.0, 10.0)
 DEFAULT_GRID_SIZE = 4
-
-
-class Rule(NamedTuple):
-    """One config or spec field: what it must be, for the error; a test of
-    its raw JSON value that coerces nothing; and the canonical form it is
-    stored in."""
-
-    what: str
-    test: Callable[[object], bool]
-    canonical: Callable = lambda value: value
-
-
-def _real(value) -> bool:  # a bool is not a number here
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def whole(value) -> bool:
-    """True for a whole number (4 or 4.0); a bool is not one."""
-    return _real(value) and value % 1 == 0
 
 
 def _one_of(choices: tuple) -> Rule:

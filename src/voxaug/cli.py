@@ -25,11 +25,16 @@ and no whole position array or whole output is held.
 All of a subject's files are written into one atomic group, so a fault met
 after earlier outputs were written (a bad voxel in a later file, a negative
 intensity under brightness, a failed write) still leaves none of them
-behind. A subject with one fault reports it as a whole-patch run did; a bad
-output voxel is named by its patch index, the first in (x, y, z) order,
-once that array's last slab is done. One with several faults reports the
-first met in array order: a bad output voxel of ``_t1``, say, comes before
-a bad input voxel of ``_flair``, whose window is then never read.
+behind. The provenance JSON is written last and is the group's commit
+marker: a subject's outputs are complete exactly when its provenance JSON
+exists. An earlier run's JSON is removed before the first file is renamed
+into place, the JSON is renamed last, and a failed rename removes the files
+already renamed. A subject with one fault reports it as a whole-patch run
+did; a bad output voxel is named by its patch index, the first in (x, y, z)
+order, once that array's last slab is done. One with several faults
+reports the first met in array order: a bad output voxel of ``_t1``, say,
+comes before a bad input voxel of ``_flair``, whose window is then never
+read.
 
 ``phantom`` checks ``--shape`` (16 to NIfTI-1's 32767 voxels per axis)
 before it builds anything. Each subject's arrays come from
@@ -38,37 +43,64 @@ NIfTI voxel order, so every file is written from a view with no
 transposing copy, in the bytes ``make_phantom`` and ``write_volume`` give.
 It holds one subject's four channels and labels (17 bytes per voxel, 152
 MB at 240x240x155) per thread, and no full-grid temporary.
+
+Each subcommand imports only the modules it runs, when it runs; importing
+this module loads :mod:`voxaug.common` and no numpy:
+- ``rank``: :mod:`~voxaug.tables`, and so no numpy at all;
+- ``compare``: :mod:`~voxaug.tables` and :mod:`~voxaug.stats` (numpy and
+  :mod:`~voxaug.rng`);
+- ``evaluate``: :mod:`~voxaug.nifti`, :mod:`~voxaug.volume`,
+  :mod:`~voxaug.metrics` and :mod:`~voxaug.tables`;
+- ``phantom``: :mod:`~voxaug.nifti`, :mod:`~voxaug.volume` and
+  :mod:`~voxaug.rng`;
+- ``augment``: those and :mod:`~voxaug.config`, :mod:`~voxaug.augment` and
+  :mod:`~voxaug.interp`.
+The names a subcommand calls are bound in this module's globals on first
+use, and a name bound here already (patched by a caller) is kept.
 """
 
 import argparse
+import importlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .augment import draw_pipeline, plan_steps
-from .config import DEFAULT_LABEL_SUFFIX, load_config
-from .metrics import REGIONS, evaluate_sample
-from .nifti import (
-    MAX_DIM,
-    NIFTI_EXTS,
-    atomic_group,
-    atomic_write_bytes,
-    read_grid,
-    read_labels,
-    read_volume,
-    volume_writer,
-    write_volume,
-)
-from .rng import RandomStream
-from .stats import rank_models, sign_flip_test
-from .tables import read_metrics, write_metrics, write_ranks
-from .volume import CHANNEL_NAMES, LabelMap, Volume, center_box, check_grids, phantom_arrays
-# augment crops while reading and applies a per-array plan, and phantom
-# writes phantom_arrays; these names stay here, where the benchmark's tracer
-# looks them up
-from .augment import apply_pipeline  # noqa: F401
-from .volume import extract_center_patch, make_phantom  # noqa: F401
+from .common import DEFAULT_LABEL_SUFFIX, REGIONS, atomic_group, atomic_write_bytes, rank_models
+
+# The names each subcommand takes from a module that needs numpy, bound in
+# this module's globals on first use, so that a name patched here (the
+# benchmark's tracer wraps these) is the one a subcommand calls.
+# apply_pipeline, extract_center_patch and make_phantom are run by no
+# subcommand; they resolve here because the tracer looks them up.
+_LAZY = {
+    "augment": ("apply_pipeline", "draw_pipeline", "plan_steps"),
+    "config": ("load_config",),
+    "metrics": ("evaluate_sample",),
+    "nifti": ("MAX_DIM", "NIFTI_EXTS", "read_grid", "read_labels", "read_volume",
+              "volume_writer", "write_volume"),
+    "rng": ("RandomStream",),
+    "stats": ("sign_flip_test",),
+    "tables": ("read_metrics", "write_metrics", "write_ranks"),
+    "volume": ("CHANNEL_NAMES", "LabelMap", "Volume", "center_box", "check_grids",
+               "extract_center_patch", "make_phantom", "phantom_arrays"),
+}
+
+
+def _load(*modules) -> None:
+    """Import ``modules`` and bind the names this module takes from each,
+    keeping any name bound already."""
+    for module in modules:
+        source = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):  # PEP 562: a lazy name, looked up from outside
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _thread_count() -> int:
@@ -89,6 +121,8 @@ def _thread_count() -> int:
 def _map_subjects(fn, subjects):
     """``fn`` over every subject; every subject runs to the end, and each
     failure is reported, in subject order."""
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         futures = [pool.submit(fn, s) for s in subjects]
     errors = [e for e in (f.exception() for f in futures) if e is not None]
@@ -127,6 +161,7 @@ def _subjects_with_suffix(directory: Path, suffix: str) -> list[str]:
 # subcommands -----------------------------------------------------------
 
 def _cmd_augment(args) -> int:
+    _load("config", "augment", "nifti", "rng", "volume")
     cfg = load_config(args.config)
     if not (args.in_dir or cfg.input_dir):
         raise ValueError("input directory required (--in or config input_dir)")
@@ -179,6 +214,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _load("nifti", "metrics", "tables")
     pred_dir, truth_dir = Path(args.pred), Path(args.truth)
     suffix = args.label_suffix
     pred_ids = _subjects_with_suffix(pred_dir, suffix)
@@ -213,6 +249,7 @@ _METRIC_ATTR = {"dice": "dice", "hd95": "hd95_mm"}
 
 
 def _cmd_compare(args) -> int:
+    _load("tables", "stats")
     records = read_metrics(args.metrics)
     attr = _METRIC_ATTR[args.metric]
     per_model: dict[str, dict[str, float]] = {args.model_a: {}, args.model_b: {}}
@@ -254,6 +291,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    _load("tables")
     records = read_metrics(args.metrics)
     entries = rank_models(records, normalize=args.normalize)
     write_ranks(entries, args.out)
@@ -263,6 +301,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
+    _load("nifti", "rng", "volume")
     try:
         shape = tuple(int(v) for v in args.shape.split(","))
     except ValueError:

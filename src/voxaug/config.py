@@ -19,13 +19,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .augment import AugmentPipeline, AugmentSpec, Rule, check_fields, from_json, whole
-from .nifti import atomic_write_bytes
+from .augment import AugmentPipeline, AugmentSpec, check_fields, from_json
+from .common import DEFAULT_LABEL_SUFFIX, Rule, atomic_write_bytes, whole
 from .volume import CHANNEL_NAMES
 
 DEFAULT_PATCH_SHAPE = (128, 128, 128)
 DEFAULT_CHANNEL_SUFFIXES = tuple(f"_{name}" for name in CHANNEL_NAMES)
-DEFAULT_LABEL_SUFFIX = "_seg"
 
 
 def _seq(value) -> bool:  # a JSON array, or a tuple from Python

@@ -9,38 +9,46 @@ a region the scores are the worst-case sentinels Dice 0.0 and HD95 373.0 mm;
 when both are empty the region is a true negative and scores Dice 1.0,
 HD95 0.0.
 
-Dice and HD95 work on the two masks' union bounding box, not on the whole
-grid: a tumor fills a few percent of a BraTS grid. The crop is exact. Outside
-the box both masks are empty, so nothing there is a mask or surface voxel,
-and the crop's border is non-mask exactly as the grid's border is. Voxel
-coordinates are the box index plus the box offset, still integers, times the
-spacing, so every coordinate, and with it every distance, is bit-identical to
-the full grid's.
+No step works on the whole grid: a tumor fills a few percent of a BraTS
+grid. :func:`evaluate_sample` crops both label maps to the union of their
+nonzero boxes before it composes the regions, so the six region masks are
+built on that box, and each :class:`RegionMask` carries the box's origin in
+the full grid. Dice and HD95 then work on the two masks' union box inside
+it. Both crops are exact. Outside a box both maps (or masks) are empty, so
+nothing there is a mask or surface voxel, and the crop's border is non-mask
+exactly as the grid's border is. Voxel coordinates are the full-grid index
+(the index in the box plus both offsets, still integers) times the spacing,
+so every coordinate, and with it every distance, is bit-identical to the
+full grid's. Two empty maps crop to an empty box and score the both-empty
+values.
 
 HD95's nearest-surface search is exact and numpy-only: a nearest feature
 along each line of axis 0, then a growing window over axes 1 and 2 (see
 :func:`hausdorff95`). This module, and with it ``evaluate``, loads no scipy.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .common import REGIONS, MetricRecord
 from .volume import LabelMap, ProbabilityVolume, Spacing3, _check_spacing
 
-REGIONS = ("WT", "TC", "ET")
 REGION_LABELS = {"WT": (1, 2, 4), "TC": (1, 4), "ET": (4,)}
 
 HD95_SENTINEL_MM = 373.0
 
 
-def _mask_box(m: np.ndarray) -> tuple[slice, slice, slice]:
-    """Slices of the smallest box holding every True voxel of the nonempty
-    mask ``m``, read from its ``any`` projections."""
+def _mask_box(m: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """Slices of the smallest box holding every nonzero voxel of ``m``, read
+    from its ``any`` projections; None when there is none."""
     yz = m.any(axis=0)
     box = []
     for p in (m.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0)):
         hits = np.flatnonzero(p)
+        if not hits.size:
+            return None
         box.append(slice(int(hits[0]), int(hits[-1]) + 1))
     return tuple(box)
 
@@ -48,11 +56,14 @@ def _mask_box(m: np.ndarray) -> tuple[slice, slice, slice]:
 @dataclass(frozen=True)
 class RegionMask:
     """Binary mask for one evaluation region, with its voxel count and its
-    bounding box (``box``, None when empty), each found once."""
+    bounding box (``box``, None when empty), each found once. ``origin`` is
+    the full-grid index of the mask's voxel (0, 0, 0): a mask cut from a
+    box of the grid keeps its voxels' coordinates."""
 
     region: str
     mask: np.ndarray
     spacing: Spacing3 = (1.0, 1.0, 1.0)
+    origin: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
         if self.region not in REGIONS:
@@ -63,6 +74,10 @@ class RegionMask:
         m = m.astype(bool, copy=False)
         object.__setattr__(self, "mask", m)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
+        origin = tuple(operator.index(v) for v in self.origin)
+        if len(origin) != 3:
+            raise ValueError(f"origin must be three integers, got {self.origin}")
+        object.__setattr__(self, "origin", origin)
         count = int(np.count_nonzero(m))
         object.__setattr__(self, "_count", count)
         object.__setattr__(self, "_box", _mask_box(m) if count else None)
@@ -76,25 +91,9 @@ class RegionMask:
         return self._box
 
 
-@dataclass(frozen=True)
-class MetricRecord:
-    subject_id: str
-    model_id: str
-    region: str
-    dice: float
-    hd95_mm: float
-
-    def __post_init__(self):
-        if self.region not in REGIONS:
-            raise ValueError(f"unknown region {self.region!r}, expected one of {REGIONS}")
-        if not 0.0 <= self.dice <= 1.0:
-            raise ValueError(f"dice must be in [0, 1], got {self.dice}")
-        if not 0.0 <= self.hd95_mm < np.inf:
-            raise ValueError(f"hd95_mm must be finite and >= 0, got {self.hd95_mm}")
-
-
-def region_masks(labels: LabelMap) -> dict[str, RegionMask]:
-    """Compose the three nested evaluation regions from a raw label map."""
+def region_masks(labels: LabelMap, origin=(0, 0, 0)) -> dict[str, RegionMask]:
+    """Compose the three nested evaluation regions from a raw label map,
+    whose voxel (0, 0, 0) is the full grid's voxel ``origin``."""
     if labels.convention != "raw":
         raise ValueError("region composition requires raw labels {0,1,2,4}")
     # REGION_LABELS nest, so each region grows from the one inside it
@@ -102,7 +101,7 @@ def region_masks(labels: LabelMap) -> dict[str, RegionMask]:
     tc = et | (labels.data == 1)
     wt = tc | (labels.data == 2)
     return {
-        region: RegionMask(region=region, mask=mask, spacing=labels.spacing)
+        region: RegionMask(region=region, mask=mask, spacing=labels.spacing, origin=origin)
         for region, mask in zip(REGIONS, (wt, tc, et))
     }
 
@@ -115,12 +114,18 @@ def _union_box(a: RegionMask, b: RegionMask) -> tuple[slice, slice, slice]:
     )
 
 
-def dice(pred: RegionMask, truth: RegionMask) -> float:
-    """2|P∩T| / (|P| + |T|); both empty -> 1.0, exactly one empty -> 0.0."""
+def _check_aligned(pred: RegionMask, truth: RegionMask) -> None:
     if pred.mask.shape != truth.mask.shape:
         raise ValueError(
             f"shape mismatch: pred {pred.mask.shape} vs truth {truth.mask.shape}"
         )
+    if pred.origin != truth.origin:
+        raise ValueError(f"origin mismatch: pred {pred.origin} vs truth {truth.origin}")
+
+
+def dice(pred: RegionMask, truth: RegionMask) -> float:
+    """2|P∩T| / (|P| + |T|); both empty -> 1.0, exactly one empty -> 0.0."""
+    _check_aligned(pred, truth)
     np_, nt = pred.count, truth.count
     if np_ == 0 and nt == 0:
         return 1.0
@@ -253,7 +258,7 @@ def hausdorff95(pred: RegionMask, truth: RegionMask) -> float:
 
     The nearest-surface search is exact, equal bit for bit to a KD-tree
     (``scipy.spatial.cKDTree``) query over the same points. Coordinates are
-    ``float64(index + box offset) * spacing`` per axis, and each squared
+    ``float64(index + box offset + origin) * spacing`` per axis, and each squared
     distance is summed as ``(d0**2 + d1**2) + d2**2``, the order cKDTree
     uses, before its square root. Rounding is monotone, so the minimum over
     one axis commutes with adding the other axes' terms:
@@ -265,10 +270,7 @@ def hausdorff95(pred: RegionMask, truth: RegionMask) -> float:
       ``d0**2`` plus the smallest squared gap past the window's edge. Points
       that are not final are redone on their own lines, twice as wide.
     """
-    if pred.mask.shape != truth.mask.shape:
-        raise ValueError(
-            f"shape mismatch: pred {pred.mask.shape} vs truth {truth.mask.shape}"
-        )
+    _check_aligned(pred, truth)
     if pred.spacing != truth.spacing:
         raise ValueError(f"spacing mismatch: pred {pred.spacing} vs truth {truth.spacing}")
     pe, te = pred.count == 0, truth.count == 0
@@ -279,8 +281,8 @@ def hausdorff95(pred: RegionMask, truth: RegionMask) -> float:
     box = _union_box(pred, truth)
     shape = tuple(s.stop - s.start for s in box)
     x = tuple(
-        (np.arange(n) + s.start).astype(np.float64) * sp
-        for n, s, sp in zip(shape, box, pred.spacing)
+        (np.arange(n) + (s.start + o)).astype(np.float64) * sp
+        for n, s, o, sp in zip(shape, box, pred.origin, pred.spacing)
     )
     pred_pts = surface_voxels(pred.mask[box])
     truth_pts = surface_voxels(truth.mask[box])
@@ -347,13 +349,25 @@ def ensemble_average(members: list[ProbabilityVolume]) -> tuple[ProbabilityVolum
 def evaluate_sample(
     pred: LabelMap, truth: LabelMap, subject_id: str, model_id: str
 ) -> list[MetricRecord]:
-    """Dice and HD95 for all three regions of one (prediction, truth) pair."""
+    """Dice and HD95 for all three regions of one (prediction, truth) pair.
+
+    The regions are composed on the union of the two maps' nonzero boxes,
+    not on the whole grid (see the module docstring)."""
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
     if pred.spacing != truth.spacing:
         raise ValueError(f"spacing mismatch: pred {pred.spacing} vs truth {truth.spacing}")
-    pred_regions = region_masks(pred)
-    truth_regions = region_masks(truth)
+    # the union of the maps' nonzero boxes; an empty box when both are empty
+    boxes = [b for b in map(_mask_box, (pred.data, truth.data)) if b is not None]
+    box = (slice(0, 0),) * 3
+    if boxes:
+        box = tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
+                    for axis in zip(*boxes))
+    origin = tuple(s.start for s in box)
+    pred_regions, truth_regions = (
+        region_masks(LabelMap(m.data[box], m.spacing, m.convention, checked=True), origin)
+        for m in (pred, truth)
+    )
     records = []
     for region in REGIONS:
         pm, tm = pred_regions[region], truth_regions[region]

@@ -20,31 +20,34 @@ byte-for-byte: :func:`volume_writer` opens the file, writes the header and
 then takes the voxels in runs of whole z-planes, as a caller produces them,
 through one compressor whose output does not depend on how the planes were
 split. :func:`write_volume` is that writer fed a whole array, so there is
-one deflate path. Files are written to a temp name and atomically renamed;
-:func:`atomic_group` renames several files together.
+one deflate path. Files are written to a temp name and atomically renamed
+(see :mod:`voxaug.common`); :func:`atomic_group` renames several files
+together.
 
 Reads accept any gzip file, multi-member ones included, and never allocate
 more voxels than the file can hold. They stream too: the header first, then
 z-planes inflated into one reused slab buffer. Each slab is checked voxel by
 voxel (non-finite values, or labels outside the raw alphabet), and its part
-of the requested box is copied into a C-ordered array in (x, z) tiles. The
-box is the whole grid by default; ``augment`` asks for its patch window, so
-it never holds a full-size array. Every voxel is still decoded and checked,
-the stream is read to its end (so a gzip CRC is checked), and an error
-names the first bad voxel in (x, y, z) order by its full-grid index.
+of the requested box is copied into a C-ordered array in (x, z) tiles. A
+label map's array starts at 0, and of each slab only the (x, y) box of its
+nonzero voxels is copied: a tumor fills a few percent of a BraTS grid.
+The box is the whole grid by default; ``augment`` asks for its patch
+window, so it never holds a full-size array. Every voxel is still decoded
+and checked, the stream is read to its end (so a gzip CRC is checked), and
+an error names the first bad voxel in (x, y, z) order by its full-grid
+index.
 """
 
 import contextlib
-import contextvars
 import gzip
 import os
-import secrets
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
+from .common import _atomic_file, atomic_group, atomic_write_bytes  # noqa: F401
 from .volume import RAW_LABELS, LabelMap, Volume, bad_voxel_error, earlier_bad_voxel
 
 HEADER_SIZE = 348
@@ -106,63 +109,6 @@ def _build_header(shape, spacing, datatype: int, bitpix: int) -> bytes:
 
 def _is_gzip_path(path) -> bool:
     return str(path).endswith(".gz")
-
-
-# temp files of the innermost active atomic_group, as (temp, target) pairs
-_GROUP = contextvars.ContextVar("nifti_atomic_group", default=None)
-
-
-@contextlib.contextmanager
-def _atomic_file(path):
-    """Yield a binary file that becomes ``path`` when the block ends: it is a
-    temp file beside ``path``, renamed over it (or, inside :func:`atomic_group`,
-    at the group's end). If the block raises, the temp file is removed and
-    ``path`` is untouched.
-
-    The temp file is created with mode 0o666, so the written file gets the
-    umask's default mode, as with a plain ``open(path, "wb")``."""
-    path = Path(path)
-    tmp = path.parent / f"tmp{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as f:
-            yield f
-        group = _GROUP.get()
-        if group is None:
-            os.replace(tmp, path)
-        else:
-            group.append((tmp, path))
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-@contextlib.contextmanager
-def atomic_group():
-    """Make the files this module writes inside the block appear together.
-
-    Each one stays under its temp name until the block ends, and then all are
-    renamed over their targets. If the block raises, every temp file it wrote
-    is removed and no target is touched. The group belongs to the thread (or
-    asyncio task) that opened it."""
-    group = []
-    token = _GROUP.set(group)
-    try:
-        yield
-        for tmp, path in group:
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in group:  # those not yet renamed
-            tmp.unlink(missing_ok=True)
-        raise
-    finally:
-        _GROUP.reset(token)
-
-
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` atomically (see :func:`_atomic_file`)."""
-    with _atomic_file(path) as f:
-        f.write(payload)
 
 
 def _slabs(data: np.ndarray, dtype: np.dtype):
@@ -343,6 +289,18 @@ def _planes(f, slab: np.ndarray, nz: int, start: int, path):
         pass
 
 
+def _labelled(src: np.ndarray, dst: np.ndarray):
+    """``src``, z-planes of labels indexed ``[z, y, x]``, and ``dst``, the
+    same voxels indexed ``[x, y, z]``, each cut to the (x, y) box of the
+    planes' nonzero voxels; both empty when there are none."""
+    plane = src.max(axis=0)
+    ys, xs = np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
+    if not ys.size:
+        return src[:, :, :0], dst[:0]
+    y, x = slice(ys[0], ys[-1] + 1), slice(xs[0], xs[-1] + 1)
+    return src[:, y, x], dst[x, y]
+
+
 def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
     """Read a 3-D NIfTI-1 file; ``as_labels=True`` returns a raw LabelMap.
 
@@ -375,7 +333,8 @@ def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
             )
         f.seek(start)
         alphabet = RAW_LABELS if as_labels else None
-        out = np.empty((x1 - x0, y1 - y0, z1 - z0), np.uint8 if as_labels else np.float32)
+        window = (x1 - x0, y1 - y0, z1 - z0)
+        out = np.zeros(window, np.uint8) if as_labels else np.empty(window, np.float32)
         depth = max(1, min(_SLAB_PLANES, _SLAB_BYTES // plane_bytes, shape[2]))
         slab = np.empty((depth, shape[1], shape[0]), dtype)  # z-planes, x fastest
         first = None  # (index, value) of the first bad voxel in full-grid order
@@ -395,7 +354,9 @@ def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
             if lo < hi:  # copy the window's part to C order in (x, z) tiles
                 src = values[lo - z : hi - z, y0:y1, x0:x1]
                 dst = out[:, :, lo - z0 : hi - z0]
-                for x in range(0, x1 - x0, _TILE):
+                if as_labels:  # out holds 0 already: copy only the labelled box
+                    src, dst = _labelled(src, dst)
+                for x in range(0, src.shape[2], _TILE):
                     dst[x : x + _TILE] = src[:, :, x : x + _TILE].T
     if first is not None:
         raise ValueError(f"{path}: {bad_voxel_error(*first, alphabet)}")

@@ -1,4 +1,4 @@
-"""Paired sign-flipping permutation test, Bonferroni correction, rank tables.
+"""Paired sign-flipping permutation test and Bonferroni correction.
 
 The permutation test is one-sided ("greater"): it asks whether model A beats
 model B on the paired per-subject differences d_i = metric_A(i) - metric_B(i).
@@ -10,15 +10,16 @@ as at-least-as-extreme (the all-zero case gives p = 1).
 All comparisons are done on signed sums rather than means: for fixed n,
 mean(s*d) >= mean(d) iff sum(s*d) >= sum(d), and staying on sums keeps the
 Monte-Carlo and exhaustive paths bit-for-bit consistent.
+
+:func:`rank_models` and :class:`RankEntry` live in :mod:`voxaug.common`,
+which needs no numpy, and are importable from here too.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import whole
-from .metrics import REGIONS, MetricRecord
+from .common import RankEntry, rank_models, whole  # noqa: F401
 from .rng import RandomStream
 
 _MC_CHUNK = 65536
@@ -32,12 +33,6 @@ class TestResult:
     n_flips: int
     seed: int | None
     m: int = 1
-
-
-@dataclass(frozen=True)
-class RankEntry:
-    model_id: str
-    rank_score: float
 
 
 def _test_count(value, name: str) -> int:
@@ -130,60 +125,3 @@ def sign_flip_test(
 def sign_flip_test_exact(d, bonferroni_m: int = 1) -> TestResult:
     """Exhaustive enumeration of all 2**n sign vectors (n <= 20)."""
     return sign_flip_test(d, None, exhaustive=True, bonferroni_m=bonferroni_m)
-
-
-# ranking ---------------------------------------------------------------
-
-def rank_models(records: list[MetricRecord], normalize: bool = False) -> list[RankEntry]:
-    """BraTS-style rank aggregation with Kendall mid-ranks for ties.
-
-    For every subject and every (metric, region) pair the models are ranked
-    (Dice descending, HD95 ascending; rank 1 is best, tied values share the
-    mean of the positions they span). Each model's score is the mean of its
-    ranks over all subjects and all 6 metric-region cells; lower is better.
-    ``normalize=True`` divides scores by the model count, mapping them into
-    (0, 1].
-
-    A model's mid-rank in a cell is ``below + (tied + 1) / 2``: ``below``
-    counts the strictly lower values, ``tied`` the equal ones, itself
-    included. Mid-ranks are half-integers, so every sum here is exact in
-    float64 whatever the summation order.
-    """
-    if not records:
-        raise ValueError("rank_models requires at least one metric record")
-    models = sorted({r.model_id for r in records})
-    subjects = sorted({r.subject_id for r in records})
-    keys = [(r.subject_id, r.model_id, r.region) for r in records]
-    dupes = sorted(k for k, c in Counter(keys).items() if c > 1)
-    if dupes:
-        raise ValueError(f"duplicate metric rows for {dupes}")
-    cells = dict(zip(keys, records))
-    missing = [
-        (s, m, g)
-        for s in subjects
-        for m in models
-        for g in REGIONS
-        if (s, m, g) not in cells
-    ]
-    if missing:
-        raise ValueError(f"missing metric cells (subject, model, region): {missing}")
-
-    # one row per (subject, region, metric) cell; Dice is negated so that,
-    # like HD95, the lowest value ranks first
-    values = np.array(
-        [
-            [sign * getattr(cells[(s, m, g)], metric) for m in models]
-            for s in subjects
-            for g in REGIONS
-            for metric, sign in (("dice", -1.0), ("hd95_mm", 1.0))
-        ]
-    )
-    other, own = values[:, None, :], values[:, :, None]
-    below = np.sum(other < own, axis=2)
-    tied = np.sum(other == own, axis=2)
-    scores = np.mean(below + (tied + 1) / 2, axis=0)
-    if normalize:
-        scores = scores / len(models)
-    entries = [RankEntry(model_id=m, rank_score=float(s)) for m, s in zip(models, scores)]
-    entries.sort(key=lambda e: (e.rank_score, e.model_id))
-    return entries

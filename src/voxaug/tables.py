@@ -13,9 +13,7 @@ import io
 from collections import Counter
 from pathlib import Path
 
-from .metrics import MetricRecord
-from .nifti import atomic_write_bytes
-from .stats import RankEntry
+from .common import MetricRecord, RankEntry, atomic_write_bytes
 
 METRIC_HEADER = ("subject_id", "model_id", "region", "dice", "hd95_mm")
 RANK_HEADER = ("model_id", "rank_score")

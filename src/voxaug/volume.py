@@ -19,8 +19,6 @@ from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
-from .rng import RandomStream
-
 RAW_LABELS = (0, 1, 2, 4)
 CANONICAL_LABELS = (0, 1, 2, 3)
 
@@ -137,9 +135,12 @@ def _integers_in_alphabet(data: np.ndarray, alphabet: tuple[int, ...]) -> bool:
     ``alphabet``: a min, a max and one scan per value missing between them.
     False means "not shown here", and ``np.isin`` decides.
     """
-    if data.dtype.kind not in "biu" or data.min() < alphabet[0] or data.max() > alphabet[-1]:
+    if data.dtype.kind not in "biu":
         return False
-    gaps = [v for v in range(alphabet[0], alphabet[-1]) if v not in alphabet]
+    lo, hi = int(data.min()), int(data.max())
+    if lo < alphabet[0] or hi > alphabet[-1]:
+        return False
+    gaps = [v for v in range(lo, hi + 1) if v not in alphabet]
     flat = data.ravel(order="K")  # a view of C- or Fortran-ordered data
     step = 1 << 17  # scanned in pieces, so that the temporaries stay small
     pieces = range(0, flat.size, step)
@@ -351,6 +352,8 @@ def phantom_arrays(seed: int, shape: Shape3) -> tuple[list[np.ndarray], np.ndarr
     if len(shape) != 3 or not all(_integer(s) for s in shape) or min(shape) < 16:
         raise ValueError(f"phantom shape must be 3 integers >= 16, got {tuple(shape)}")
     nx, ny, nz = shape = tuple(int(s) for s in shape)
+    from .rng import RandomStream  # here, so that reading a label map loads no numpy.random
+
     stream = RandomStream(seed, ("phantom",))
 
     # one float64 coordinate vector per axis, shaped to broadcast along its

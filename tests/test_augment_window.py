@@ -238,6 +238,26 @@ PINNED = {
 }
 
 
+# PINNED hashes .nii.gz bytes written by zlib 1.2.13 (zlib.ZLIB_RUNTIME_VERSION);
+# another deflate implementation, such as zlib-ng, encodes the same voxels in
+# other bytes. DECODED pins what voxaug computes for the same cases: each
+# .nii.gz file decoded (its 352-byte header and its voxels), and the
+# provenance JSON as it is.
+DECODED = {
+    "all-five-ops": "3e1fd6ab29afedd6c2697cf74f56ec38ebff1875fba515bf6e3a66a72cf3e01d",
+    "flip-brightness": "26faa6feab8d2cd8184ff81f2a2e063940b4c2527880c24fa9acf524e9d8f66d",
+    "whole-grid": "6626518a8ea376bc202b53773c4b4277968b3eb473fade3d50ca8bd872b039fe",
+}
+
+
+def _decoded_digest(directory):
+    digest = hashlib.sha256()
+    for p in sorted(directory.iterdir(), key=lambda p: p.name):
+        data = p.read_bytes()
+        digest.update(p.name.encode() + b"\0" + (gzip.decompress(data) if p.suffix == ".gz" else data))
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def cohort(tmp_path_factory):
     out = tmp_path_factory.mktemp("cohort")
@@ -259,6 +279,22 @@ def test_augment_bytes_are_pinned(cohort, tmp_path, capsys, monkeypatch, case, t
     code, err = _augment(capsys, tmp_path, cohort, patch=patch, pipeline=pipeline)
     assert code == 0, err
     assert _digest(tmp_path / "out") == digest
+
+
+@pytest.mark.parametrize("case", sorted(DECODED))
+@pytest.mark.parametrize("strategy", [None, "default"], ids=["rle", "default-strategy"])
+def test_augment_decoded_bytes_are_pinned(cohort, tmp_path, capsys, monkeypatch, case, strategy):
+    """The decoded pins hold whatever deflate encodes the files: here zlib's
+    default strategy in place of run-length matching, which writes other
+    .nii.gz bytes."""
+    monkeypatch.setenv("VOXAUG_THREADS", "2")
+    if strategy is not None:
+        monkeypatch.setattr(nifti, "_DEFLATE", nifti._DEFLATE[:4] + (zlib.Z_DEFAULT_STRATEGY,))
+    pipeline, patch, digest = PINNED[case]
+    code, err = _augment(capsys, tmp_path, cohort, patch=patch, pipeline=pipeline)
+    assert code == 0, err
+    assert _decoded_digest(tmp_path / "out") == DECODED[case]
+    assert (_digest(tmp_path / "out") == digest) == (strategy is None)
 
 
 @pytest.mark.parametrize("planes", [1, 8, 5], ids=["1-plane", "8-planes", "ragged"])

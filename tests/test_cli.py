@@ -8,12 +8,13 @@ import os
 import shutil
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 import voxaug.cli
-from voxaug import interp, volume
+from voxaug import interp, nifti, volume
 from voxaug.augment import AugmentSpec
 from voxaug.cli import _thread_count, main
 from voxaug.config import PipelineConfig, save_config
@@ -87,6 +88,28 @@ def test_phantom_files_keep_their_digest(tmp_path, capsys, monkeypatch, threads)
     for p in sorted(out.iterdir(), key=lambda p: p.name):
         digest.update(p.name.encode() + b"\0" + p.read_bytes())
     assert digest.hexdigest() == "8ffc6992c170027a2933671a08469907ff0764ee016c0ffa07d3e2247b913184"
+
+
+# The pin above hashes .nii.gz bytes written by zlib 1.2.13
+# (zlib.ZLIB_RUNTIME_VERSION); another deflate implementation, such as
+# zlib-ng, encodes the same voxels in other bytes. This pin hashes what
+# voxaug computes: each decoded file, its 352-byte header and its voxels.
+@pytest.mark.parametrize("strategy", [None, "default"], ids=["rle", "default-strategy"])
+def test_phantom_files_keep_their_decoded_digest(tmp_path, capsys, monkeypatch, strategy):
+    if strategy is not None:  # another deflate encoding of the same content
+        monkeypatch.setattr(nifti, "_DEFLATE", nifti._DEFLATE[:4] + (zlib.Z_DEFAULT_STRATEGY,))
+    out = tmp_path / "p"
+    code, _, err = run(
+        capsys, "phantom", "--seed", "9", "--count", "2", "--shape", "24,22,20", "--out", str(out)
+    )
+    assert code == 0, err
+    digest, decoded = hashlib.sha256(), hashlib.sha256()
+    for p in sorted(out.iterdir(), key=lambda p: p.name):
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+        decoded.update(p.name.encode() + b"\0" + gzip.decompress(p.read_bytes()))
+    assert decoded.hexdigest() == "3dc60bdec92643ef57a04db0749f4e272f6e7d28b44d359952fbdb8f2349fff8"
+    pin = "8ffc6992c170027a2933671a08469907ff0764ee016c0ffa07d3e2247b913184"
+    assert (digest.hexdigest() == pin) == (strategy is None)
 
 
 def test_phantom_rejects_small_shape(tmp_path, capsys):
@@ -662,6 +685,70 @@ def test_fault_in_a_streamed_write_leaves_nothing_behind(tmp_path, capsys, monke
     assert left == sorted(p.name for p in clean.iterdir() if not p.name.startswith("phantom001"))
     for name in left:
         assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
+@pytest.mark.parametrize("earlier_seed", [None, 8], ids=["empty-dir", "over-another-seed"])
+def test_a_failed_rename_leaves_a_subject_complete_exactly_when_its_marker_exists(
+    tmp_path, capsys, monkeypatch, earlier_seed
+):
+    """A subject's six files (four channels, the label map, and the
+    provenance JSON last, its commit marker) are renamed into place one by
+    one. Whichever rename fails, into an empty directory or over an earlier
+    run of another seed, a subject with a marker has every file of a clean
+    run of the marker's seed, and one without a marker has none of this
+    run's files."""
+    code, _, err = run(capsys, "phantom", "--seed", "5", "--count", "1", "--shape", "20,18,16",
+                       "--out", str(tmp_path / "in"))
+    assert code == 0, err
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    pipeline = (AugmentSpec(kind="rotation", probability=1.0, max_deg=30.0),
+                AugmentSpec(kind="brightness", probability=1.0))
+
+    seeds = (3, earlier_seed) if earlier_seed else (3,)
+    for seed in seeds:  # saved before os.replace is made to fail
+        cfg = PipelineConfig(seed=seed, pipeline=pipeline, patch_shape=(12, 12, 12))
+        save_config(cfg, tmp_path / f"seed{seed}.json")
+
+    def augment(seed, out):
+        return run(capsys, "augment", "--config", str(tmp_path / f"seed{seed}.json"),
+                   "--in", str(tmp_path / "in"), "--out", str(out))
+
+    def files(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    clean = {}
+    for seed in seeds:
+        assert augment(seed, tmp_path / f"clean{seed}")[0] == 0
+        clean[seed] = files(tmp_path / f"clean{seed}")
+    assert len(clean[3]) == 6
+    if earlier_seed:  # no file of the earlier run passes for one of this run
+        assert all(clean[earlier_seed][name] != data for name, data in clean[3].items())
+    marker = "phantom000_provenance.json"
+
+    replace = os.replace
+    for fail_at in range(1, 7):
+        out = tmp_path / f"out{fail_at}"
+        if earlier_seed is not None:
+            shutil.copytree(tmp_path / f"clean{earlier_seed}", out)
+        calls = []
+
+        def failing_replace(src, dst, fail_at=fail_at):
+            calls.append(dst)
+            if len(calls) == fail_at:
+                raise OSError("rename failed")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, _, err = augment(3, out)
+        monkeypatch.setattr(os, "replace", replace)
+        assert (code, err) == (1, "error: rename failed\n"), fail_at
+        left = files(out)
+        assert not any(name.startswith("tmp") for name in left), fail_at
+        if marker in left:
+            [seed] = [s for s, c in clean.items() if c[marker] == left[marker]]
+            assert left == clean[seed], fail_at
+        else:
+            assert all(data != clean[3][name] for name, data in left.items()), fail_at
 
 
 def test_augment_requires_input_dir(config_path, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""voxaug loads no scipy: not on import, and not in any subcommand.
+"""voxaug loads no scipy: not on import, and not in any subcommand. And
+each subcommand loads only the modules it runs: ``rank`` loads no numpy.
 
 Every ``voxaug`` module is numpy code only; scipy is a test dependency, the
 oracles' and the benchmark's. Each check below runs in a fresh interpreter,
@@ -100,6 +101,70 @@ def test_augment_with_an_elastic_step_loads_no_scipy(campaign):
     provenance = json.loads(next(out.glob("*.json")).read_text())
     fired = [r["kind"] for r in provenance["records"] if r["fired"]]
     assert fired == ["rotation", "elastic", "scale"]
+
+
+# --- what each subcommand loads ------------------------------------------------------
+
+# ``python -c`` with this code runs ``python -m voxaug`` with its arguments,
+# then writes the modules it holds at exit as the last line of stderr
+_RUN_VOXAUG = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))
+runpy.run_module("voxaug", run_name="__main__", alter_sys=True)
+"""
+
+
+def _loaded_by_voxaug(argv: list[str]) -> set[str]:
+    """The modules a ``python -m voxaug *argv`` process holds when it exits 0."""
+    proc = subprocess.run([sys.executable, "-c", _RUN_VOXAUG, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_import_voxaug_loads_no_numpy():
+    loaded = json.loads(subprocess.run(
+        [sys.executable, "-c", "import json, sys, voxaug; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True).stdout)
+    assert "voxaug" in loaded and "numpy" not in loaded
+    assert [m for m in loaded if m.startswith("voxaug.")] == []
+
+
+def test_rank_runs_without_numpy(campaign):
+    loaded = _loaded_by_voxaug(["rank", "--metrics", str(campaign["table"]),
+                                "--out", str(campaign["root"] / "ranks-no-numpy.csv")])
+    assert "voxaug.tables" in loaded and "numpy" not in loaded
+
+
+def test_compare_loads_only_the_table_and_the_test(campaign):
+    loaded = _loaded_by_voxaug(["compare", "--metrics", str(campaign["table"]), "--model-a", "A",
+                                "--model-b", "B", "--metric", "dice", "--region", "TC",
+                                "--flips", "100"])
+    assert "voxaug.stats" in loaded
+    assert {"voxaug.interp", "voxaug.augment", "voxaug.nifti", "voxaug.metrics"} & loaded == set()
+
+
+def test_evaluate_loads_no_augmentation_or_statistics(campaign):
+    subjects = str(campaign["subjects"])
+    loaded = _loaded_by_voxaug(["evaluate", "--pred", subjects, "--truth", subjects,
+                                "--model-id", "D", "--out", str(campaign["root"] / "d.csv")])
+    assert "voxaug.metrics" in loaded
+    assert {"voxaug.interp", "voxaug.augment", "voxaug.stats", "voxaug.config"} & loaded == set()
+
+
+def test_package_names_are_the_readme_api():
+    """``voxaug.__all__`` is the API the README documents: the names its
+    "Library use" example imports and the types it lists after it. Each
+    resolves, to the object its submodule defines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    imported = re.search(r"from voxaug import \((.*?)\)", section, re.S).group(1)
+    types = re.search(r"the types they take or return\s*\((.*?)\)", section, re.S).group(1)
+    documented = re.findall(r"\w+", imported) + re.findall(r"`(\w+)`", types)
+    assert sorted(voxaug.__all__) == sorted(documented)
+    assert set(voxaug.__all__) <= set(dir(voxaug))
+    for name in voxaug.__all__:
+        obj = getattr(voxaug, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
 
 
 def test_hausdorff95_loads_no_scipy():

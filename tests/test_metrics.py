@@ -121,6 +121,18 @@ def test_dice_shape_mismatch():
 
 # --- surfaces -------------------------------------------------------------------
 
+def test_masks_at_other_origins_are_not_compared():
+    m = np.ones((2, 2, 2), bool)
+    a, b = RegionMask("WT", m, origin=(0, 0, 0)), RegionMask("WT", m, origin=(0, 3, 0))
+    for metric in (dice, hausdorff95):
+        with pytest.raises(ValueError, match=re.escape("origin mismatch: pred (0, 0, 0) vs truth (0, 3, 0)")):
+            metric(a, b)
+    with pytest.raises(ValueError, match="origin must be three integers"):
+        RegionMask("WT", m, origin=(1, 2))
+    with pytest.raises(TypeError):
+        RegionMask("WT", m, origin=(1.5, 0, 0))
+
+
 def test_surface_single_voxel():
     m = np.zeros((3, 3, 3), bool)
     m[1, 1, 1] = True
@@ -453,6 +465,71 @@ def test_evaluate_sample_sentinel_pair_rule():
     for region in ("TC", "ET"):
         assert recs[region].dice == 0.0
         assert recs[region].hd95_mm == 373.0
+
+
+def _labels_from(rng, shape, corner, size):
+    """A raw label map of ``shape`` whose nested WT/TC/ET blobs lie in the
+    ``size`` box at ``corner``; its TC or ET may be empty."""
+    wt, tc, et = (random_blob(rng, size) for _ in range(3))
+    box = np.zeros(size, np.uint8)
+    box[wt] = 2
+    box[wt & tc] = 1
+    box[wt & tc & et] = 4
+    data = np.zeros(shape, np.uint8)
+    data[tuple(slice(c, c + n) for c, n in zip(corner, size))] = box
+    return data
+
+
+@pytest.mark.parametrize("spacing", [(1.2, 0.7, 3.3), (0.9375, 1.1, 3.3)])
+def test_evaluate_sample_on_the_maps_union_box_equals_the_full_grid(spacing):
+    """``evaluate_sample`` composes the regions on the union of the two
+    maps' nonzero boxes, which here starts away from the grid's origin.
+    Its Dice and HD95 equal those of the full-grid masks (HD95 by a
+    ``cKDTree`` query) bit for bit: each voxel keeps its full-grid
+    coordinate, ``float64(index) * spacing``."""
+    rng = np.random.default_rng(36)
+    shape = (48, 40, 36)
+    for trial in range(12):
+        pred, truth = (
+            _labels_from(rng, shape, rng.integers(5, 24, 3), (12, 12, 10)) for _ in range(2)
+        )
+        records = evaluate_sample(LabelMap(pred, spacing), LabelMap(truth, spacing), "s", "m")
+        for record in records:
+            p, t = (np.isin(m, REGION_LABELS[record.region]) for m in (pred, truth))
+            if p.any() and t.any():
+                expected = _full_grid_dice(p, t), _full_grid_hd95(p, t, spacing)
+            else:
+                expected = (1.0, 0.0) if p.any() == t.any() else (0.0, HD95_SENTINEL_MM)
+            assert (record.dice, record.hd95_mm) == expected, (trial, record.region)
+
+
+def test_evaluate_sample_of_two_empty_maps_scores_the_true_negative():
+    empty = _labels(np.zeros((5, 6, 7)))
+    records = evaluate_sample(empty, empty, "s", "m")
+    assert [(r.region, r.dice, r.hd95_mm) for r in records] == [(g, 1.0, 0.0) for g in REGIONS]
+
+
+def test_evaluate_sample_holds_no_full_grid_mask():
+    """A BraTS-sized pair (240x240x155) whose tumors fill a small box: the
+    regions are composed on the maps' union box, so evaluating it peaks
+    (tracemalloc) below one full-grid label map. Six full-grid region masks
+    alone took six of them."""
+    import tracemalloc
+
+    shape, size = (240, 240, 155), (40, 44, 36)
+    rng = np.random.default_rng(19)
+    pred, truth = (_labels_from(rng, shape, corner, size)
+                   for corner in ((96, 90, 60), (100, 96, 58)))
+    pred, truth = LabelMap(pred, checked=True), LabelMap(truth, checked=True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        records = evaluate_sample(pred, truth, "s", "m")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 3
+    assert peak < truth.data.nbytes, f"{peak / 2**20:.1f} MiB"
 
 
 def test_metric_record_validation():

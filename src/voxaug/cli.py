@@ -36,6 +36,18 @@ reports the first met in array order: a bad output voxel of ``_t1``, say,
 comes before a bad input voxel of ``_flair``, whose window is then never
 read.
 
+Each file is written under a temp name beside it, ``tmp.<name>.tmp``. An
+output directory has one writer at a time, so a file already at that temp
+name is a killed run's leftover and is removed first: a rerun takes back
+what a killed run left.
+
+``augment`` and ``evaluate`` list each input directory once per suffix:
+``_nifti_files`` maps each subject to its ``<subject><suffix>.nii.gz`` or
+``.nii`` file, the ``.nii.gz`` one where there are both. ``augment`` builds
+one such index per channel suffix and one for the label suffix, and a
+subject is one with a file of the first channel suffix. ``evaluate`` builds
+one for each of its two directories.
+
 ``phantom`` checks ``--shape`` (16 to NIfTI-1's 32767 voxels per axis)
 before it builds anything. Each subject's arrays come from
 ``volume.phantom_arrays``, which builds them a few z-planes at a time in
@@ -65,7 +77,7 @@ import os
 import sys
 from pathlib import Path
 
-from .common import DEFAULT_LABEL_SUFFIX, REGIONS, atomic_group, atomic_write_bytes, rank_models
+from .common import DEFAULT_LABEL_SUFFIX, REGIONS, atomic_group, atomic_write_bytes, metric_cells, rank_models
 
 # The names each subcommand takes from a module that needs numpy, bound in
 # this module's globals on first use, so that a name patched here (the
@@ -136,26 +148,16 @@ def _map_subjects(fn, subjects):
     return [f.result() for f in futures]
 
 
-def _resolve_nifti(directory: Path, stem: str) -> Path | None:
-    for ext in NIFTI_EXTS:
-        p = directory / f"{stem}{ext}"
-        if p.exists():
-            return p
-    return None
-
-
-def _subjects_with_suffix(directory: Path, suffix: str) -> list[str]:
+def _nifti_files(directory: Path, suffix: str) -> dict[str, Path]:
+    """``{subject: path}`` of the files ``<subject><suffix>.nii.gz`` and
+    ``<subject><suffix>.nii`` in ``directory``, sorted by subject; a subject
+    with both gets the ``.nii.gz`` file."""
     if not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")
-    ids = set()
-    for p in directory.iterdir():
-        name = p.name
-        for ext in NIFTI_EXTS:
-            marker = f"{suffix}{ext}"
-            if name.endswith(marker):
-                ids.add(name[: -len(marker)])
-                break
-    return sorted(ids)
+    paths = list(directory.iterdir())
+    files = {p.name[: -len(suffix + ext)]: p  # .nii.gz comes last, so it wins
+             for ext in reversed(NIFTI_EXTS) for p in paths if p.name.endswith(suffix + ext)}
+    return dict(sorted(files.items()))
 
 
 # subcommands -----------------------------------------------------------
@@ -169,7 +171,9 @@ def _cmd_augment(args) -> int:
         raise ValueError("output directory required (--out or config output_dir)")
     in_dir = Path(args.in_dir or cfg.input_dir)
     out_dir = Path(args.out_dir or cfg.output_dir)
-    subjects = _subjects_with_suffix(in_dir, cfg.channel_suffixes[0])
+    channels = [_nifti_files(in_dir, suffix) for suffix in cfg.channel_suffixes]
+    labels = _nifti_files(in_dir, cfg.label_suffix)
+    subjects = list(channels[0])
     if not subjects:
         raise ValueError(f"no subjects with suffix {cfg.channel_suffixes[0]!r} under {in_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -177,12 +181,11 @@ def _cmd_augment(args) -> int:
 
     def one(subject: str) -> None:
         paths = []
-        for suffix in cfg.channel_suffixes:
-            path = _resolve_nifti(in_dir, f"{subject}{suffix}")
-            if path is None:
+        for suffix, files in zip(cfg.channel_suffixes, channels):
+            if subject not in files:
                 raise ValueError(f"subject {subject}: missing channel file {subject}{suffix}.nii(.gz)")
-            paths.append(path)
-        label_path = _resolve_nifti(in_dir, f"{subject}{cfg.label_suffix}")
+            paths.append(files[subject])
+        label_path = labels.get(subject)
         # crop while reading: the window comes from the headers, so no
         # full-size array is ever held
         grids = [read_grid(p) for p in paths]
@@ -217,12 +220,12 @@ def _cmd_evaluate(args) -> int:
     _load("nifti", "metrics", "tables")
     pred_dir, truth_dir = Path(args.pred), Path(args.truth)
     suffix = args.label_suffix
-    pred_ids = _subjects_with_suffix(pred_dir, suffix)
-    truth_ids = _subjects_with_suffix(truth_dir, suffix)
-    if not truth_ids:
+    preds = _nifti_files(pred_dir, suffix)
+    truths = _nifti_files(truth_dir, suffix)
+    if not truths:
         raise ValueError(f"no label files with suffix {suffix!r} under {truth_dir}")
-    missing_pred = sorted(set(truth_ids) - set(pred_ids))
-    missing_truth = sorted(set(pred_ids) - set(truth_ids))
+    missing_pred = sorted(truths.keys() - preds.keys())
+    missing_truth = sorted(preds.keys() - truths.keys())
     if missing_pred or missing_truth:
         raise ValueError(
             f"subject mismatch: missing predictions {missing_pred}, missing truth {missing_truth}"
@@ -230,18 +233,18 @@ def _cmd_evaluate(args) -> int:
 
     def one(subject: str):
         try:
-            pred = read_labels(_resolve_nifti(pred_dir, f"{subject}{suffix}"))
-            truth = read_labels(_resolve_nifti(truth_dir, f"{subject}{suffix}"))
+            pred = read_labels(preds[subject])
+            truth = read_labels(truths[subject])
             return evaluate_sample(pred, truth, subject_id=subject, model_id=args.model_id)
         except ValueError as exc:
             raise ValueError(f"subject {subject}: {exc}") from exc
 
-    records = [r for batch in _map_subjects(one, truth_ids) for r in batch]
+    records = [r for batch in _map_subjects(one, list(truths)) for r in batch]
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics(records, out, append=args.append)
-    print(f"evaluated {len(truth_ids)} subjects ({len(records)} rows) -> {out}")
+    print(f"evaluated {len(truths)} subjects ({len(records)} rows) -> {out}")
     return 0
 
 
@@ -249,19 +252,13 @@ _METRIC_ATTR = {"dice": "dice", "hd95": "hd95_mm"}
 
 
 def _cmd_compare(args) -> int:
+    if args.model_a == args.model_b:
+        raise ValueError(f"--model-a and --model-b are the same model {args.model_a!r}")
     _load("tables", "stats")
-    records = read_metrics(args.metrics)
-    attr = _METRIC_ATTR[args.metric]
-    per_model: dict[str, dict[str, float]] = {args.model_a: {}, args.model_b: {}}
-    dupes = set()
-    for r in records:
-        if r.region == args.region and r.model_id in per_model:
-            values = per_model[r.model_id]
-            if r.subject_id in values:
-                dupes.add((r.subject_id, r.model_id, r.region))
-            values[r.subject_id] = getattr(r, attr)
-    if dupes:
-        raise ValueError(f"duplicate metric rows for {sorted(dupes)}")
+    attr, models = _METRIC_ATTR[args.metric], (args.model_a, args.model_b)
+    cells = metric_cells([r for r in read_metrics(args.metrics)
+                          if r.region == args.region and r.model_id in models])
+    per_model = {m: {s: getattr(r, attr) for (s, model, _), r in cells.items() if model == m} for m in models}
     for model_id, values in per_model.items():
         if not values:
             raise ValueError(f"model {model_id!r} has no {args.region} rows in {args.metrics}")

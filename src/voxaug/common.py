@@ -5,7 +5,10 @@
 - ``DEFAULT_LABEL_SUFFIX`` and ``REGIONS``, which the command line offers
   as defaults and choices;
 - :class:`MetricRecord` and :class:`RankEntry`, the rows of the metric and
-  rank tables, and :func:`rank_models`, which turns the one into the other;
+  rank tables; :func:`metric_cells`, which holds the tables' one key rule
+  (a (subject, model, region) key appears at most once) for
+  ``write_metrics``, ``voxaug compare`` and :func:`rank_models`; and
+  :func:`rank_models`, which turns the one kind of row into the other;
 - :func:`atomic_write_bytes` and :func:`atomic_group`, through which every
   file voxaug writes appears.
 
@@ -66,6 +69,16 @@ class MetricRecord:
             raise ValueError(f"hd95_mm must be finite and >= 0, got {self.hd95_mm}")
 
 
+def metric_cells(records) -> dict[tuple[str, str, str], MetricRecord]:
+    """The records keyed by (subject_id, model_id, region). A key may
+    appear once: if any repeats, raise naming every repeated key, sorted."""
+    keys = [(r.subject_id, r.model_id, r.region) for r in records]
+    dupes = sorted(k for k, c in Counter(keys).items() if c > 1)
+    if dupes:
+        raise ValueError(f"duplicate metric rows for {dupes}")
+    return dict(zip(keys, records))
+
+
 @dataclass(frozen=True)
 class RankEntry:
     model_id: str
@@ -92,11 +105,7 @@ def rank_models(records: list[MetricRecord], normalize: bool = False) -> list[Ra
         raise ValueError("rank_models requires at least one metric record")
     models = sorted({r.model_id for r in records})
     subjects = sorted({r.subject_id for r in records})
-    keys = [(r.subject_id, r.model_id, r.region) for r in records]
-    dupes = sorted(k for k, c in Counter(keys).items() if c > 1)
-    if dupes:
-        raise ValueError(f"duplicate metric rows for {dupes}")
-    cells = dict(zip(keys, records))
+    cells = metric_cells(records)
     missing = [
         (s, m, g)
         for s in subjects
@@ -142,10 +151,15 @@ def _atomic_file(path):
     at the group's end). If the block raises, the temp file is removed and
     ``path`` is untouched.
 
-    The temp file is created with mode 0o666, so the written file gets the
+    The temp file is named after its target, ``tmp.<name>.tmp``, so a target
+    name may be at most 247 bytes. A file already at the temp name is the
+    leftover of a killed writer (a directory has one writer at a time) and is
+    removed first; so a group that writes the same target twice fails. The
+    temp file is created with mode 0o666, so the written file gets the
     umask's default mode, as with a plain ``open(path, "wb")``."""
     path = Path(path)
-    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    tmp = path.parent / f"tmp.{path.name}.tmp"
+    tmp.unlink(missing_ok=True)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:

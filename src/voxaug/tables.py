@@ -1,8 +1,10 @@
 """CSV exchange formats for metric and rank tables.
 
 Metric tables use the header ``subject_id,model_id,region,dice,hd95_mm``
-with one row per (subject, model, region). Rows are sorted by that key
-triple before writing so parallel producers yield byte-identical files.
+with one row per (subject, model, region): the key rule is
+:func:`voxaug.common.metric_cells`, which ``write_metrics`` applies to the
+records it writes. Rows are sorted by that key triple before writing so
+parallel producers yield byte-identical files.
 Floats are rendered with ``repr`` (shortest round-trip form). Tables are
 written whole to a temp file and renamed into place, so a failed write
 leaves any previous table intact.
@@ -10,17 +12,12 @@ leaves any previous table intact.
 
 import csv
 import io
-from collections import Counter
 from pathlib import Path
 
-from .common import MetricRecord, RankEntry, atomic_write_bytes
+from .common import MetricRecord, RankEntry, atomic_write_bytes, metric_cells
 
 METRIC_HEADER = ("subject_id", "model_id", "region", "dice", "hd95_mm")
 RANK_HEADER = ("model_id", "rank_score")
-
-
-def _sorted_rows(records: list[MetricRecord]) -> list[MetricRecord]:
-    return sorted(records, key=lambda r: (r.subject_id, r.model_id, r.region))
 
 
 def _csv_bytes(rows) -> bytes:
@@ -32,16 +29,14 @@ def _csv_bytes(rows) -> bytes:
 def write_metrics(records: list[MetricRecord], path, append: bool = False) -> None:
     """Write (or append) a metric table; the appended block is itself sorted.
 
-    A (subject, model, region) key may appear once in the table: a record
-    that repeats a key of the existing table, or of another record, is
-    refused and the file is left as it was.
+    A (subject, model, region) key may appear once in the table: records
+    that repeat a key among themselves are refused before the table is
+    read, and then those that repeat a key of the existing table. Either
+    way the file is left as it was.
     """
     path = Path(path)
-    rows = [
-        [r.subject_id, r.model_id, r.region, repr(r.dice), repr(r.hd95_mm)]
-        for r in _sorted_rows(records)
-    ]
-    keys = Counter(tuple(row[:3]) for row in rows)
+    cells = metric_cells(records)
+    rows = [[*key, repr(r.dice), repr(r.hd95_mm)] for key, r in sorted(cells.items())]
     existing = b""
     if append and path.exists() and path.stat().st_size > 0:
         existing = path.read_bytes()
@@ -49,14 +44,13 @@ def write_metrics(records: list[MetricRecord], path, append: bool = False) -> No
         first = next(reader, None)
         if first != list(METRIC_HEADER):
             raise ValueError(f"{path}: existing header {first} does not match {list(METRIC_HEADER)}")
-        keys.update({tuple(row[:3]) for row in reader if row} & set(keys))
+        dupes = sorted({tuple(row[:3]) for row in reader if row} & cells.keys())
+        if dupes:
+            raise ValueError(f"duplicate metric rows for {dupes}")
         if not existing.endswith(b"\n"):
             existing += b"\n"
     else:
         rows.insert(0, METRIC_HEADER)
-    dupes = sorted(k for k, c in keys.items() if c > 1)
-    if dupes:
-        raise ValueError(f"duplicate metric rows for {dupes}")
     atomic_write_bytes(path, existing + _csv_bytes(rows))
 
 

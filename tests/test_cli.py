@@ -6,6 +6,9 @@ import hashlib
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 import zlib
@@ -237,6 +240,30 @@ def test_augment_without_labels(phantom_dir, config_path, tmp_path, capsys):
     assert code == 0, err
     assert not list(out.glob("*_seg*"))
     assert (out / "phantom000_t1.nii.gz").exists()
+
+
+@pytest.mark.parametrize("extra", ["nii-beside-nii-gz", "leftover-temp"])
+def test_augment_reads_one_file_per_subject_and_suffix(phantom_dir, config_path, tmp_path, capsys, extra):
+    """A ``.nii`` file beside a subject's ``.nii.gz`` one, holding other
+    voxels, is not read: the ``.nii.gz`` one is. A killed run's temp file,
+    named after a channel file, is not a subject."""
+    clean = tmp_path / "clean"
+    code, _, err = run(capsys, "augment", "--config", str(config_path), "--in", str(phantom_dir),
+                       "--out", str(clean))
+    assert code == 0, err
+    t1 = phantom_dir / "phantom000_t1.nii.gz"
+    if extra == "nii-beside-nii-gz":  # the _t1 voxels under the _t2 name
+        (phantom_dir / "phantom000_t2.nii").write_bytes(gzip.decompress(t1.read_bytes()))
+    else:
+        shutil.copy(t1, phantom_dir / "tmp.phantom009_t1.nii.gz.tmp")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "augment", "--config", str(config_path), "--in", str(phantom_dir),
+                            "--out", str(out))
+    assert code == 0, err
+    assert stdout == f"augmented 2 subjects -> {out}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes() for p in clean.iterdir()
+    }
 
 
 def test_augment_missing_channel_file(phantom_dir, config_path, tmp_path, capsys):
@@ -751,6 +778,73 @@ def test_a_failed_rename_leaves_a_subject_complete_exactly_when_its_marker_exist
             assert all(data != clean[3][name] for name, data in left.items()), fail_at
 
 
+# runs `voxaug augment` and SIGKILLs the process on its KILL_AT-th os.replace
+_KILL_ON_REPLACE = """
+import os, signal, sys
+from voxaug.cli import main
+replace, calls = os.replace, []
+def killing_replace(src, dst):
+    calls.append(dst)
+    if len(calls) == int(os.environ["KILL_AT"]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return replace(src, dst)
+os.replace = killing_replace
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+@pytest.mark.parametrize("earlier_seed", [None, 8], ids=["empty-dir", "over-another-seed"])
+def test_a_killed_augment_keeps_the_marker_rule_and_a_rerun_takes_back_its_leftovers(
+    tmp_path, capsys, monkeypatch, earlier_seed
+):
+    """``voxaug augment`` is killed, so that no clean-up runs, on each of a
+    subject's six renames in turn, into an empty directory or over an
+    earlier run of another seed. Where the subject's provenance JSON (its
+    commit marker) is left, every file beside it is that of a clean run of
+    the marker's seed. A rerun of the same config then leaves exactly the
+    clean run's files: it takes back the killed run's temp files."""
+    code, _, err = run(capsys, "phantom", "--seed", "5", "--count", "1", "--shape", "20,18,16",
+                       "--out", str(tmp_path / "in"))
+    assert code == 0, err
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    pipeline = (AugmentSpec(kind="rotation", probability=1.0, max_deg=30.0),
+                AugmentSpec(kind="brightness", probability=1.0))
+    seeds = (3, earlier_seed) if earlier_seed else (3,)
+    for seed in seeds:
+        cfg = PipelineConfig(seed=seed, pipeline=pipeline, patch_shape=(12, 12, 12))
+        save_config(cfg, tmp_path / f"seed{seed}.json")
+
+    def argv(seed, out):
+        return ("augment", "--config", str(tmp_path / f"seed{seed}.json"),
+                "--in", str(tmp_path / "in"), "--out", str(out))
+
+    def files(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    clean = {}
+    for seed in seeds:
+        assert run(capsys, *argv(seed, tmp_path / f"clean{seed}"))[0] == 0
+        clean[seed] = files(tmp_path / f"clean{seed}")
+    assert len(clean[3]) == 6
+    marker = "phantom000_provenance.json"
+
+    for kill_at in range(1, 7):
+        out = tmp_path / f"out{kill_at}"
+        if earlier_seed is not None:
+            shutil.copytree(tmp_path / f"clean{earlier_seed}", out)
+        killed = subprocess.run([sys.executable, "-c", _KILL_ON_REPLACE, *argv(3, out)],
+                                env={**os.environ, "KILL_AT": str(kill_at)}, capture_output=True)
+        assert killed.returncode == -signal.SIGKILL, (kill_at, killed.stderr)
+        left = {name: data for name, data in files(out).items() if not name.endswith(".tmp")}
+        if marker in left:
+            [seed] = [s for s, c in clean.items() if c[marker] == left[marker]]
+            assert left == clean[seed], kill_at
+        code, _, err = run(capsys, *argv(3, out))
+        assert code == 0, err
+        assert files(out) == clean[3], kill_at
+
+
 def test_augment_requires_input_dir(config_path, tmp_path, capsys):
     code, _, err = run(capsys, "augment", "--config", str(config_path), "--out", str(tmp_path / "o"))
     assert code == 1
@@ -848,6 +942,20 @@ def test_evaluate_subject_mismatch(phantom_dir, tmp_path, capsys):
     assert "subject mismatch" in err and "phantom001" in err
 
 
+def test_evaluate_reads_the_nii_gz_file_of_a_subject_with_both(phantom_dir, tmp_path, capsys):
+    pred = tmp_path / "pred"
+    shutil.copytree(phantom_dir, pred)
+    # phantom001's labels, uncompressed, under phantom000's name
+    (pred / "phantom000_seg.nii").write_bytes(
+        gzip.decompress((phantom_dir / "phantom001_seg.nii.gz").read_bytes())
+    )
+    out = tmp_path / "m.csv"
+    code, _, err = run(capsys, "evaluate", "--pred", str(pred), "--truth", str(phantom_dir),
+                       "--model-id", "A", "--out", str(out))
+    assert code == 0, err
+    assert [r.dice for r in read_metrics(out)] == [1.0] * 6
+
+
 # --- compare and rank -----------------------------------------------------------
 
 @pytest.fixture()
@@ -917,6 +1025,15 @@ def test_compare_rejects_duplicate_rows(two_model_table, capsys):
         "error: duplicate metric rows for "
         "[('phantom000', 'B', 'WT'), ('phantom001', 'B', 'WT')]\n"
     )
+
+
+def test_compare_refuses_the_same_model_on_both_sides(tmp_path, capsys):
+    # refused before the table is read: this one does not exist
+    code, stdout, err = run(
+        capsys, "compare", "--metrics", str(tmp_path / "nosuch.csv"), "--model-a", "A",
+        "--model-b", "A", "--metric", "dice", "--region", "WT", "--exhaustive",
+    )
+    assert (code, stdout, err) == (1, "", "error: --model-a and --model-b are the same model 'A'\n")
 
 
 def test_rank_tied_models(two_model_table, tmp_path, capsys):

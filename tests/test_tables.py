@@ -82,6 +82,18 @@ def test_write_rejects_repeated_keys_among_the_records(tmp_path, append):
     assert not path.exists()
 
 
+def test_repeats_among_the_records_are_refused_before_the_table_is_read(tmp_path):
+    """Records that repeat a key among themselves and also repeat a key of
+    the table: the error names only the repeats among the records."""
+    path = tmp_path / "m.csv"
+    write_metrics(ROWS, path)
+    before = path.read_bytes()
+    again = [_rec("s3", "A", "WT", 0.5, 2.0), _rec("s3", "A", "WT", 0.5, 2.0), _rec("s1", "B", "ET", 0.5, 2.0)]
+    with pytest.raises(ValueError, match="^" + re.escape("duplicate metric rows for [('s3', 'A', 'WT')]") + "$"):
+        write_metrics(again, path, append=True)
+    assert path.read_bytes() == before
+
+
 def test_append_rejects_foreign_header(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b,c\n1,2,3\n")

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import interp
+from . import interp, volume
 from .common import Rule, _real, whole
 from .interp import AffineTransform
 from .rng import RandomStream
@@ -337,7 +337,7 @@ def plan_steps(shape: Shape3, steps) -> Callable[[list], Iterator[tuple[int, int
     resampling whose positions are set up here, once; then the intensity
     steps, in order, on each channel.
 
-    Every plan streams in z-slabs of ``interp._SLAB_PLANES`` planes. A lone
+    Every plan streams in z-slabs of ``volume.SLAB_PLANES`` planes. A lone
     flip is an index reversal and builds no positions, and with no geometric
     step an array is not moved. Otherwise the positions are handed out in
     z-slabs (see :func:`voxaug.interp.warp`), and every check of the steps
@@ -371,7 +371,7 @@ def plan_steps(shape: Shape3, steps) -> Callable[[list], Iterator[tuple[int, int
         move_channel, move_labels = interp.sample_channel, interp.sample_labels
     else:  # nothing moves, or the lone flip reverses its axis
         axes = tuple(params["axis"] for _, params in geometric)
-        planes = interp._SLAB_PLANES
+        planes = volume.SLAB_PLANES
         slabs = lambda: [(z, slice(z, z + planes)) for z in range(0, shape[2], planes)]
         move_channel = move_labels = lambda data, zs: np.flip(data, axes)[..., zs]
     intensity = [(_OPS[kind].intensity, params) for kind, params in steps if _OPS[kind].intensity]

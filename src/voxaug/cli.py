@@ -7,20 +7,22 @@ byte-identical for any thread count because every subject draws from its own
 seed-derived random substream and tables are sorted before writing. A batch
 runs every subject to the end; one failure is reported with its own message,
 several as ``error: k of n subjects failed: <msg>; <msg>`` in subject order.
+``augment`` names the subject in a missing channel's message and in that of
+an ``OSError`` met reading or writing its files: ``subject <id>: <msg>``.
 
 ``augment`` streams each subject. It checks every header's grid, draws the
 pipeline and sets up its plan (matrices folded and inverted, x and y spline
-passes run, control grids checked) once, before any voxel is read. Then,
-for each channel in order and the label map last, it reads the patch
-window and streams that array's output into the file's writer from the
-plan, which is a function of the arrays: the slab loop that
-``apply_pipeline`` also runs, here called with that one array. One z-slab
-at a time, it moves the window there (resampling it at that slab's
-sampling positions, reversing it along a lone flip's axis, or neither),
-brightens a channel's slab and checks the output voxels. It drops the
-window before the next read, so it holds one window at a time. Only the
-position slabs are built again for each array, never the plan's set-up,
-and no whole position array or whole output is held.
+passes run, control grids checked) once, before any voxel is read. Then, for
+each channel in order and the label map last, it reads the patch window and
+streams that array's output into the file's writer from the plan, which is a
+function of the arrays: the slab loop that ``apply_pipeline`` also runs,
+here called with that one array. One z-slab (``volume.SLAB_PLANES`` planes,
+as many as each read and write moves) at a time, it moves the window there
+(resampling it at that slab's sampling positions, reversing it along a lone
+flip's axis, or neither), brightens a channel's slab and checks the output
+voxels. It drops the window before the next read, so it holds one window at
+a time. Only the position slabs are built again for each array, never the
+plan's set-up, and no whole position array or whole output is held.
 
 All of a subject's files are written into one atomic group, so a fault met
 after earlier outputs were written (a bad voxel in a later file, a negative
@@ -179,7 +181,7 @@ def _cmd_augment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = cfg.to_pipeline()
 
-    def one(subject: str) -> None:
+    def augment_one(subject: str) -> None:
         paths = []
         for suffix, files in zip(cfg.channel_suffixes, channels):
             if subject not in files:
@@ -210,6 +212,12 @@ def _cmd_augment(args) -> int:
                 out_dir / f"{subject}_provenance.json",
                 (provenance.to_json() + "\n").encode(),
             )
+
+    def one(subject: str) -> None:
+        try:
+            augment_one(subject)
+        except OSError as exc:  # a file not read or not written: the subject is named too
+            raise ValueError(f"subject {subject}: {exc}") from exc
 
     _map_subjects(one, subjects)
     print(f"augmented {len(subjects)} subjects -> {out_dir}")

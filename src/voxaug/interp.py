@@ -20,15 +20,15 @@ Conventions:
   step's own resampling. Image channels are read trilinearly, the label map
   nearest-neighbor, so constituents stay co-registered and no label value
   is invented.
-* Positions exist only in z-slabs of ``_SLAB_PLANES`` planes, each built by
-  the same operations in the same order per voxel as a whole grid would be,
-  so the slab size never changes a value. :func:`warp` does the set-up and
-  returns a function that starts a pass over the slabs, building them
-  afresh from the set-up on each call, so a caller may resample every
-  array at one slab before the next (``apply_steps``) or pass over the
-  slabs once per array (``voxaug augment``); either way no whole position
-  array is held. Each slab's positions are a new array, the caller's to
-  keep.
+* Positions exist only in z-slabs of ``volume.SLAB_PLANES`` planes, the
+  package's one z-slab count, each built by the same operations in the same
+  order per voxel as a whole grid would be, so the slab size never changes a
+  value. :func:`warp` does the set-up and returns a function that starts a
+  pass over the slabs, building them afresh from the set-up on each call, so
+  a caller may resample every array at one slab before the next
+  (``apply_steps``) or pass over the slabs once per array (``voxaug
+  augment``); either way no whole position array is held. Each slab's
+  positions are a new array, the caller's to keep.
 * Reads outside the grid always return 0 (pad label 0 for labels), blended
   in by trilinear weights at the boundary for channels.
 
@@ -46,6 +46,7 @@ from functools import partial
 
 import numpy as np
 
+from . import volume
 from .volume import Shape3
 
 
@@ -302,10 +303,6 @@ def _spline_adder(coarse: np.ndarray, target_shape: Shape3):
     return partial(_add_along_z, grid, wz)
 
 
-# z-planes of sampling positions built, and resampled, at a time
-_SLAB_PLANES = 4
-
-
 def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> np.ndarray:
     """Upsample a coarse control grid of 3-vectors to a dense field.
 
@@ -320,17 +317,17 @@ def bspline_upsample(coarse: np.ndarray, target_shape: Shape3) -> np.ndarray:
     field's bytes depend on no BLAS kernel.
 
     The passes run along x, then y, then z; the z pass is :func:`warp`'s
-    own, added to a zero field in z-slabs of ``_SLAB_PLANES`` planes. The
-    result is the (*shape, 3) field, a view of a component-first (3,
-    *shape) array.
+    own, added to a zero field in z-slabs of ``volume.SLAB_PLANES``
+    planes. The result is the (*shape, 3) field, a view of a
+    component-first (3, *shape) array.
 
     Finite control values can still sum past float64's range; either way,
     a field value that is not finite raises ``non-finite displacement``.
     """
     add = _spline_adder(coarse, target_shape)
-    field = np.zeros((3, *(int(n) for n in target_shape)))
-    for z in range(0, field.shape[-1], _SLAB_PLANES):
-        add(field[..., z : z + _SLAB_PLANES], z)
+    field, step = np.zeros((3, *(int(n) for n in target_shape))), volume.SLAB_PLANES
+    for z in range(0, field.shape[-1], step):
+        add(field[..., z : z + step], z)
     return np.moveaxis(field, 0, -1)
 
 
@@ -397,7 +394,7 @@ def warp(shape: Shape3, steps) -> Callable[[], Iterator[tuple[int, np.ndarray]]]
         stages.append(partial(_by_affine, inv=inv, center=center))
 
     def slabs():
-        step, (nx, ny, nz) = _SLAB_PLANES, shape
+        step, (nx, ny, nz) = volume.SLAB_PLANES, shape
         for z in range(0, nz, step):
             planes = min(step, nz - z)
             coords = np.empty((3, nx, ny, planes))

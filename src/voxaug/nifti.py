@@ -18,24 +18,25 @@ filename field, whose deflate stream uses zlib's run-length strategy
 (``Z_RLE``); any gzip reader decodes it. Writes are deterministic
 byte-for-byte: :func:`volume_writer` opens the file, writes the header and
 then takes the voxels in runs of whole z-planes, as a caller produces them,
-through one compressor whose output does not depend on how the planes were
-split. :func:`write_volume` is that writer fed a whole array, so there is
-one deflate path. Files are written to a temp name and atomically renamed
+and compresses them ``volume.SLAB_PLANES`` planes at a time through one
+compressor whose output does not depend on how the planes were split.
+:func:`write_volume` is that writer fed a whole array, so there is one
+deflate path. Files are written to a temp name and atomically renamed
 (see :mod:`voxaug.common`); :func:`atomic_group` renames several files
 together.
 
 Reads accept any gzip file, multi-member ones included, and never allocate
 more voxels than the file can hold. They stream too: the header first, then
-z-planes inflated into one reused slab buffer. Each slab is checked voxel by
-voxel (non-finite values, or labels outside the raw alphabet), and its part
-of the requested box is copied into a C-ordered array in (x, z) tiles. A
-label map's array starts at 0, and of each slab only the (x, y) box of its
-nonzero voxels is copied: a tumor fills a few percent of a BraTS grid.
-The box is the whole grid by default; ``augment`` asks for its patch
-window, so it never holds a full-size array. Every voxel is still decoded
-and checked, the stream is read to its end (so a gzip CRC is checked), and
-an error names the first bad voxel in (x, y, z) order by its full-grid
-index.
+``volume.SLAB_PLANES`` z-planes at a time inflated into one reused slab
+buffer. Each slab is checked voxel by voxel (non-finite values, or labels
+outside the raw alphabet), and its part of the requested box is copied into
+a C-ordered array. A label map's array starts at 0, and of each slab only
+the (x, y) box of its nonzero voxels is copied: a tumor fills a few percent
+of a BraTS grid. The box is the whole grid by default; ``augment`` asks for
+its patch window, so it never holds a full-size array. Every voxel is still
+decoded and checked, the stream is read to its end (so a gzip CRC is
+checked), and an error names the first bad voxel in (x, y, z) order by its
+full-grid index.
 """
 
 import contextlib
@@ -47,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import volume
 from .common import _atomic_file, atomic_group, atomic_write_bytes  # noqa: F401
 from .volume import RAW_LABELS, LabelMap, Volume, bad_voxel_error, earlier_bad_voxel
 
@@ -71,13 +73,7 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _DEFLATE = (zlib.Z_BEST_COMPRESSION, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
 # deflate expands at most 1032:1, which bounds what a gzip file can hold
 _MAX_DEFLATE_RATIO = 1032
-_CHUNK = 1 << 20  # bytes per slab written
 _READ = 1 << 17  # bytes per read; gzip returns each read as a new bytes object
-# a read inflates this many z-planes at a time, and at most _SLAB_BYTES unless
-# one plane is more: thinner slabs make the copy to C order slower
-_SLAB_PLANES = 32
-_SLAB_BYTES = 8 << 20
-_TILE = 16  # x-rows per tile of that copy
 
 _DTYPES = {
     DT_UINT8: np.dtype("u1"),
@@ -111,25 +107,17 @@ def _is_gzip_path(path) -> bool:
     return str(path).endswith(".gz")
 
 
-def _slabs(data: np.ndarray, dtype: np.dtype):
-    """``data`` in on-disk (Fortran) voxel order as C-contiguous ``dtype``
-    slabs of whole z-planes, about ``_CHUNK`` bytes each: views of
-    Fortran-ordered ``dtype`` data, transposed copies of C-ordered data."""
-    planes = data.T  # planes[z] is the (y, x) plane, x fastest in C order
-    step = max(1, _CHUNK // (planes[0].size * dtype.itemsize))
-    for k in range(0, len(planes), step):
-        yield np.ascontiguousarray(planes[k : k + step], dtype=dtype)
-
-
 @contextlib.contextmanager
 def volume_writer(path, like: Volume | LabelMap):
     """Yield ``write(planes)``, which appends z-planes to the single-file
     NIfTI-1 file at ``path`` of ``like``'s grid and spacing: float32 for a
     Volume, uint8 for a LabelMap. ``planes`` holds the next (nx, ny, k)
-    planes in memory order, and they are compressed as they come. A label
-    file holds raw BraTS labels, as :func:`read_labels` reads them, so a
-    canonical LabelMap is refused before any file is opened, as is a grid
-    with an axis above ``MAX_DIM``.
+    planes in memory order, and they are compressed as they come, in
+    ``volume.SLAB_PLANES``-plane steps of on-disk (Fortran) voxel order:
+    views of Fortran-ordered data of the file's type, transposed copies of
+    C-ordered data. A label file holds raw BraTS labels, as
+    :func:`read_labels` reads them, so a canonical LabelMap is refused
+    before any file is opened, as is a grid with an axis above ``MAX_DIM``.
 
     The file is written atomically (see :func:`_atomic_file`) when the block
     ends with every z-plane written; if it raises, or ends early, no file is
@@ -157,8 +145,9 @@ def volume_writer(path, like: Volume | LabelMap):
             nonlocal written
             if planes.shape[:2] != shape[:2] or written + planes.shape[2] > shape[2]:
                 raise ValueError(f"{path}: planes {planes.shape} do not fit grid {shape}")
-            for chunk in _slabs(planes, dtype):
-                put(chunk)
+            disk, step = planes.T, volume.SLAB_PLANES  # disk[z] is a (y, x) plane
+            for k in range(0, len(disk), step):
+                put(np.ascontiguousarray(disk[k : k + step], dtype=dtype))
             written += planes.shape[2]
 
         put(_build_header(shape, like.spacing, datatype, bitpix) + b"\x00\x00\x00\x00")
@@ -323,8 +312,7 @@ def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
             raise ValueError(f"{path}: scaled data (scl_slope/scl_inter) cannot be labels")
         shape = hdr["shape"]
         (x0, x1), (y0, y1), (z0, z1) = _box_bounds(box, shape, path)
-        plane_bytes = shape[0] * shape[1] * dtype.itemsize
-        nbytes = plane_bytes * shape[2]
+        nbytes = shape[0] * shape[1] * shape[2] * dtype.itemsize
         start = hdr["vox_offset"]
         if start + nbytes > limit:
             raise ValueError(
@@ -335,7 +323,7 @@ def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
         alphabet = RAW_LABELS if as_labels else None
         window = (x1 - x0, y1 - y0, z1 - z0)
         out = np.zeros(window, np.uint8) if as_labels else np.empty(window, np.float32)
-        depth = max(1, min(_SLAB_PLANES, _SLAB_BYTES // plane_bytes, shape[2]))
+        depth = min(volume.SLAB_PLANES, shape[2])
         slab = np.empty((depth, shape[1], shape[0]), dtype)  # z-planes, x fastest
         first = None  # (index, value) of the first bad voxel in full-grid order
         for z, planes in _planes(f, slab, shape[2], start, path):
@@ -351,13 +339,12 @@ def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
                     values = values.astype(np.float32, copy=False)
             first = earlier_bad_voxel(first, values.T, z, alphabet)
             lo, hi = max(z, z0), min(z + len(planes), z1)
-            if lo < hi:  # copy the window's part to C order in (x, z) tiles
+            if lo < hi:  # copy the window's part to C order
                 src = values[lo - z : hi - z, y0:y1, x0:x1]
                 dst = out[:, :, lo - z0 : hi - z0]
                 if as_labels:  # out holds 0 already: copy only the labelled box
                     src, dst = _labelled(src, dst)
-                for x in range(0, src.shape[2], _TILE):
-                    dst[x : x + _TILE] = src[:, :, x : x + _TILE].T
+                dst[...] = src.T
     if first is not None:
         raise ValueError(f"{path}: {bad_voxel_error(*first, alphabet)}")
     if as_labels:

@@ -9,6 +9,10 @@ straight into NIfTI voxel order, indexed ``[z, y, x]``: ``voxaug phantom``
 writes those arrays with no transposing copy, and :func:`make_phantom`
 copies each to C order.
 
+:data:`SLAB_PLANES` is the one z-slab count of the package: NIfTI reads
+and writes, a plan's output slabs and :func:`voxaug.interp.warp`'s position
+slabs all move that many whole z-planes at a time.
+
 Image intensities are stored as float32 (the on-disk image datatype, so file
 round-trips are bit-exact); label maps as uint8. All objects are treated as
 immutable values: operations return new instances and never mutate arrays
@@ -26,6 +30,12 @@ Shape3 = tuple[int, int, int]
 Spacing3 = tuple[float, float, float]
 
 CHANNEL_NAMES = ("t1", "t1ce", "t2", "flair")
+
+# z-planes that every array stream moves at a time: a NIfTI read's inflate
+# buffer, a write's compress step, a plan's output slab and its sampling
+# positions. Each stream reads it when it starts, so patching it here
+# reaches them all; no value it takes changes a byte of any output.
+SLAB_PLANES = 4
 
 
 def _check_spacing(spacing) -> Spacing3:

@@ -12,7 +12,7 @@ from scipy import stats as scipy_stats
 from scipy.ndimage import map_coordinates
 
 import voxaug as vx
-from voxaug import augment, interp
+from voxaug import augment, interp, volume
 from voxaug.augment import (
     KINDS,
     AugmentPipeline,
@@ -402,7 +402,7 @@ def test_geometric_ops_build_coordinates_once(small_sample, monkeypatch):
         op(small_sample)
         assert calls["coords"] == 1
         inputs = [ch.data for ch in small_sample.channels] + [small_sample.labels.data]
-        slabs = -(-small_sample.shape[2] // interp._SLAB_PLANES)
+        slabs = -(-small_sample.shape[2] // volume.SLAB_PLANES)
         assert slabs > 1
         assert len(calls["sampled"]) == len(inputs) * slabs
         for got, want in zip(calls["sampled"], inputs * slabs):
@@ -621,7 +621,7 @@ def test_bad_output_label_is_named_in_the_maps_own_convention(monkeypatch):
     s = vx.make_phantom(1, (16, 18, 20), subject_id="canonical")
     s = replace(s, labels=raw_to_canonical_labels(s.labels))
     original, label_slabs = interp.map_coordinates, []
-    planes = interp._SLAB_PLANES
+    planes = volume.SLAB_PLANES
     assert 9 >= planes  # the bad voxel's plane is past the first slab
 
     def seven_at_plane_nine(data, coords, **kwargs):
@@ -643,7 +643,7 @@ def test_bad_output_label_is_named_in_the_maps_own_convention(monkeypatch):
 def test_apply_pipeline_holds_its_outputs_and_a_few_slabs():
     """All five ops on a 96^3 phantom peak (tracemalloc) within the outputs
     (four float32 channels and a uint8 label map) plus eight slabs' worth
-    of sampling positions (``interp._SLAB_PLANES`` z-planes of 96^2; at 4
+    of sampling positions (``volume.SLAB_PLANES`` z-planes of 96^2; at 4
     planes 0.88 MB each, a bound of about 21.1 MiB). They peak at about the
     outputs + 5.04 slabs. Building whole positions (21 MB) took about 38.1
     MB."""
@@ -659,7 +659,7 @@ def test_apply_pipeline_holds_its_outputs_and_a_few_slabs():
         tracemalloc.stop()
     assert all(r.fired for r in prov.records)
     outputs = 4 * 96**3 * 4 + 96**3
-    slab = 3 * 96 * 96 * interp._SLAB_PLANES * 8
+    slab = 3 * 96 * 96 * volume.SLAB_PLANES * 8
     assert peak <= outputs + 8 * slab, f"peak outputs + {(peak - outputs) / slab:.2f} slabs"
 
 
@@ -790,10 +790,11 @@ def test_plan_applied_array_by_array_equals_apply_pipeline(small_sample, monkeyp
 
 def test_brightness_slabs_give_the_whole_array_bytes(monkeypatch):
     """A plan that does not resample maps its arrays in z-slabs of
-    ``interp._SLAB_PLANES`` planes. For brightness alone and a lone flip on each axis, a
-    one-plane slab, a ragged last slab and one slab deeper than the grid
-    give the bytes of the whole-array expression and of ``np.flip``,
-    through a ``plan_steps`` plan and through ``apply_steps``."""
+    ``volume.SLAB_PLANES`` planes. For brightness alone and a lone flip on
+    each axis, a one-plane slab, a ragged last slab and one slab deeper
+    than the grid give the bytes of the whole-array expression and of
+    ``np.flip``, through a ``plan_steps`` plan and through
+    ``apply_steps``."""
     rng = np.random.default_rng(3)
     data = rng.random((7, 5, 9), dtype=np.float32)
     labels = LabelMap(rng.choice(np.array([0, 1, 2, 4], np.uint8), data.shape))
@@ -804,7 +805,7 @@ def test_brightness_slabs_give_the_whole_array_bytes(monkeypatch):
     cases += [([("flip", {"axis": axis})], np.flip(data, axis), np.flip(labels.data, axis))
               for axis in range(3)]
     for planes in (1, 2, 4, 100):
-        monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
+        monkeypatch.setattr(volume, "SLAB_PLANES", planes)
         for steps, channel, label_map in cases:
             plan = plan_steps(s.shape, steps)
             assert [z for _, z, _ in plan([s.labels])] == list(range(0, 9, planes))

@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from voxaug import interp, nifti
+from voxaug import nifti, volume
 from voxaug.cli import main
 from voxaug.volume import make_phantom
 
@@ -26,7 +26,7 @@ FLIP = {"kind": "flip", "probability": 1.0}
 @pytest.fixture(params=[None, 1, 3], ids=["default-slabs", "1-plane-slabs", "3-plane-slabs"])
 def slab_planes(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(nifti, "_SLAB_PLANES", request.param)
+        monkeypatch.setattr(volume, "SLAB_PLANES", request.param)
     return request.param
 
 
@@ -274,7 +274,7 @@ def cohort(tmp_path_factory):
 def test_augment_bytes_are_pinned(cohort, tmp_path, capsys, monkeypatch, case, threads, planes):
     monkeypatch.setenv("VOXAUG_THREADS", threads)
     if planes is not None:  # 33 planes: 33 slabs of 1, or 4 of 7 and one of 5
-        monkeypatch.setattr(nifti, "_SLAB_PLANES", planes)
+        monkeypatch.setattr(volume, "SLAB_PLANES", planes)
     pipeline, patch, digest = PINNED[case]
     code, err = _augment(capsys, tmp_path, cohort, patch=patch, pipeline=pipeline)
     assert code == 0, err
@@ -304,7 +304,7 @@ def test_resampled_bytes_do_not_depend_on_the_position_slab_size(cohort, tmp_pat
     slabs of 1, 2 of 8 and one of 1, or 3 of 5 and one of 2), straight into
     the writers; the bytes are the pinned ones."""
     monkeypatch.setenv("VOXAUG_THREADS", "2")
-    monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
+    monkeypatch.setattr(volume, "SLAB_PLANES", planes)
     pipeline, patch, digest = PINNED["all-five-ops"]
     code, err = _augment(capsys, tmp_path, cohort, patch=patch, pipeline=pipeline)
     assert code == 0, err

@@ -327,6 +327,92 @@ def test_failed_subjects_are_all_reported_in_subject_order(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("dangling", [("phantom001",), ("phantom000", "phantom002")],
+                         ids=["one-subject", "two-subjects"])
+def test_an_unreadable_file_is_reported_with_its_subject(tmp_path, capsys, monkeypatch,
+                                                          threads, dangling):
+    """A subject whose ``_t2`` file is a dangling link fails with the
+    ``OSError`` of that read, named by the subject as a missing channel is:
+    one subject gives one error line, two are both named in the batch line.
+    A failed subject leaves no file; the others are written."""
+    subjects = tmp_path / "subjects"
+    code, _, err = run(capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "16,16,16",
+                       "--out", str(subjects))
+    assert code == 0, err
+    messages = []
+    for subject in dangling:
+        path = subjects / f"{subject}_t2.nii.gz"
+        path.unlink()
+        path.symlink_to(subjects / "gone.nii.gz")
+        messages.append(f"subject {subject}: [Errno 2] No such file or directory: {str(path)!r}")
+    cfg = tmp_path / "flip.json"
+    flip = AugmentSpec(kind="flip", probability=1.0)
+    save_config(PipelineConfig(seed=3, pipeline=(flip,), patch_shape=(16, 16, 16)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects),
+                       "--out", str(out))
+    assert code == 1
+    if len(messages) == 1:
+        assert err == f"error: {messages[0]}\n"
+    else:
+        assert err == f"error: {len(messages)} of 3 subjects failed: {'; '.join(messages)}\n"
+    written = {p.name.split("_")[0] for p in out.iterdir()}
+    assert written == {f"phantom{i:03d}" for i in range(3)} - set(dangling)
+
+
+def test_one_slab_count_drives_every_stream(tmp_path, capsys, monkeypatch):
+    """``volume.SLAB_PLANES`` is the one z-slab count: patched to 3, every
+    file ``voxaug phantom`` writes (whole arrays of 16 planes) and every
+    file ``voxaug augment`` writes (8-plane patches) is compressed in
+    3-plane steps after its 352-byte header, each augment read inflates
+    into a 3-plane buffer, and the positions come in 3-plane slabs."""
+    monkeypatch.setattr(volume, "SLAB_PLANES", 3)
+    monkeypatch.setenv("VOXAUG_THREADS", "1")
+    compressobj, steps = zlib.compressobj, []  # per compressor, the bytes of each step
+
+    class Recording:
+        def __init__(self, *args):
+            self.deflate = compressobj(*args)
+            steps.append([])
+
+        def compress(self, data):
+            steps[-1].append(memoryview(data).nbytes)
+            return self.deflate.compress(data)
+
+        def flush(self):
+            return self.deflate.flush()
+
+    monkeypatch.setattr(nifti.zlib, "compressobj", Recording)
+    code, _, err = run(capsys, "phantom", "--seed", "5", "--count", "1", "--shape", "20,18,16",
+                       "--out", str(tmp_path / "in"))
+    assert code == 0, err
+
+    def expected(plane, depths):  # 4 float32 channels, then the uint8 label map
+        return [[352] + [d * plane * size for d in depths] for size in (4, 4, 4, 4, 1)]
+
+    assert steps == expected(20 * 18, [3, 3, 3, 3, 3, 1])
+
+    read_planes, buffers = nifti._planes, []
+    monkeypatch.setattr(nifti, "_planes", lambda f, slab, *args: buffers.append(slab.shape)
+                        or read_planes(f, slab, *args))
+    sample, positions = interp.map_coordinates, []
+    monkeypatch.setattr(interp, "map_coordinates", lambda data, coords, **kw: positions.append(
+        coords.shape) or sample(data, coords, **kw))
+    cfg = tmp_path / "cfg.json"
+    pipeline = (AugmentSpec(kind="rotation", probability=1.0, max_deg=30.0),
+                AugmentSpec(kind="brightness", probability=1.0))
+    save_config(PipelineConfig(seed=3, pipeline=pipeline, patch_shape=(12, 10, 8)), cfg)
+    steps.clear()
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(tmp_path / "in"),
+                       "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert steps == expected(12 * 10, [3, 3, 2])
+    assert buffers == [(3, 18, 20)] * 5  # (z, y, x): 3 planes of the 20x18 grid
+    assert positions == [(3, 12, 10, k) for _ in range(5) for k in (3, 3, 2)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
 def test_failed_subject_leaves_no_file(tmp_path, capsys, monkeypatch, threads):
     subjects = tmp_path / "subjects"
     code, _, err = run(
@@ -357,7 +443,7 @@ def test_failed_subject_leaves_no_file(tmp_path, capsys, monkeypatch, threads):
     out = tmp_path / "out"
     code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(out))
     assert code == 1
-    assert err == "error: disk full\n"
+    assert err == "error: subject phantom001: disk full\n"
     assert len(calls) == 3
     left = sorted(p.name for p in out.iterdir())
     assert left == sorted(p.name for p in clean.iterdir() if not p.name.startswith("phantom001"))
@@ -475,8 +561,9 @@ def test_augment_without_resampling_holds_one_window_and_a_few_slabs(
 ):
     """One subject under flip, brightness, or both, at a 96^3 patch and one
     thread, peaks (tracemalloc) within 1.85 channels: the read window plus
-    z-slabs of the output (``interp._SLAB_PLANES`` z-planes, 0.3 MB in
-    float64 under brightness) and of the write. It peaked at about 1.5-1.7 channels; an
+    z-slabs of the output (``volume.SLAB_PLANES`` z-planes, 0.3 MB in
+    float64 under brightness) and of the write. It peaks at about 1.2-1.3
+    channels (1.5 with 32-plane read slabs, 1.5-1.7 before that); an
     augment that made each output whole before writing it peaked at 2.0
     (flip) and 2.3 (with brightness)."""
     code, _, err = run(
@@ -506,7 +593,7 @@ def test_augment_without_resampling_holds_one_window_and_a_few_slabs(
 def test_resampling_augment_holds_one_window_and_a_few_slabs(tmp_path, capsys, monkeypatch):
     """One subject under all five ops, at a 96^3 patch and one thread, peaks
     (tracemalloc) within one read window (a channel's, 3.5 MB) plus eight
-    slabs' worth of sampling positions (``interp._SLAB_PLANES`` z-planes of
+    slabs' worth of sampling positions (``volume.SLAB_PLANES`` z-planes of
     96^2; at 4 planes 0.88 MB each): each array is read, resampled and
     written one z-slab at a time, and dropped before the next is read, only
     its positions rebuilt. At 4-plane slabs it peaks at about a window +
@@ -535,7 +622,7 @@ def test_resampling_augment_holds_one_window_and_a_few_slabs(tmp_path, capsys, m
         tracemalloc.stop()
     assert code == 0, err
     window = 96**3 * 4
-    slab = 3 * 96 * 96 * interp._SLAB_PLANES * 8
+    slab = 3 * 96 * 96 * volume.SLAB_PLANES * 8
     assert peak <= window + 8 * slab, f"peak window + {(peak - window) / slab:.2f} slabs"
 
 
@@ -562,7 +649,7 @@ def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monk
     monkeypatch.setattr(voxaug.cli, "read_volume", recording)
     sample = interp.map_coordinates
     channel_reads = []
-    planes = interp._SLAB_PLANES
+    planes = volume.SLAB_PLANES
     assert 2 // planes != 9 // planes  # the two NaNs lie in different slabs
 
     def nan_in_two_slabs(data, coords, **kwargs):
@@ -643,7 +730,7 @@ def test_several_faults_report_the_first_met_in_array_order(tmp_path, capsys, mo
                         lambda path, **kw: windows.append(path.name) or read(path, **kw))
     sample = interp.map_coordinates
     channel_reads = []
-    planes = interp._SLAB_PLANES
+    planes = volume.SLAB_PLANES
 
     def nan_in_t1(data, coords, **kwargs):
         out = sample(data, coords, **kwargs)
@@ -678,7 +765,7 @@ def test_fault_in_a_streamed_write_leaves_nothing_behind(tmp_path, capsys, monke
     cfg = tmp_path / "cfg.json"
     save_config(PipelineConfig(seed=3, pipeline=_ALL_FIVE, patch_shape=(12, 10, 16)), cfg)
     monkeypatch.setenv("VOXAUG_THREADS", threads)
-    monkeypatch.setattr(interp, "_SLAB_PLANES", 4)  # four slabs per file
+    monkeypatch.setattr(volume, "SLAB_PLANES", 4)  # four slabs per file
     argv = ["augment", "--config", str(cfg), "--in", str(tmp_path / "in")]
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "clean"))
     assert code == 0, err
@@ -702,7 +789,7 @@ def test_fault_in_a_streamed_write_leaves_nothing_behind(tmp_path, capsys, monke
     out = tmp_path / "out"
     code, _, err = run(capsys, *argv, "--out", str(out))
     assert code == 1
-    assert err == "error: disk full\n"
+    assert err == "error: subject phantom001: disk full\n"
     suffixes = ("_t1", "_t1ce", "_t2", "_flair", "_seg")
     # one array after another: every channel's four slabs, then the label map's first three
     assert slabs == [f"phantom001{s}.nii.gz" for s in suffixes for _ in range(3 if s == "_seg" else 4)]
@@ -768,7 +855,7 @@ def test_a_failed_rename_leaves_a_subject_complete_exactly_when_its_marker_exist
         monkeypatch.setattr(os, "replace", failing_replace)
         code, _, err = augment(3, out)
         monkeypatch.setattr(os, "replace", replace)
-        assert (code, err) == (1, "error: rename failed\n"), fail_at
+        assert (code, err) == (1, "error: subject phantom000: rename failed\n"), fail_at
         left = files(out)
         assert not any(name.startswith("tmp") for name in left), fail_at
         if marker in left:

@@ -9,7 +9,7 @@ from oracles import _chain_coords, oracle_affine, oracle_spline_field
 from scipy.ndimage import gaussian_filter, map_coordinates
 
 import voxaug as vx
-from voxaug import interp
+from voxaug import interp, volume
 from voxaug.interp import AffineTransform, bspline_upsample
 from voxaug.volume import LabelMap, Sample, Volume
 
@@ -279,7 +279,7 @@ def test_z_slabs_of_warp_join_to_the_whole_field(monkeypatch, g, shape, planes):
     """The z pass run slab by slab on the grid, as ``warp`` runs it, gives
     the grid plus the whole field bit for bit, ragged last slabs included:
     each component's full sum over the knots first, then the add."""
-    monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
+    monkeypatch.setattr(volume, "SLAB_PLANES", planes)
     coarse = np.random.default_rng(20 + g).normal(0.0, 3.0, (g, g, g, 3))
     seen, joined = zip(*interp.warp(shape, [coarse])())
     assert list(seen) == list(range(0, shape[2], planes))
@@ -389,7 +389,7 @@ def test_slab_positions_equal_the_whole_grid_oracle(monkeypatch, chain, planes):
     positions of the oracle, at any slab size (20 planes: slabs of 1, of 8
     with a ragged last one of 4, of 7 with one of 6); reading each array
     slab by slab gives the bytes of resampling at the oracle's positions."""
-    monkeypatch.setattr(interp, "_SLAB_PLANES", planes)
+    monkeypatch.setattr(volume, "SLAB_PLANES", planes)
     steps = CHAINS[chain]
     shape = (24, 22, 20)
     want = _chain_coords(shape, steps)
@@ -417,7 +417,7 @@ def test_a_slab_source_passed_over_again_gives_the_same_new_slabs(monkeypatch, c
     once per array, and every pass gives the same bytes. The buffers a pass
     reuses from slab to slab are never handed out: every slab of every pass
     is an array of its own, which the caller may keep."""
-    monkeypatch.setattr(interp, "_SLAB_PLANES", 7)
+    monkeypatch.setattr(volume, "SLAB_PLANES", 7)
     source = interp.warp((24, 22, 20), CHAINS[chain])
     first, again = list(source()), list(source())
     assert [z for z, _ in first] == [z for z, _ in again] == [0, 7, 14]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxaug import nifti
+from voxaug import nifti, volume
 from voxaug.augment import rotate_by
 from voxaug.nifti import (
     _parse_header,
@@ -168,9 +168,12 @@ def test_files_decode_like_level9_files_and_are_no_larger(tmp_path, rotated):
     assert size <= size9
 
 
-@pytest.mark.parametrize("chunk", [4096, 1 << 20], ids=["4k-slabs", "default-slabs"])
-def test_written_bytes_are_one_shot_deflate_of_the_payload(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(nifti, "_CHUNK", chunk)
+@pytest.mark.parametrize("planes", [1, None], ids=["1-plane-slabs", "default-slabs"])
+def test_written_bytes_are_one_shot_deflate_of_the_payload(tmp_path, monkeypatch, planes):
+    """Compressed in 80 steps of one z-plane or in the default steps, the
+    file is one deflate of the whole payload."""
+    if planes is not None:
+        monkeypatch.setattr(volume, "SLAB_PLANES", planes)
     rng = np.random.default_rng(3)
     vol = Volume(rng.normal(size=(64, 64, 80)).round(1).astype(np.float32), spacing=(1, 1, 2))
     write_volume(vol, tmp_path / "v.nii")
@@ -523,10 +526,13 @@ _BOXES = [
 ]
 
 
-@pytest.fixture(params=[1, 4, 32], ids=["1-plane-slabs", "ragged-slabs", "default-slabs"])
+@pytest.fixture(params=[1, 2, None, 32],
+                ids=["1-plane-slabs", "ragged-slabs", "default-slabs", "one-slab"])
 def slab_planes(request, monkeypatch):
-    """Read slabs of 1 plane, of 4 (two slabs and a ragged one of the 9 planes), or the default."""
-    monkeypatch.setattr(nifti, "_SLAB_PLANES", request.param)
+    """Read slabs of the 9 planes: 1 plane each, 2 (four slabs and a ragged
+    one), the default (4: two slabs and a ragged one), or one slab of all."""
+    if request.param is not None:
+        monkeypatch.setattr(volume, "SLAB_PLANES", request.param)
     return request.param
 
 
@@ -631,8 +637,8 @@ def full_size_files(tmp_path_factory):
     return root
 
 
-def _read_peak(fn):
-    fn()  # first-use allocations are not the read's
+def _peak(fn):
+    fn()  # first-use allocations are not the call's
     tracemalloc.start()
     try:
         result = fn()
@@ -641,21 +647,46 @@ def _read_peak(fn):
         tracemalloc.stop()
 
 
+# what a .nii.gz stream holds whatever its slab size: gzip's read buffers
+# and zlib's window on a read (0.46 MB measured), zlib's compressor state
+# on a write (0.3 MB)
+_STREAM_BUFFERS = 1 << 19
+
+
 @pytest.mark.parametrize("name, reader", [("t1", read_volume), ("seg", read_labels)])
 def test_read_peak_memory_is_bounded(full_size_files, name, reader):
-    """A full-grid read holds its array and one slab (parent: 2.25x for a
-    float32 channel, 2.00x for a label map); a windowed read its patch and
-    one slab, never the full grid."""
+    """A full-grid read holds its array, one slab and the stream's buffers
+    (1.04x for a float32 channel, 1.08x for a label map; 2.25x and 2.00x
+    before reads streamed); a windowed read its patch, one slab and the
+    stream's buffers, never the full grid. With 32-plane read slabs the
+    window's bound was 23.1 MB (float32) and 5.79 MB (labels); at 4 planes
+    it is 10.8 MB and 3.08 MB, and the reads peak at 9.77 MB and 2.79 MB."""
     path = full_size_files / f"{name}.nii.gz"
-    full, peak = _read_peak(lambda: reader(path))
+    full, peak = _peak(lambda: reader(path))
     assert full.shape == (240, 240, 155)
     assert peak <= 1.3 * full.data.nbytes
-    slab = nifti._SLAB_PLANES * 240 * 240 * full.data.itemsize
+    slab = volume.SLAB_PLANES * 240 * 240 * full.data.itemsize
     box = center_box(full.shape, (128, 128, 128))
-    patch, peak = _read_peak(lambda: reader(path, box=box))
+    patch, peak = _peak(lambda: reader(path, box=box))
     np.testing.assert_array_equal(patch.data, full.data[box])
-    assert peak <= patch.data.nbytes + 2 * slab
+    assert peak <= patch.data.nbytes + 2 * slab + _STREAM_BUFFERS
     assert peak < 0.5 * full.data.nbytes
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_write_peak_memory_is_a_few_slabs_beyond_the_input(tmp_path, order):
+    """Writing a 128^3 float32 volume holds, beyond its input, the
+    compressor's state, one slab in disk order (a copy of C-ordered data,
+    a view of Fortran-ordered data) and that slab's deflate output, about
+    twice its size while zlib joins its blocks: 1.15 MB (C) and 0.88 MB
+    (F) at 4-plane slabs. Compressing 1 MiB at a time held 3.68 MB and
+    2.64 MB."""
+    data = np.random.default_rng(8).random((128, 128, 128), dtype=np.float32)
+    vol = Volume(np.asarray(data, order=order), checked=True)
+    _, peak = _peak(lambda: write_volume(vol, tmp_path / "v.nii.gz"))
+    slab = volume.SLAB_PLANES * 128 * 128 * 4
+    assert peak <= _STREAM_BUFFERS + 4 * slab, f"{(peak - _STREAM_BUFFERS) / slab:.2f} slabs"
+    np.testing.assert_array_equal(read_volume(tmp_path / "v.nii.gz").data, data)
 
 
 # --- atomic writes ---------------------------------------------------------------

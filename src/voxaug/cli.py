@@ -1,14 +1,16 @@
 """Command-line surface: augment / evaluate / compare / rank / phantom.
 
 Every subcommand prints a one-line ``error: <message>`` to stderr and exits
-nonzero on invalid input. Batch subcommands parallelize over subjects with a
-thread pool sized by the ``VOXAUG_THREADS`` environment variable; outputs are
-byte-identical for any thread count because every subject draws from its own
-seed-derived random substream and tables are sorted before writing. A batch
-runs every subject to the end; one failure is reported with its own message,
-several as ``error: k of n subjects failed: <msg>; <msg>`` in subject order.
-``augment`` names the subject in a missing channel's message and in that of
-an ``OSError`` met reading or writing its files: ``subject <id>: <msg>``.
+nonzero on invalid input. Batch subcommands (``augment``, ``evaluate``,
+``phantom``) parallelize over subjects with a thread pool sized by the
+``VOXAUG_THREADS`` environment variable; outputs are byte-identical for any
+thread count because every subject draws from its own seed-derived random
+substream and tables are sorted before writing. A batch runs every subject
+to the end, and every failure of a subject is ``subject <id>: <message>``,
+named by :func:`_map_subjects` alone: one failure is that line, several
+are ``error: k of n subjects failed: <line>; <line>`` in subject order.
+``augment`` refuses an output directory that resolves to its input
+directory before it reads or writes anything.
 
 ``augment`` streams each subject. It checks every header's grid, draws the
 pipeline and sets up its plan (matrices folded and inverted, x and y spline
@@ -32,11 +34,11 @@ marker: a subject's outputs are complete exactly when its provenance JSON
 exists. An earlier run's JSON is removed before the first file is renamed
 into place, the JSON is renamed last, and a failed rename removes the files
 already renamed. A subject with one fault reports it as a whole-patch run
-did; a bad output voxel is named by its patch index, the first in (x, y, z)
-order, once that array's last slab is done. One with several faults
-reports the first met in array order: a bad output voxel of ``_t1``, say,
-comes before a bad input voxel of ``_flair``, whose window is then never
-read.
+did; a bad output voxel is named by the output file being written and its
+patch index, the first in (x, y, z) order, once that array's last slab is
+done. One with several faults reports the first met in array order: a bad
+output voxel of ``_t1``, say, comes before a bad input voxel of ``_flair``,
+whose window is then never read.
 
 Each file is written under a temp name beside it, ``tmp.<name>.tmp``. An
 output directory has one writer at a time, so a file already at that temp
@@ -133,21 +135,26 @@ def _thread_count() -> int:
 
 
 def _map_subjects(fn, subjects):
-    """``fn`` over every subject; every subject runs to the end, and each
-    failure is reported, in subject order."""
+    """``fn`` over every subject; every subject runs to the end. Each
+    subject whose call raised an ``Exception`` is named in its line,
+    ``subject <id>: <message>``: one such line is raised as a ``ValueError``
+    chained to the original, several as ``k of n subjects failed: <line>;
+    <line>`` in subject order. Any other ``BaseException`` propagates
+    unchanged."""
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        futures = [pool.submit(fn, s) for s in subjects]
-    errors = [e for e in (f.exception() for f in futures) if e is not None]
-    if len(errors) == 1:
-        raise errors[0]
-    if errors:
-        raise ValueError(
-            f"{len(errors)} of {len(futures)} subjects failed: "
-            + "; ".join(str(e) for e in errors)
-        )
-    return [f.result() for f in futures]
+        futures = {s: pool.submit(fn, s) for s in subjects}
+    failed = {s: f.exception() for s, f in futures.items() if f.exception() is not None}
+    for exc in failed.values():
+        if not isinstance(exc, Exception):
+            raise exc
+    lines = [f"subject {s}: {exc}" for s, exc in failed.items()]
+    if len(lines) == 1:
+        raise ValueError(lines[0]) from next(iter(failed.values()))
+    if lines:
+        raise ValueError(f"{len(lines)} of {len(futures)} subjects failed: " + "; ".join(lines))
+    return [f.result() for f in futures.values()]
 
 
 def _nifti_files(directory: Path, suffix: str) -> dict[str, Path]:
@@ -173,6 +180,8 @@ def _cmd_augment(args) -> int:
         raise ValueError("output directory required (--out or config output_dir)")
     in_dir = Path(args.in_dir or cfg.input_dir)
     out_dir = Path(args.out_dir or cfg.output_dir)
+    if out_dir.resolve() == in_dir.resolve():
+        raise ValueError(f"output directory {out_dir} is the input directory {in_dir}")
     channels = [_nifti_files(in_dir, suffix) for suffix in cfg.channel_suffixes]
     labels = _nifti_files(in_dir, cfg.label_suffix)
     subjects = list(channels[0])
@@ -181,11 +190,11 @@ def _cmd_augment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = cfg.to_pipeline()
 
-    def augment_one(subject: str) -> None:
+    def one(subject: str) -> None:
         paths = []
         for suffix, files in zip(cfg.channel_suffixes, channels):
             if subject not in files:
-                raise ValueError(f"subject {subject}: missing channel file {subject}{suffix}.nii(.gz)")
+                raise ValueError(f"missing channel file {subject}{suffix}.nii(.gz)")
             paths.append(files[subject])
         label_path = labels.get(subject)
         # crop while reading: the window comes from the headers, so no
@@ -213,12 +222,6 @@ def _cmd_augment(args) -> int:
                 (provenance.to_json() + "\n").encode(),
             )
 
-    def one(subject: str) -> None:
-        try:
-            augment_one(subject)
-        except OSError as exc:  # a file not read or not written: the subject is named too
-            raise ValueError(f"subject {subject}: {exc}") from exc
-
     _map_subjects(one, subjects)
     print(f"augmented {len(subjects)} subjects -> {out_dir}")
     return 0
@@ -240,12 +243,8 @@ def _cmd_evaluate(args) -> int:
         )
 
     def one(subject: str):
-        try:
-            pred = read_labels(preds[subject])
-            truth = read_labels(truths[subject])
-            return evaluate_sample(pred, truth, subject_id=subject, model_id=args.model_id)
-        except ValueError as exc:
-            raise ValueError(f"subject {subject}: {exc}") from exc
+        pred, truth = read_labels(preds[subject]), read_labels(truths[subject])
+        return evaluate_sample(pred, truth, subject_id=subject, model_id=args.model_id)
 
     records = [r for batch in _map_subjects(one, list(truths)) for r in batch]
     out = Path(args.out)
@@ -318,16 +317,16 @@ def _cmd_phantom(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     batch = RandomStream(args.seed, ("phantom-batch",))
+    indices = {f"phantom{i:03d}": i for i in range(args.count)}
 
-    def one(index: int) -> None:
-        subject = f"phantom{index:03d}"
-        channels, labels = phantom_arrays(batch.substream(index).derived_seed(), shape)
+    def one(subject: str) -> None:
+        channels, labels = phantom_arrays(batch.substream(indices[subject]).derived_seed(), shape)
         # each array is laid out [z, y, x], so its .T is the grid in disk order
         for name, array in zip(CHANNEL_NAMES, channels):
             write_volume(Volume(array.T, name=name, checked=True), out_dir / f"{subject}_{name}.nii.gz")
         write_volume(LabelMap(labels.T, checked=True), out_dir / f"{subject}{DEFAULT_LABEL_SUFFIX}.nii.gz")
 
-    _map_subjects(one, list(range(args.count)))
+    _map_subjects(one, list(indices))
     print(f"wrote {args.count} phantom subjects -> {out_dir}")
     return 0
 

@@ -121,7 +121,9 @@ def volume_writer(path, like: Volume | LabelMap):
 
     The file is written atomically (see :func:`_atomic_file`) when the block
     ends with every z-plane written; if it raises, or ends early, no file is
-    left."""
+    left. A ``ValueError`` raised in the block (planes that do not fit, a bad
+    voxel found in them) is raised again with ``path`` in front, once, as a
+    read names its file."""
     if isinstance(like, Volume):
         datatype, bitpix, dtype = DT_FLOAT32, 32, np.dtype("<f4")
     elif isinstance(like, LabelMap):
@@ -144,14 +146,17 @@ def volume_writer(path, like: Volume | LabelMap):
         def write(planes: np.ndarray) -> None:
             nonlocal written
             if planes.shape[:2] != shape[:2] or written + planes.shape[2] > shape[2]:
-                raise ValueError(f"{path}: planes {planes.shape} do not fit grid {shape}")
+                raise ValueError(f"planes {planes.shape} do not fit grid {shape}")
             disk, step = planes.T, volume.SLAB_PLANES  # disk[z] is a (y, x) plane
             for k in range(0, len(disk), step):
                 put(np.ascontiguousarray(disk[k : k + step], dtype=dtype))
             written += planes.shape[2]
 
         put(_build_header(shape, like.spacing, datatype, bitpix) + b"\x00\x00\x00\x00")
-        yield write
+        try:
+            yield write
+        except ValueError as exc:  # a fault met making the planes names the file, as a read's does
+            raise ValueError(f"{path}: {exc}") from exc
         if written != shape[2]:
             raise ValueError(f"{path}: {written} of {shape[2]} z-planes written")
         if deflate:

@@ -31,8 +31,11 @@ def write_metrics(records: list[MetricRecord], path, append: bool = False) -> No
 
     A (subject, model, region) key may appear once in the table: records
     that repeat a key among themselves are refused before the table is
-    read, and then those that repeat a key of the existing table. Either
-    way the file is left as it was.
+    read, and then those that repeat a key of the existing table. The
+    existing table is read and keyed as ``compare`` and ``rank`` read it
+    (:func:`read_metrics`, then ``metric_cells``), so a table they would
+    refuse is refused here too, with their message. Either way the file is
+    left as it was.
     """
     path = Path(path)
     cells = metric_cells(records)
@@ -40,11 +43,7 @@ def write_metrics(records: list[MetricRecord], path, append: bool = False) -> No
     existing = b""
     if append and path.exists() and path.stat().st_size > 0:
         existing = path.read_bytes()
-        reader = csv.reader(io.StringIO(existing.decode()))
-        first = next(reader, None)
-        if first != list(METRIC_HEADER):
-            raise ValueError(f"{path}: existing header {first} does not match {list(METRIC_HEADER)}")
-        dupes = sorted({tuple(row[:3]) for row in reader if row} & cells.keys())
+        dupes = sorted(metric_cells(read_metrics(path)).keys() & cells.keys())
         if dupes:
             raise ValueError(f"duplicate metric rows for {dupes}")
         if not existing.endswith(b"\n"):

@@ -83,7 +83,7 @@ def test_non_finite_voxel(tmp_path, capsys, slab_planes, where, labels, ext):
     in_dir = _subject_dir(tmp_path, arrays, ext)
     code, err = _augment(capsys, tmp_path, in_dir)
     assert code == 1
-    assert err == f"error: {in_dir / f's_t2{ext}'}: non-finite voxel at index {where}\n"
+    assert err == f"error: subject s: {in_dir / f's_t2{ext}'}: non-finite voxel at index {where}\n"
 
 
 def test_first_non_finite_voxel_in_xyz_order_from_a_later_slab(tmp_path, capsys, slab_planes):
@@ -93,7 +93,7 @@ def test_first_non_finite_voxel_in_xyz_order_from_a_later_slab(tmp_path, capsys,
     in_dir = _subject_dir(tmp_path, arrays)
     code, err = _augment(capsys, tmp_path, in_dir)
     assert code == 1
-    assert err == f"error: {in_dir / 's_t1.nii.gz'}: non-finite voxel at index (5, 3, 18)\n"
+    assert err == f"error: subject s: {in_dir / 's_t1.nii.gz'}: non-finite voxel at index (5, 3, 18)\n"
 
 
 def test_finite_stored_voxel_that_scaling_makes_non_finite(tmp_path, capsys, slab_planes):
@@ -102,7 +102,7 @@ def test_finite_stored_voxel_that_scaling_makes_non_finite(tmp_path, capsys, sla
     in_dir = _subject_dir(tmp_path, arrays, slopes={"_flair": 10.0})
     code, err = _augment(capsys, tmp_path, in_dir)
     assert code == 1
-    assert err == f"error: {in_dir / 's_flair.nii.gz'}: non-finite voxel at index {OUTSIDE}\n"
+    assert err == f"error: subject s: {in_dir / 's_flair.nii.gz'}: non-finite voxel at index {OUTSIDE}\n"
 
 
 @pytest.mark.parametrize("ext", [".nii.gz", ".nii"])
@@ -114,7 +114,7 @@ def test_label_outside_the_alphabet(tmp_path, capsys, slab_planes, where, ext):
     code, err = _augment(capsys, tmp_path, in_dir)
     assert code == 1
     assert err == (
-        f"error: {in_dir / f's_seg{ext}'}: label value 3 at voxel {where} "
+        f"error: subject s: {in_dir / f's_seg{ext}'}: label value 3 at voxel {where} "
         "not in raw alphabet (0, 1, 2, 4)\n"
     )
 
@@ -127,7 +127,7 @@ def test_channel_grid_mismatch(tmp_path, capsys):
     code, err = _augment(capsys, tmp_path, _subject_dir(tmp_path, arrays))
     assert code == 1
     assert err == (
-        "error: channel grid mismatch: (24, 22, 21)/(1.0, 1.0, 1.0) vs (24, 22, 20)/(1.0, 1.0, 1.0)\n"
+        "error: subject s: channel grid mismatch: (24, 22, 21)/(1.0, 1.0, 1.0) vs (24, 22, 20)/(1.0, 1.0, 1.0)\n"
     )
 
 
@@ -136,7 +136,7 @@ def test_channel_spacing_mismatch(tmp_path, capsys):
     code, err = _augment(capsys, tmp_path, in_dir)
     assert code == 1
     assert err == (
-        "error: channel grid mismatch: (24, 22, 20)/(1.0, 1.0, 2.0) vs (24, 22, 20)/(1.0, 1.0, 1.0)\n"
+        "error: subject s: channel grid mismatch: (24, 22, 20)/(1.0, 1.0, 2.0) vs (24, 22, 20)/(1.0, 1.0, 1.0)\n"
     )
 
 
@@ -150,13 +150,13 @@ def test_label_map_grid_mismatch(tmp_path, capsys, change):
         spacings = {"_seg": (1.0, 0.5, 1.0)}
     code, err = _augment(capsys, tmp_path, _subject_dir(tmp_path, arrays, spacings=spacings))
     assert code == 1
-    assert err == "error: label map grid does not match channels\n"
+    assert err == "error: subject s: label map grid does not match channels\n"
 
 
 def test_patch_larger_than_the_volume(tmp_path, capsys):
     code, err = _augment(capsys, tmp_path, _subject_dir(tmp_path, _arrays()), patch=(25, 10, 8))
     assert code == 1
-    assert err == "error: patch exceeds volume: patch (25, 10, 8) > shape (24, 22, 20)\n"
+    assert err == "error: subject s: patch exceeds volume: patch (25, 10, 8) > shape (24, 22, 20)\n"
 
 
 # --- gzip faults after the window's last plane ----------------------------------------
@@ -179,7 +179,7 @@ def test_truncated_gzip_after_the_window(tmp_path, capsys, slab_planes):
     code, err = _augment(capsys, tmp_path, in_dir)
     assert code == 1
     assert err == (
-        f"error: {path}: corrupt gzip "
+        f"error: subject s: {path}: corrupt gzip "
         "(Compressed file ended before the end-of-stream marker was reached)\n"
     )
 
@@ -194,7 +194,7 @@ def test_bad_gzip_crc(tmp_path, capsys, slab_planes):
             f.read()
     code, err = _augment(capsys, tmp_path, in_dir)
     assert code == 1
-    assert err == f"error: {path}: corrupt gzip ({excinfo.value})\n"
+    assert err == f"error: subject s: {path}: corrupt gzip ({excinfo.value})\n"
 
 
 # --- the same bytes -------------------------------------------------------------------

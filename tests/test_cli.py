@@ -195,6 +195,22 @@ def test_phantom_rejects_zero_count(tmp_path, capsys):
     assert "--count" in err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_failed_phantom_write_names_its_subject(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    write_volume = voxaug.cli.write_volume
+
+    def failing(obj, path):
+        if path.name.startswith("phantom001"):
+            raise OSError("disk full")
+        write_volume(obj, path)
+
+    monkeypatch.setattr(voxaug.cli, "write_volume", failing)
+    code, _, err = run(capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "16,16,16",
+                       "--out", str(tmp_path / "x"))
+    assert (code, err) == (1, "error: subject phantom001: disk full\n")
+
+
 # --- augment ----------------------------------------------------------------
 
 def test_augment_outputs_and_provenance(phantom_dir, config_path, tmp_path, capsys):
@@ -361,6 +377,43 @@ def test_an_unreadable_file_is_reported_with_its_subject(tmp_path, capsys, monke
     assert written == {f"phantom{i:03d}" for i in range(3)} - set(dangling)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("broken", [("phantom002",), ("phantom001", "phantom002")],
+                         ids=["one-subject", "two-subjects"])
+def test_every_subject_fault_names_its_subject(tmp_path, capsys, monkeypatch, threads, broken):
+    """A fault raised anywhere in a subject's run gets the one prefix
+    ``subject <id>: ``: here a channel grid mismatch (phantom001's _t1ce
+    has 18 planes) and brightness on a negative intensity (phantom002's
+    _t1), which names the output file being made. One failure is its own
+    line; two are both named in subject order."""
+    subjects = tmp_path / "subjects"
+    code, _, err = run(capsys, "phantom", "--seed", "5", "--count", "3", "--shape", "24,22,20",
+                       "--out", str(subjects))
+    assert code == 0, err
+    t1 = subjects / "phantom002_t1.nii.gz"
+    data = read_volume(t1).data.copy()
+    data[10, 9, 8] = -1.0  # inside the window x 6..17, y 6..15, z 6..13
+    _write_unchecked(t1, data)
+    out = tmp_path / "out"
+    messages = [f"subject phantom002: {out / 'phantom002_t1.nii.gz'}: "
+                "brightness requires nonnegative intensities - normalize first"]
+    if "phantom001" in broken:
+        _write_unchecked(subjects / "phantom001_t1ce.nii.gz", np.zeros((24, 22, 18), np.float32))
+        messages.insert(0, "subject phantom001: channel grid mismatch: "
+                           "(24, 22, 18)/(1.0, 1.0, 1.0) vs (24, 22, 20)/(1.0, 1.0, 1.0)")
+    cfg = tmp_path / "cfg.json"
+    pipeline = (AugmentSpec(kind="flip", probability=1.0), AugmentSpec(kind="brightness", probability=1.0))
+    save_config(PipelineConfig(seed=3, pipeline=pipeline, patch_shape=(12, 10, 8)), cfg)
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(out))
+    assert code == 1
+    if len(messages) == 1:
+        assert err == f"error: {messages[0]}\n"
+    else:
+        assert err == f"error: 2 of 3 subjects failed: {'; '.join(messages)}\n"
+    assert {p.name.split("_")[0] for p in out.iterdir()} == {"phantom000", "phantom001"} - set(broken)
+
+
 def test_one_slab_count_drives_every_stream(tmp_path, capsys, monkeypatch):
     """``volume.SLAB_PLANES`` is the one z-slab count: patched to 3, every
     file ``voxaug phantom`` writes (whole arrays of 16 planes) and every
@@ -515,7 +568,7 @@ def test_fault_after_earlier_arrays_were_written_leaves_nothing_behind(
     out = tmp_path / "out"
     code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(subjects), "--out", str(out))
     assert code == 1
-    assert err == f"error: {path}: {message}\n"
+    assert err == f"error: subject phantom001: {path}: {message}\n"
     assert written == []
     assert list(out.glob("tmp*.tmp")) == []
     left = sorted(p.name for p in out.iterdir())
@@ -666,7 +719,8 @@ def test_first_bad_output_voxel_in_xyz_order_across_slabs(tmp_path, capsys, monk
     code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(tmp_path / "in"),
                        "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err == "error: non-finite voxel at index (2, 5, 9)\n"
+    out_t1 = tmp_path / "out" / "phantom000_t1.nii.gz"
+    assert err == f"error: subject phantom000: {out_t1}: non-finite voxel at index (2, 5, 9)\n"
     assert len(channel_reads) == -(-16 // planes)  # _t1 at each of its slabs
     assert windows == ["phantom000_t1.nii.gz"]
     assert list((tmp_path / "out").iterdir()) == []
@@ -745,7 +799,8 @@ def test_several_faults_report_the_first_met_in_array_order(tmp_path, capsys, mo
     code, _, err = run(capsys, "augment", "--config", str(cfg), "--in", str(tmp_path / "in"),
                        "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err == "error: non-finite voxel at index (3, 4, 5)\n"
+    out_t1 = tmp_path / "out" / "phantom000_t1.nii.gz"
+    assert err == f"error: subject phantom000: {out_t1}: non-finite voxel at index (3, 4, 5)\n"
     assert windows == ["phantom000_t1.nii.gz"]
     assert list((tmp_path / "out").iterdir()) == []
 
@@ -938,6 +993,22 @@ def test_augment_requires_input_dir(config_path, tmp_path, capsys):
     assert "input directory required" in err
 
 
+@pytest.mark.parametrize("alias", ["same", "dotdot", "symlink"])
+def test_augment_refuses_its_input_directory_as_output(phantom_dir, config_path, tmp_path, capsys, alias):
+    """An output directory that resolves to the input directory is refused
+    before anything is read or written, so the inputs keep their bytes."""
+    out = {"same": phantom_dir, "dotdot": phantom_dir / ".." / phantom_dir.name,
+           "symlink": tmp_path / "link"}[alias]
+    if alias == "symlink":
+        out.symlink_to(phantom_dir)
+    before = {p.name: p.read_bytes() for p in phantom_dir.iterdir()}
+    code, stdout, err = run(capsys, "augment", "--config", str(config_path), "--in", str(phantom_dir),
+                            "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: output directory {out} is the input directory {phantom_dir}\n"
+    assert {p.name: p.read_bytes() for p in phantom_dir.iterdir()} == before
+
+
 # --- evaluate ----------------------------------------------------------------
 
 def test_evaluate_self_is_perfect(phantom_dir, tmp_path, capsys):
@@ -996,6 +1067,31 @@ def test_evaluate_names_each_failing_subject(tmp_path, capsys, monkeypatch, thre
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("dangling", [("phantom001",), ("phantom000", "phantom001")],
+                         ids=["one-subject", "two-subjects"])
+def test_evaluate_names_a_subject_whose_file_cannot_be_read(phantom_dir, tmp_path, capsys, monkeypatch,
+                                                            threads, dangling):
+    pred = tmp_path / "pred"
+    shutil.copytree(phantom_dir, pred)
+    messages = []
+    for subject in dangling:
+        path = pred / f"{subject}_seg.nii.gz"
+        path.unlink()
+        path.symlink_to(pred / "gone.nii.gz")
+        messages.append(f"subject {subject}: [Errno 2] No such file or directory: {str(path)!r}")
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(capsys, "evaluate", "--pred", str(pred), "--truth", str(phantom_dir),
+                            "--model-id", "A", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    if len(messages) == 1:
+        assert err == f"error: {messages[0]}\n"
+    else:
+        assert err == f"error: 2 of 2 subjects failed: {'; '.join(messages)}\n"
+    assert not out.exists()
+
+
 def test_evaluate_append_rejects_rows_already_in_the_table(phantom_dir, tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     argv = ("evaluate", "--pred", str(phantom_dir), "--truth", str(phantom_dir),
@@ -1015,6 +1111,26 @@ def test_evaluate_append_rejects_rows_already_in_the_table(phantom_dir, tmp_path
     code, stdout, err = run(capsys, "rank", "--metrics", str(out), "--out", str(tmp_path / "r.csv"))
     assert code == 0, err
     assert stdout == "A=1.0\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("s9,m,WT,0.5\n", "{out}:2: expected 5 fields, got 4"),
+    ("s9,m,WT,0.5,1.0\ns9,m,WT,0.25,2.0\n", "duplicate metric rows for [('s9', 'm', 'WT')]"),
+], ids=["short-row", "repeated-key"])
+def test_evaluate_append_refuses_a_table_that_rank_would_refuse(phantom_dir, tmp_path, capsys,
+                                                                rows, message):
+    """The table appended to is read as ``rank`` and ``compare`` read it, so
+    a table they would refuse is refused, with their message, before
+    anything is written, and it keeps its bytes."""
+    out = tmp_path / "m2.csv"
+    out.write_text("subject_id,model_id,region,dice,hd95_mm\n" + rows)
+    before = out.read_bytes()
+    code, _, rank_err = run(capsys, "rank", "--metrics", str(out), "--out", str(tmp_path / "r.csv"))
+    assert (code, rank_err) == (1, f"error: {message.format(out=out)}\n")
+    code, stdout, err = run(capsys, "evaluate", "--pred", str(phantom_dir), "--truth", str(phantom_dir),
+                            "--model-id", "A", "--out", str(out), "--append")
+    assert (code, stdout, err) == (1, "", rank_err)
+    assert out.read_bytes() == before
 
 
 def test_evaluate_subject_mismatch(phantom_dir, tmp_path, capsys):
@@ -1172,6 +1288,29 @@ def test_thread_env_validation(phantom_dir, config_path, tmp_path, capsys, monke
     )
     assert code == 1
     assert "VOXAUG_THREADS must be >= 1" in err
+
+
+def test_map_subjects_names_failures_and_passes_other_base_exceptions(monkeypatch):
+    """Each ``Exception`` of a subject becomes ``subject <id>: <message>``;
+    one is raised alone, chained to the original. A ``BaseException``
+    that is not an ``Exception`` propagates as it was raised."""
+    monkeypatch.setenv("VOXAUG_THREADS", "2")
+    error, interrupt = KeyError("x"), KeyboardInterrupt()
+
+    def fn(subject):
+        if subject == "b":
+            raise error
+        if subject == "c":
+            raise interrupt
+        return subject.upper()
+
+    assert voxaug.cli._map_subjects(fn, ["a", "d"]) == ["A", "D"]
+    with pytest.raises(ValueError) as excinfo:
+        voxaug.cli._map_subjects(fn, ["a", "b"])
+    assert str(excinfo.value) == "subject b: 'x'" and excinfo.value.__cause__ is error
+    with pytest.raises(KeyboardInterrupt) as excinfo:
+        voxaug.cli._map_subjects(fn, ["b", "c"])
+    assert excinfo.value is interrupt
 
 
 def test_default_thread_count_follows_the_cpus_the_process_may_use(monkeypatch):

@@ -300,6 +300,25 @@ def test_hd95_equals_the_kdtree_reference_on_perturbed_phantoms(perturbed_phanto
         assert got == _full_grid_hd95(pred, truth, spacing), name
 
 
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.9375, 1.1, 3.3)])
+@pytest.mark.parametrize("fraction", [0.002, 0.02], ids=["0.2%-speckle", "2%-speckle"])
+def test_hd95_equals_the_kdtree_reference_with_scattered_false_positives(fraction, spacing):
+    """A weak model's speckled prediction: a ball against itself shifted 2
+    voxels, plus a ``fraction`` of the grid's voxels turned on at random,
+    most of them isolated and far from the truth's surface."""
+    shape = (64, 64, 48)
+    truth = _ball(shape, (32, 32, 24), 14)
+    pred = np.zeros(shape, bool)
+    pred[2:] = truth[:-2]
+    flat = pred.reshape(-1)
+    speckle = np.random.default_rng(26).choice(flat.size, int(fraction * flat.size), replace=False)
+    assert np.count_nonzero(flat[speckle]) < len(speckle) // 10  # mostly outside the ball
+    flat[speckle] = True
+    got = hausdorff95(_mask(pred, spacing=spacing), _mask(truth, spacing=spacing))
+    assert got == _full_grid_hd95(pred, truth, spacing)
+    assert got > 2 * max(spacing)  # the speckle, not the shift, sets the 95th percentile
+
+
 def _ellipsoids(rng, shape):
     """Union of 1-3 random axis-aligned ellipsoids; guaranteed nonempty."""
     g = np.indices(shape)

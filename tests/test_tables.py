@@ -97,7 +97,7 @@ def test_repeats_among_the_records_are_refused_before_the_table_is_read(tmp_path
 def test_append_rejects_foreign_header(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="existing header"):
+    with pytest.raises(ValueError, match="bad header"):
         write_metrics(ROWS, path, append=True)
 
 

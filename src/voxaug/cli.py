@@ -10,7 +10,10 @@ to the end, and every failure of a subject is ``subject <id>: <message>``,
 named by :func:`_map_subjects` alone: one failure is that line, several
 are ``error: k of n subjects failed: <line>; <line>`` in subject order.
 ``augment`` refuses an output directory that resolves to its input
-directory before it reads or writes anything.
+directory before it reads or writes anything. A seed outside what
+:class:`~voxaug.rng.RandomStream` takes is refused by the stream built
+before the batch, in one line that names no subject. ``evaluate`` and
+``rank`` create the directory of their ``--out`` file.
 
 ``augment`` streams each subject. It checks every header's grid, draws the
 pipeline and sets up its plan (matrices folded and inverted, x and y spline
@@ -58,7 +61,9 @@ before it builds anything. Each subject's arrays come from
 NIfTI voxel order, so every file is written from a view with no
 transposing copy, in the bytes ``make_phantom`` and ``write_volume`` give.
 It holds one subject's four channels and labels (17 bytes per voxel, 152
-MB at 240x240x155) per thread, and no full-grid temporary.
+MB at 240x240x155) per thread, and no full-grid temporary. A subject's
+five files are written into one atomic group, the label map last, so a
+subject that fails leaves none of them.
 
 Each subcommand imports only the modules it runs, when it runs; importing
 this module loads :mod:`voxaug.common` and no numpy:
@@ -187,6 +192,7 @@ def _cmd_augment(args) -> int:
     subjects = list(channels[0])
     if not subjects:
         raise ValueError(f"no subjects with suffix {cfg.channel_suffixes[0]!r} under {in_dir}")
+    stream = RandomStream(cfg.seed, ("augment",))  # refuses a bad seed before any file is made
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = cfg.to_pipeline()
 
@@ -202,9 +208,7 @@ def _cmd_augment(args) -> int:
         grids = [read_grid(p) for p in paths]
         check_grids(grids, None if label_path is None else read_grid(label_path))
         box = center_box(grids[0][0], cfg.patch_shape)
-        steps, provenance = draw_pipeline(
-            pipeline, RandomStream(cfg.seed, ("augment", subject)), subject
-        )
+        steps, provenance = draw_pipeline(pipeline, stream.substream(subject), subject)
         plan = plan_steps(cfg.patch_shape, steps)
         arrays = [(read_volume, p, s) for p, s in zip(paths, cfg.channel_suffixes)]
         if label_path is not None:
@@ -248,8 +252,7 @@ def _cmd_evaluate(args) -> int:
 
     records = [r for batch in _map_subjects(one, list(truths)) for r in batch]
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics(records, out, append=args.append)
     print(f"evaluated {len(truths)} subjects ({len(records)} rows) -> {out}")
     return 0
@@ -298,6 +301,7 @@ def _cmd_rank(args) -> int:
     _load("tables")
     records = read_metrics(args.metrics)
     entries = rank_models(records, normalize=args.normalize)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_ranks(entries, args.out)
     for e in entries:
         print(f"{e.model_id}={e.rank_score!r}")
@@ -314,17 +318,18 @@ def _cmd_phantom(args) -> int:
         raise ValueError(f"--shape must be three integers >= 16 and <= {MAX_DIM}, got {args.shape!r}")
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    batch = RandomStream(args.seed, ("phantom-batch",))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    batch = RandomStream(args.seed, ("phantom-batch",))
     indices = {f"phantom{i:03d}": i for i in range(args.count)}
 
     def one(subject: str) -> None:
         channels, labels = phantom_arrays(batch.substream(indices[subject]).derived_seed(), shape)
         # each array is laid out [z, y, x], so its .T is the grid in disk order
-        for name, array in zip(CHANNEL_NAMES, channels):
-            write_volume(Volume(array.T, name=name, checked=True), out_dir / f"{subject}_{name}.nii.gz")
-        write_volume(LabelMap(labels.T, checked=True), out_dir / f"{subject}{DEFAULT_LABEL_SUFFIX}.nii.gz")
+        with atomic_group():  # the subject's files appear together or not at all
+            for name, array in zip(CHANNEL_NAMES, channels):
+                write_volume(Volume(array.T, name=name, checked=True), out_dir / f"{subject}_{name}.nii.gz")
+            write_volume(LabelMap(labels.T, checked=True), out_dir / f"{subject}{DEFAULT_LABEL_SUFFIX}.nii.gz")
 
     _map_subjects(one, list(indices))
     print(f"wrote {args.count} phantom subjects -> {out_dir}")

@@ -37,6 +37,12 @@ its patch window, so it never holds a full-size array. Every voxel is still
 decoded and checked, the stream is read to its end (so a gzip CRC is
 checked), and an error names the first bad voxel in (x, y, z) order by its
 full-grid index.
+
+One rule names a file: every read and every write runs under
+:func:`_named`, the only place that puts a path in front of a message. A
+``ValueError`` met while a file is read or written is raised again as
+``<path>: <message>``, once, and a gzip error as ``<path>: corrupt gzip
+(<error>)``; each is chained to the original.
 """
 
 import contextlib
@@ -108,6 +114,20 @@ def _is_gzip_path(path) -> bool:
 
 
 @contextlib.contextmanager
+def _named(path):
+    """Put ``path`` in front of the error of a read or a write of it, once:
+    a gzip error becomes ``ValueError("<path>: corrupt gzip (<error>)")``,
+    and any other ``ValueError`` is raised again as ``<path>: <message>``,
+    each chained to the original."""
+    try:
+        yield
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{path}: corrupt gzip ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def volume_writer(path, like: Volume | LabelMap):
     """Yield ``write(planes)``, which appends z-planes to the single-file
     NIfTI-1 file at ``path`` of ``like``'s grid and spacing: float32 for a
@@ -121,46 +141,45 @@ def volume_writer(path, like: Volume | LabelMap):
 
     The file is written atomically (see :func:`_atomic_file`) when the block
     ends with every z-plane written; if it raises, or ends early, no file is
-    left. A ``ValueError`` raised in the block (planes that do not fit, a bad
-    voxel found in them) is raised again with ``path`` in front, once, as a
-    read names its file."""
-    if isinstance(like, Volume):
-        datatype, bitpix, dtype = DT_FLOAT32, 32, np.dtype("<f4")
-    elif isinstance(like, LabelMap):
-        if like.convention != "raw":
-            raise ValueError(f"{path}: a {like.convention} label map is not written; "
-                             "convert it with canonical_to_raw_labels first")
-        datatype, bitpix, dtype = DT_UINT8, 8, np.dtype("u1")
-    else:
-        raise TypeError(f"expected Volume or LabelMap, got {type(like).__name__}")
-    shape = like.shape
-    if max(shape) > MAX_DIM:
-        raise ValueError(f"{path}: grid {shape} has an axis above NIfTI-1's limit of {MAX_DIM}")
-    deflate = zlib.compressobj(*_DEFLATE) if _is_gzip_path(path) else None
-    written = 0
-    with _atomic_file(path) as f:
+    left. The whole writer, its refusals and the block included, runs under
+    :func:`_named`: a ``ValueError`` met there (a refusal, planes that do not
+    fit, a bad voxel found in them) is raised again with ``path`` in front,
+    once, as a read names its file."""
+    with _named(path):
+        if isinstance(like, Volume):
+            datatype, bitpix, dtype = DT_FLOAT32, 32, np.dtype("<f4")
+        elif isinstance(like, LabelMap):
+            if like.convention != "raw":
+                raise ValueError(f"a {like.convention} label map is not written; "
+                                 "convert it with canonical_to_raw_labels first")
+            datatype, bitpix, dtype = DT_UINT8, 8, np.dtype("u1")
+        else:
+            raise TypeError(f"expected Volume or LabelMap, got {type(like).__name__}")
+        shape = like.shape
+        if max(shape) > MAX_DIM:
+            raise ValueError(f"grid {shape} has an axis above NIfTI-1's limit of {MAX_DIM}")
+        deflate = zlib.compressobj(*_DEFLATE) if _is_gzip_path(path) else None
+        written = 0
+        with _atomic_file(path) as f:
 
-        def put(chunk):
-            f.write(deflate.compress(chunk) if deflate else chunk)
+            def put(chunk):
+                f.write(deflate.compress(chunk) if deflate else chunk)
 
-        def write(planes: np.ndarray) -> None:
-            nonlocal written
-            if planes.shape[:2] != shape[:2] or written + planes.shape[2] > shape[2]:
-                raise ValueError(f"planes {planes.shape} do not fit grid {shape}")
-            disk, step = planes.T, volume.SLAB_PLANES  # disk[z] is a (y, x) plane
-            for k in range(0, len(disk), step):
-                put(np.ascontiguousarray(disk[k : k + step], dtype=dtype))
-            written += planes.shape[2]
+            def write(planes: np.ndarray) -> None:
+                nonlocal written
+                if planes.shape[:2] != shape[:2] or written + planes.shape[2] > shape[2]:
+                    raise ValueError(f"planes {planes.shape} do not fit grid {shape}")
+                disk, step = planes.T, volume.SLAB_PLANES  # disk[z] is a (y, x) plane
+                for k in range(0, len(disk), step):
+                    put(np.ascontiguousarray(disk[k : k + step], dtype=dtype))
+                written += planes.shape[2]
 
-        put(_build_header(shape, like.spacing, datatype, bitpix) + b"\x00\x00\x00\x00")
-        try:
+            put(_build_header(shape, like.spacing, datatype, bitpix) + b"\x00\x00\x00\x00")
             yield write
-        except ValueError as exc:  # a fault met making the planes names the file, as a read's does
-            raise ValueError(f"{path}: {exc}") from exc
-        if written != shape[2]:
-            raise ValueError(f"{path}: {written} of {shape[2]} z-planes written")
-        if deflate:
-            f.write(deflate.flush())
+            if written != shape[2]:
+                raise ValueError(f"{written} of {shape[2]} z-planes written")
+            if deflate:
+                f.write(deflate.flush())
 
 
 def write_volume(obj: Volume | LabelMap, path) -> None:
@@ -169,38 +188,32 @@ def write_volume(obj: Volume | LabelMap, path) -> None:
         write(obj.data)
 
 
-def _parse_header(blob: bytes, path="<bytes>") -> dict:
+def _parse_header(blob: bytes) -> dict:
     if len(blob) < VOX_OFFSET:
-        raise ValueError(
-            f"{path}: truncated header, got {len(blob)} bytes, need at least {VOX_OFFSET}"
-        )
+        raise ValueError(f"truncated header, got {len(blob)} bytes, need at least {VOX_OFFSET}")
     (sizeof_hdr,) = struct.unpack_from("<i", blob, 0)
     if sizeof_hdr != HEADER_SIZE:
-        raise ValueError(
-            f"{path}: bad sizeof_hdr {sizeof_hdr} at offset 0 (expected {HEADER_SIZE}; "
-            "big-endian files are not supported)"
-        )
+        raise ValueError(f"bad sizeof_hdr {sizeof_hdr} at offset 0 (expected {HEADER_SIZE}; "
+                         "big-endian files are not supported)")
     magic = blob[MAGIC_OFFSET : MAGIC_OFFSET + 4]
     if magic != MAGIC:
-        raise ValueError(
-            f"{path}: bad magic {magic!r} at offset {MAGIC_OFFSET} (expected {MAGIC!r})"
-        )
+        raise ValueError(f"bad magic {magic!r} at offset {MAGIC_OFFSET} (expected {MAGIC!r})")
     dim = struct.unpack_from("<8h", blob, 40)
     if dim[0] != 3:
-        raise ValueError(f"{path}: expected 3-D volume, got dim[0]={dim[0]}")
+        raise ValueError(f"expected 3-D volume, got dim[0]={dim[0]}")
     shape = tuple(int(v) for v in dim[1:4])
     if any(v < 1 for v in shape):
-        raise ValueError(f"{path}: bad dimensions {shape} at offset 40")
+        raise ValueError(f"bad dimensions {shape} at offset 40")
     (datatype,) = struct.unpack_from("<h", blob, 70)
     if datatype not in _DTYPES:
-        raise ValueError(f"{path}: unsupported datatype code {datatype} at offset 70")
+        raise ValueError(f"unsupported datatype code {datatype} at offset 70")
     pixdim = struct.unpack_from("<8f", blob, 76)
     spacing = tuple(float(v) for v in pixdim[1:4])
     if any(not np.isfinite(v) or v <= 0 for v in spacing):
-        raise ValueError(f"{path}: nonpositive pixdim {spacing} at offset 76")
+        raise ValueError(f"nonpositive pixdim {spacing} at offset 76")
     (vox_offset,) = struct.unpack_from("<f", blob, 108)
     if not np.isfinite(vox_offset) or int(vox_offset) < HEADER_SIZE:
-        raise ValueError(f"{path}: bad vox_offset {vox_offset:g} at offset 108")
+        raise ValueError(f"bad vox_offset {vox_offset:g} at offset 108")
     vox_offset = int(vox_offset)
     slope, inter = struct.unpack_from("<2f", blob, 112)
     return {
@@ -224,43 +237,41 @@ def _volume_name(path) -> str:
 @contextlib.contextmanager
 def _voxel_stream(path):
     """Yield ``(f, limit)``: the decoded bytes of the NIfTI file ``path`` and
-    the most bytes they can hold. A gzip error inside the block becomes a
-    ``ValueError`` that names the path."""
-    with open(path, "rb") as raw:
+    the most bytes they can hold. The file is opened, and the block runs,
+    under :func:`_named`, so every error of a read (a gzip error, a bad
+    header, a bad voxel) is a ``ValueError`` that names ``path`` once."""
+    with _named(path), open(path, "rb") as raw:
         is_gzip = raw.read(2) == _GZIP_MAGIC
         if not is_gzip and _is_gzip_path(path):
-            raise ValueError(f"{path}: .gz extension but no gzip magic at offset 0")
+            raise ValueError(".gz extension but no gzip magic at offset 0")
         raw.seek(0)
         size = os.fstat(raw.fileno()).st_size
-        try:
-            if is_gzip:
-                with gzip.open(raw) as f:
-                    yield f, size * _MAX_DEFLATE_RATIO
-            else:
-                yield raw, size
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise ValueError(f"{path}: corrupt gzip ({exc})") from exc
+        if is_gzip:
+            with gzip.open(raw) as f:
+                yield f, size * _MAX_DEFLATE_RATIO
+        else:
+            yield raw, size
 
 
 def read_grid(path) -> tuple[tuple[int, int, int], tuple[float, float, float]]:
     """``(shape, spacing)`` from the header of a NIfTI-1 file; no voxel is read."""
     with _voxel_stream(path) as (f, _):
-        hdr = _parse_header(f.read(VOX_OFFSET), path=path)
+        hdr = _parse_header(f.read(VOX_OFFSET))
     return hdr["shape"], hdr["spacing"]
 
 
-def _box_bounds(box, shape, path) -> list[tuple[int, int]]:
+def _box_bounds(box, shape) -> list[tuple[int, int]]:
     """``[(start, stop)] * 3`` of ``box``, three slices cut from ``shape`` as
     numpy cuts them, or of the whole grid when ``box`` is None."""
     if box is None:
         return [(0, n) for n in shape]
     ranges = [range(n)[s] for s, n in zip(box, shape)]
     if len(box) != 3 or any(r.step != 1 or not r for r in ranges):
-        raise ValueError(f"{path}: box {box} is not a nonempty window of shape {shape}")
+        raise ValueError(f"box {box} is not a nonempty window of shape {shape}")
     return [(r.start, r.stop) for r in ranges]
 
 
-def _planes(f, slab: np.ndarray, nz: int, start: int, path):
+def _planes(f, slab: np.ndarray, nz: int, start: int):
     """Yield ``(z, planes)`` for consecutive slabs of whole z-planes read from
     ``f`` into the reused ``slab`` buffer, then read ``f`` to its end, so that
     a gzip stream's CRC and length are checked."""
@@ -275,9 +286,7 @@ def _planes(f, slab: np.ndarray, nz: int, start: int, path):
             filled += k
         got += filled
         if filled < want:
-            raise ValueError(
-                f"{path}: truncated data, expected {nbytes} bytes at offset {start}, got {got}"
-            )
+            raise ValueError(f"truncated data, expected {nbytes} bytes at offset {start}, got {got}")
         yield z, slab[:n]
     while f.read(_READ):
         pass
@@ -304,26 +313,22 @@ def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
     full-grid index.
     """
     with _voxel_stream(path) as (f, limit):
-        hdr = _parse_header(f.read(VOX_OFFSET), path=path)
+        hdr = _parse_header(f.read(VOX_OFFSET))
         dtype = _DTYPES[hdr["datatype"]]
         slope, inter = hdr["scl_slope"], hdr["scl_inter"]
         scaled = slope not in (0.0, 1.0) or inter != 0.0
         if as_labels and dtype.kind not in "ui":
-            raise ValueError(
-                f"{path}: cannot load datatype code {hdr['datatype']} as labels "
-                "(integer voxel type required)"
-            )
+            raise ValueError(f"cannot load datatype code {hdr['datatype']} as labels "
+                             "(integer voxel type required)")
         if as_labels and scaled:
-            raise ValueError(f"{path}: scaled data (scl_slope/scl_inter) cannot be labels")
+            raise ValueError("scaled data (scl_slope/scl_inter) cannot be labels")
         shape = hdr["shape"]
-        (x0, x1), (y0, y1), (z0, z1) = _box_bounds(box, shape, path)
+        (x0, x1), (y0, y1), (z0, z1) = _box_bounds(box, shape)
         nbytes = shape[0] * shape[1] * shape[2] * dtype.itemsize
         start = hdr["vox_offset"]
         if start + nbytes > limit:
-            raise ValueError(
-                f"{path}: truncated data, expected {nbytes} bytes at offset {start}, "
-                f"got at most {max(0, limit - start)}"
-            )
+            raise ValueError(f"truncated data, expected {nbytes} bytes at offset {start}, "
+                             f"got at most {max(0, limit - start)}")
         f.seek(start)
         alphabet = RAW_LABELS if as_labels else None
         window = (x1 - x0, y1 - y0, z1 - z0)
@@ -331,7 +336,7 @@ def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
         depth = min(volume.SLAB_PLANES, shape[2])
         slab = np.empty((depth, shape[1], shape[0]), dtype)  # z-planes, x fastest
         first = None  # (index, value) of the first bad voxel in full-grid order
-        for z, planes in _planes(f, slab, shape[2], start, path):
+        for z, planes in _planes(f, slab, shape[2], start):
             values = planes
             # a value that overflows becomes inf, which the check reports
             # in the one error line; numpy's warning would be a second line
@@ -350,8 +355,8 @@ def read_volume(path, as_labels: bool = False, box=None) -> Volume | LabelMap:
                 if as_labels:  # out holds 0 already: copy only the labelled box
                     src, dst = _labelled(src, dst)
                 dst[...] = src.T
-    if first is not None:
-        raise ValueError(f"{path}: {bad_voxel_error(*first, alphabet)}")
+        if first is not None:
+            raise ValueError(bad_voxel_error(*first, alphabet))
     if as_labels:
         return LabelMap(out, spacing=hdr["spacing"], convention="raw", checked=True)
     return Volume(out, spacing=hdr["spacing"], name=_volume_name(path), checked=True)

@@ -42,6 +42,8 @@ class RandomStream:
 
     def __init__(self, seed: int, path: tuple[Token, ...] = ()):
         self.seed = int(seed)
+        if not -(2**127) <= self.seed < 2**127:  # the key hashes it as 16 signed bytes
+            raise ValueError(f"seed must be in [-2**127, 2**127), got {self.seed}")
         self.path = tuple(path)
         for tok in self.path:
             if isinstance(tok, bool) or not isinstance(tok, (int, str)):

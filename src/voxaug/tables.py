@@ -54,30 +54,36 @@ def write_metrics(records: list[MetricRecord], path, append: bool = False) -> No
 
 
 def read_metrics(path) -> list[MetricRecord]:
+    """The records of the metric table at ``path``. Every refusal names the
+    file: a row's by ``<path>:<line>:``, a bad header, undecodable bytes and
+    a CSV syntax error by ``<path>:``."""
     path = Path(path)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != list(METRIC_HEADER):
-            raise ValueError(f"{path}: bad header {header}, expected {list(METRIC_HEADER)}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(METRIC_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(METRIC_HEADER)} fields, got {len(row)}")
-            subject_id, model_id, region, dice_s, hd95_s = row
-            try:
-                rec = MetricRecord(
-                    subject_id=subject_id,
-                    model_id=model_id,
-                    region=region,
-                    dice=float(dice_s),
-                    hd95_mm=float(hd95_s),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            records.append(rec)
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != list(METRIC_HEADER):
+        raise ValueError(f"{path}: bad header {header}, expected {list(METRIC_HEADER)}")
+    records = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(METRIC_HEADER):
+            raise ValueError(f"{path}:{lineno}: expected {len(METRIC_HEADER)} fields, got {len(row)}")
+        subject_id, model_id, region, dice_s, hd95_s = row
+        try:
+            rec = MetricRecord(
+                subject_id=subject_id,
+                model_id=model_id,
+                region=region,
+                dice=float(dice_s),
+                hd95_mm=float(hd95_s),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        records.append(rec)
     return records
 
 

@@ -211,6 +211,31 @@ def test_a_failed_phantom_write_names_its_subject(tmp_path, capsys, monkeypatch,
     assert (code, err) == (1, "error: subject phantom001: disk full\n")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_failed_phantom_subject_leaves_none_of_its_files(tmp_path, capsys, monkeypatch, threads):
+    """The third file of phantom001 fails to write: none of that subject's
+    files is left, and the other subjects' are those of a clean run."""
+    argv = ("phantom", "--seed", "5", "--count", "3", "--shape", "16,18,20", "--out")
+    assert run(capsys, *argv, str(tmp_path / "clean"))[0] == 0
+    clean = {p.name: p.read_bytes() for p in (tmp_path / "clean").iterdir()}
+    monkeypatch.setenv("VOXAUG_THREADS", threads)
+    write_volume, written = voxaug.cli.write_volume, []
+
+    def failing(obj, path):
+        if path.name == "phantom001_t2.nii.gz":
+            raise OSError("disk full")
+        write_volume(obj, path)
+        written.append(path.name)
+
+    monkeypatch.setattr(voxaug.cli, "write_volume", failing)
+    code, _, err = run(capsys, *argv, str(tmp_path / "x"))
+    assert (code, err) == (1, "error: subject phantom001: disk full\n")
+    assert {"phantom001_t1.nii.gz", "phantom001_t1ce.nii.gz"} <= set(written)
+    left = {p.name: p.read_bytes() for p in (tmp_path / "x").iterdir()}
+    assert left == {name: data for name, data in clean.items() if not name.startswith("phantom001")}
+    assert len(left) == 10
+
+
 # --- augment ----------------------------------------------------------------
 
 def test_augment_outputs_and_provenance(phantom_dir, config_path, tmp_path, capsys):
@@ -1254,6 +1279,50 @@ def test_rank_normalize(two_model_table, tmp_path, capsys):
     )
     assert code == 0
     assert stdout.splitlines() == ["A=0.75", "B=0.75"]
+
+
+def test_rank_and_evaluate_create_the_directory_of_their_out_file(
+    phantom_dir, two_model_table, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "no" / "such" / "ranks.csv"
+    code, _, err = run(capsys, "rank", "--metrics", str(two_model_table), "--out", str(out))
+    assert code == 0, err
+    assert out.read_text() == "model_id,rank_score\nA,1.5\nB,1.5\n"
+    out = tmp_path / "new" / "dir" / "metrics.csv"
+    code, _, err = run(capsys, "evaluate", "--pred", str(phantom_dir), "--truth", str(phantom_dir),
+                       "--model-id", "A", "--out", str(out))
+    assert code == 0, err
+    assert len(read_metrics(out)) == 6
+    monkeypatch.chdir(tmp_path)  # an --out in the working directory has the parent "."
+    assert run(capsys, "rank", "--metrics", str(two_model_table), "--out", "r.csv")[0] == 0
+    assert (tmp_path / "r.csv").read_text() == "model_id,rank_score\nA,1.5\nB,1.5\n"
+    assert run(capsys, "evaluate", "--pred", str(phantom_dir), "--truth", str(phantom_dir),
+               "--model-id", "A", "--out", "m.csv")[0] == 0
+    assert len(read_metrics(tmp_path / "m.csv")) == 6
+
+
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1, 2**128])
+def test_an_out_of_range_seed_is_one_line_before_any_subject(
+    phantom_dir, two_model_table, tmp_path, capsys, seed
+):
+    line = f"error: seed must be in [-2**127, 2**127), got {seed}\n"
+    out = tmp_path / "p"
+    code, stdout, err = run(capsys, "phantom", "--seed", str(seed), "--count", "2",
+                            "--shape", "16,16,16", "--out", str(out))
+    assert (code, stdout, err) == (1, "", line)
+    assert not out.exists()
+    code, stdout, err = run(capsys, "compare", "--metrics", str(two_model_table), "--model-a", "A",
+                            "--model-b", "B", "--metric", "dice", "--region", "WT",
+                            "--seed", str(seed))
+    assert (code, stdout, err) == (1, "", line)
+    cfg = tmp_path / "seed.json"
+    save_config(PipelineConfig(seed=seed, pipeline=(AugmentSpec(kind="flip", probability=1.0),),
+                               patch_shape=(16, 16, 16)), cfg)
+    out = tmp_path / "aug"
+    code, stdout, err = run(capsys, "augment", "--config", str(cfg), "--in", str(phantom_dir),
+                            "--out", str(out))
+    assert (code, stdout, err) == (1, "", line)
+    assert not out.exists()
 
 
 # --- plumbing ----------------------------------------------------------------

@@ -426,7 +426,9 @@ def _assert_rejected_by_name(tmp_path, name, blob):
     path = _write(tmp_path, name, blob)
     with pytest.raises(ValueError) as excinfo:
         read_volume(path)
-    assert str(excinfo.value).startswith(f"{path}: ")
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: ")
+    assert message.count(str(path)) == 1  # named once, at the front
 
 
 _shapes = st.tuples(*[st.integers(1, 6)] * 3)
@@ -447,17 +449,22 @@ def test_fuzz_truncation_at_any_length(tmp_path_factory, shape, datatype, ext, d
 
 
 @given(blob=st.binary(max_size=400), data=st.data())
-def test_fuzz_parse_header_raises_only_named_value_errors(blob, data):
-    # random bytes, and a valid header with random bytes written over it
+def test_fuzz_parse_header_raises_only_named_value_errors(tmp_path_factory, blob, data):
+    # random bytes, and a valid header with random bytes written over it,
+    # each read from a file, as a header's error takes its path from the read
     header = bytearray(_valid_file((2, 3, 4), 16)[: nifti.VOX_OFFSET])
     start = data.draw(st.integers(0, len(header)), label="start")
     header[start : start + len(blob)] = blob
-    for candidate in (blob, bytes(header[: nifti.VOX_OFFSET])):
+    tmp = tmp_path_factory.mktemp("hdr")
+    for i, candidate in enumerate((blob, bytes(header[: nifti.VOX_OFFSET]))):
+        path = _write(tmp, f"fuzz{i}.nii", candidate)
         try:
-            hdr = _parse_header(candidate, path="fuzz.nii")
+            grid = read_grid(path)
         except ValueError as exc:
-            assert str(exc).startswith("fuzz.nii: ")
+            assert str(exc).startswith(f"{path}: ")
         else:
+            hdr = _parse_header(candidate)
+            assert (hdr["shape"], hdr["spacing"]) == grid
             assert hdr["datatype"] in nifti._DTYPES
             assert all(v >= 1 for v in hdr["shape"])
             assert hdr["vox_offset"] >= nifti.HEADER_SIZE

@@ -79,6 +79,19 @@ def test_negative_seed_ok():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1, 2**128])
+def test_a_seed_outside_the_key_range_is_refused(seed):
+    with pytest.raises(ValueError) as excinfo:
+        RandomStream(seed, ("augment",))
+    assert str(excinfo.value) == f"seed must be in [-2**127, 2**127), got {seed}"
+
+
+def test_seeds_at_the_ends_of_the_key_range_draw():
+    for seed in (-(2**127), 2**127 - 1):
+        stream = RandomStream(seed).substream("s")
+        assert stream.random() == RandomStream(seed, ("s",)).random()
+
+
 def test_repr_mentions_seed_and_path():
     r = RandomStream(4, ("augment", "s1"))
     assert "4" in repr(r) and "augment" in repr(r)

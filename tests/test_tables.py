@@ -1,3 +1,5 @@
+import csv
+import gzip
 import os
 import re
 
@@ -127,6 +129,23 @@ def test_read_validates_values_with_line_numbers(tmp_path):
     )
     with pytest.raises(ValueError, match=r"m\.csv:2:"):
         read_metrics(path)
+
+
+@pytest.mark.parametrize("blob", [
+    gzip.compress(b"subject_id,model_id,region,dice,hd95_mm\n", mtime=0),
+    b"subject_id,model_id,region,dice,hd95_mm\ns1,A,WT,0.5,\"" + b"x" * 200_000 + b"\"\n",
+], ids=["undecodable", "field-too-large"])
+def test_read_names_the_file_of_undecodable_bytes_and_csv_errors(tmp_path, capsys, blob):
+    path = tmp_path / "x_t1.nii.gz"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as excinfo:
+        read_metrics(path)
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, (UnicodeDecodeError, csv.Error))
+    assert str(excinfo.value) == f"{path}: {cause}"
+    code = main(["rank", "--metrics", str(path), "--out", str(tmp_path / "r.csv")])
+    assert (code, capsys.readouterr().err) == (1, f"error: {path}: {cause}\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_write_ranks(tmp_path):
